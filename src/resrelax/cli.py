@@ -51,7 +51,12 @@ from .rates import (
     rate_table,
     relaxation_rate,
 )
-from .shifts import compute_shift, delta_sr_relative, lamb_shift_two_level
+from .shifts import (
+    ShiftWorkspace,
+    compute_shift,
+    delta_sr_relative,
+    lamb_shift_two_level,
+)
 
 log = logging.getLogger("resrelax")
 
@@ -162,7 +167,14 @@ def cmd_shift(cfg: RunConfig, args):
             "need a frequency cutoff)"
         )
     a = _resolve_level(spec, cfg.get("shift", "level"))
-    res = compute_shift(spec, kernel, a, qcfg, method=args.method)
+    workspaces = None
+    if args.method != "direct":
+        # one rf and one sr workspace serve the shift and delta_sr_relative
+        poles = [spec.omega_ab(i, j) for i, j in spec.active_pairs]
+        workspaces = {mech: ShiftWorkspace(kernel, spec.g, qcfg, mech, poles)
+                      for mech in ("rf", "sr")}
+    res = compute_shift(spec, kernel, a, qcfg, method=args.method,
+                        workspaces=workspaces)
     obj = {
         "level": spec.labels[a],
         "delta_e_rf": res.delta_e_rf,
@@ -174,7 +186,10 @@ def cmd_shift(cfg: RunConfig, args):
     }
     if spec.n_levels == 2:
         dsr_method = "direct" if args.method == "direct" else "kk"
-        dsr = delta_sr_relative(spec, kernel, qcfg, method=dsr_method)
+        dsr = delta_sr_relative(
+            spec, kernel, qcfg, method=dsr_method,
+            workspace=workspaces["sr"] if workspaces else None,
+        )
         obj["delta_sr_relative"] = dsr.value
         obj["delta_sr_error"] = dsr.error_estimate
     if args.method == "both":

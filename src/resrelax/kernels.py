@@ -55,34 +55,51 @@ OSC_CYCLES = 2500.0
 U_CAP = 25000.0
 
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+# |z| from which the asymptotic series alone is accurate to rounding
+_TRIGAMMA_RADIUS = 16.0
 
 
-def trigamma_complex(z):
-    """psi_1(z) for complex argument with Re z > 0, vectorized.
-
-    Uses the recurrence psi_1(z) = 1/z^2 + psi_1(z + 1) to push the
-    argument to Re >= 16, then the asymptotic series with Bernoulli
-    numbers.  Accuracy is ~1e-14 relative on the shifted domain.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real <= 0):
-        raise OutOfRange("trigamma evaluated at Re z <= 0")
-    shift = np.maximum(0, np.ceil(16.0 - z.real).astype(int))
-    n_max = int(shift.max()) if shift.size else 0
-    acc = np.zeros_like(z)
-    zs = z.copy()
-    for k in range(n_max):
-        active = shift > k
-        acc = np.where(active, acc + 1.0 / zs ** 2, acc)
-        zs = np.where(active, zs + 1.0, zs)
-    inv = 1.0 / zs
+def _trigamma_series(z):
+    inv = 1.0 / z
     inv2 = inv * inv
     series = inv + 0.5 * inv2
     p = inv * inv2
     for b in _BERNOULLI:
         series = series + b * p
         p = p * inv2
-    return acc + series
+    return series
+
+
+def trigamma_complex(z):
+    """psi_1(z) for complex argument with Re z > 0, vectorized.
+
+    Points with |z| >= 16 go straight to the asymptotic series with
+    Bernoulli numbers.  The others are first pushed to Re z >= 16 by the
+    recurrence psi_1(z) = 1/z^2 + psi_1(z + 1).  Accuracy is ~1e-15
+    relative over the right half-plane.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real <= 0):
+        raise OutOfRange("trigamma evaluated at Re z <= 0")
+    near = np.abs(z) < _TRIGAMMA_RADIUS
+    if not np.any(near):
+        return _trigamma_series(z)
+    out = np.empty_like(z)
+    far = ~near
+    out[far] = _trigamma_series(z[far])
+    zs = z[near]
+    shift = np.ceil(_TRIGAMMA_RADIUS - zs.real).astype(int)
+    acc = np.zeros_like(zs)
+    for k in range(int(shift.max())):
+        if shift.min() > k:
+            acc += 1.0 / zs ** 2
+            zs += 1.0
+        else:
+            active = shift > k
+            acc[active] += 1.0 / zs[active] ** 2
+            zs[active] += 1.0
+    out[near] = acc + _trigamma_series(zs)
+    return out[()]
 
 
 def _as_array(u):

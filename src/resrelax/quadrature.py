@@ -55,6 +55,10 @@ DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 PANELS_PER_PERIOD = 16
 LADDER_RATIO = 1.7
 PANEL_HARD_CAP = 400_000
+# panels per kernel-sampling block and per frequency-contraction chunk of
+# the batch transform
+BATCH_BLOCK_PANELS = 1024
+BATCH_CHUNK_PANELS = 64
 # Calibrated floor for declaring the regulator limit non-convergent; the
 # raw 100 * rel_tol criterion trips on the benign O((omega*eps)^3)
 # curvature left by the default schedule, so a relative floor is added.
@@ -279,7 +283,7 @@ def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
 
 def _polyfit_zero(eps_arr, values, order):
     coeffs = np.polyfit(eps_arr, values, order)
-    return float(np.polyval(coeffs, 0.0)), coeffs
+    return coeffs[-1], coeffs  # the fit at eps = 0 is its constant term
 
 
 def extrapolate_regulator(samples, order=2):
@@ -288,7 +292,8 @@ def extrapolate_regulator(samples, order=2):
     Returns (v0, residual, weight_l1).  residual is the spread between
     the chosen fit and the linear extrapolation of the last two samples
     (plus any least-squares misfit); weight_l1 bounds how much per-
-    sample noise is amplified.
+    sample noise is amplified.  Values may be equal-shape arrays, one
+    sequence per eps; v0 and residual are then arrays of that shape.
     """
     if len(samples) < 2:
         raise InsufficientSamples(
@@ -300,12 +305,10 @@ def extrapolate_regulator(samples, order=2):
         raise NonConvergent("regulator samples must have strictly decreasing eps")
     p = min(order, len(samples) - 1)
     v0, coeffs = _polyfit_zero(eps, vals, p)
-    misfit = float(np.max(np.abs(np.polyval(coeffs, eps) - vals)))
-    if len(samples) >= 2:
-        v_lin = _polyfit_zero(eps[-2:], vals[-2:], 1)[0] if p >= 1 else vals[-1]
-        residual = abs(v0 - v_lin) + misfit
-    else:  # pragma: no cover
-        residual = misfit
+    at_eps = eps.reshape((-1,) + (1,) * (vals.ndim - 1))
+    misfit = np.max(np.abs(np.polyval(coeffs, at_eps) - vals), axis=0)
+    v_lin = _polyfit_zero(eps[-2:], vals[-2:], 1)[0] if p >= 1 else vals[-1]
+    residual = np.abs(v0 - v_lin) + misfit
     # l1 norm of the Lagrange weights at 0 for the exact-fit case
     if p == len(samples) - 1:
         wts = []
@@ -315,6 +318,8 @@ def extrapolate_regulator(samples, order=2):
         weight_l1 = float(np.sum(np.abs(wts)))
     else:
         weight_l1 = float(len(samples))
+    if vals.ndim == 1:
+        return float(v0), float(residual), weight_l1
     return v0, residual, weight_l1
 
 
@@ -335,7 +340,7 @@ def richardson_extrapolate(values):
         raise NonConvergent("regulator samples must have strictly decreasing eps")
     v0, coeffs = _polyfit_zero(eps, vals, 1)
     residual = float(np.max(np.abs(np.polyval(coeffs, eps) - vals)))
-    return v0, residual
+    return float(v0), residual
 
 
 def _check_convergent(v0, residual, scale_hint, cfg):
@@ -447,87 +452,113 @@ def halfline_sin_transform(f, omega, cfg, **kw):
 # ---------------------------------------------------------------------------
 # batched transforms over many frequencies (shared kernel samples)
 
-class _PanelSet:
-    """Nodes, weights and kernel values reused across a frequency batch."""
+def _batch_panel_sums(f, eps_list, lo, hi, om, kind, stats):
+    """GL15 sums of f(u; eps) * trig(omega u) over the panels [lo_i, hi_i].
 
-    def __init__(self, f, eps, breakpoints):
-        bp = np.asarray(breakpoints, dtype=float)
-        self.lo, self.hi = bp[:-1], bp[1:]
-        self._build(f, eps)
-
-    def _build(self, f, eps):
-        n15, w15 = _panel_nodes(self.lo, self.hi, 15)
-        n7, w7 = _panel_nodes(self.lo, self.hi, 7)
-        self.n15, self.n7 = n15, n7
-        self.wf15 = w15 * f(n15.ravel(), eps).reshape(n15.shape)
-        self.wf7 = w7 * f(n7.ravel(), eps).reshape(n7.shape)
-
-    def transform(self, omega, kind):
-        """Per-panel integrals of f * trig(omega u); returns (I15, I7) sums."""
-        trig = np.cos if kind == "cos" else np.sin
-        i15 = np.sum(self.wf15 * trig(omega * self.n15), axis=1)
-        i7 = np.sum(self.wf7 * trig(omega * self.n7), axis=1)
-        return i15, i7
+    The kernel is sampled once per eps and trig(omega u) once per
+    (omega, node) for all eps.  Panels are taken in blocks of
+    BATCH_BLOCK_PANELS for the kernel samples and the frequency axis is
+    contracted in chunks of BATCH_CHUNK_PANELS, so the working set stays
+    small.  Returns (raw, qerr, worst): raw and qerr, shape
+    (n_eps, n_omega), sum the panel values and the GL15/GL7 differences;
+    worst, shape (n_eps, n_panels), is the largest difference over the
+    frequencies.
+    """
+    trig = np.cos if kind == "cos" else np.sin
+    n_eps, n_panels = len(eps_list), lo.size
+    if stats is not None:
+        stats["panels"] = stats.get("panels", 0) + n_eps * n_panels
+        stats["points"] = stats.get("points", 0) + n_eps * n_panels * 22
+    raw = np.zeros((n_eps, om.size))
+    qerr = np.zeros((n_eps, om.size))
+    worst = np.empty((n_eps, n_panels))
+    for b in range(0, n_panels, BATCH_BLOCK_PANELS):
+        blk = slice(b, b + BATCH_BLOCK_PANELS)
+        n15, w15 = _panel_nodes(lo[blk], hi[blk], 15)
+        n7, w7 = _panel_nodes(lo[blk], hi[blk], 7)
+        nodes = np.concatenate([n15.ravel(), n7.ravel()])
+        samples = np.stack([f(nodes, e) for e in eps_list])
+        wf15 = w15 * samples[:, :n15.size].reshape((n_eps,) + n15.shape)
+        wf7 = w7 * samples[:, n15.size:].reshape((n_eps,) + n7.shape)
+        for c in range(0, n15.shape[0], BATCH_CHUNK_PANELS):
+            sl = slice(c, c + BATCH_CHUNK_PANELS)
+            i15 = np.einsum("kpj,epj->ekp", trig(om[:, None, None] * n15[sl]),
+                            wf15[:, sl])
+            i7 = np.einsum("kpj,epj->ekp", trig(om[:, None, None] * n7[sl]),
+                           wf7[:, sl])
+            diff = np.abs(i15 - i7)
+            raw += i15.sum(axis=2)
+            qerr += diff.sum(axis=2)
+            worst[:, b + c:b + c + BATCH_CHUNK_PANELS] = diff.max(axis=1)
+    return raw, qerr, worst
 
 
 def batch_halfline_transform(f, omegas, kind, cfg, eps, *, u_max, u_scale,
                              envelope=None, endpoint_correction=True,
-                             refine_rounds=3, panels_per_period=6):
+                             refine_rounds=3, panels_per_period=6,
+                             stats=None):
     """Transform one kernel slice at many frequencies on a shared grid.
 
     The panel layout is built once for the largest |omega| in the batch
     (coarser per period than the scalar path, which the embedded high-
     order rule tolerates) and refined where the error estimate is worst
-    across the batch.  Returns (values, errors) aligned with ``omegas``.
+    across the batch.  ``eps`` is one regulator value or a sequence of
+    them; all of them share the layout, which is refined wherever any
+    eps still misses its tolerance (an eps that meets it keeps its
+    values from that round).  Returns (values, errors) aligned with
+    ``omegas``, with a leading eps axis when ``eps`` is a sequence.
+    ``stats``, a dict, accumulates the evaluated panels and kernel
+    points (per eps).
     """
-    om = np.asarray(omegas, dtype=float)
+    scalar_eps = np.ndim(eps) == 0
+    eps_list = [float(eps)] if scalar_eps else [float(e) for e in eps]
+    om = np.asarray(omegas, dtype=float).ravel()
+    n_eps = len(eps_list)
     if om.size == 0:
-        return np.zeros(0), np.zeros(0)
+        shape = (0,) if scalar_eps else (n_eps, 0)
+        return np.zeros(shape), np.zeros(shape)
     w_layout = float(np.max(np.abs(om)))
     bp = _halfline_breakpoints(w_layout, u_scale, u_max,
                                panels_per_period=panels_per_period)
-    ps = _PanelSet(f, eps, bp)
-    raw = np.empty(om.size)
-    qerr = np.empty(om.size)
+    lo, hi = bp[:-1], bp[1:]
+    raw = np.empty((n_eps, om.size))
+    qerr = np.empty((n_eps, om.size))
+    active = np.arange(n_eps)
     for round_no in range(refine_rounds):
-        worst = np.zeros(len(ps.lo))
-        vmax = 0.0
-        for k, w in enumerate(om.ravel()):
-            i15, i7 = ps.transform(w, kind)
-            worst = np.maximum(worst, np.abs(i15 - i7))
-            raw[k] = float(np.sum(i15))
-            qerr[k] = float(np.sum(np.abs(i15 - i7)))
-            vmax = max(vmax, abs(raw[k]))
-        total_err = float(np.sum(worst))
-        if total_err <= max(cfg.abs_tol, 0.1 * cfg.rel_tol * vmax):
+        r, q, worst = _batch_panel_sums(f, [eps_list[i] for i in active],
+                                        lo, hi, om, kind, stats)
+        raw[active] = r
+        qerr[active] = q
+        total_err = worst.sum(axis=1)
+        vmax = np.max(np.abs(r), axis=1)
+        missed = total_err > np.maximum(cfg.abs_tol, 0.1 * cfg.rel_tol * vmax)
+        if not missed.any() or round_no == refine_rounds - 1:
             break
-        if round_no == refine_rounds - 1:
+        worst, total_err = worst[missed], total_err[missed]
+        cut = np.maximum(worst.max(axis=1) * 0.05, total_err / lo.size)
+        split = np.any(worst > cut[:, None], axis=0)
+        if not split.any():
             break
-        cut = max(np.max(worst) * 0.05, total_err / max(len(ps.lo), 1))
-        idx = np.nonzero(worst > cut)[0]
-        if idx.size == 0:
-            break
-        keep = np.setdiff1d(np.arange(len(ps.lo)), idx)
-        mids = 0.5 * (ps.lo[idx] + ps.hi[idx])
-        new_bp = np.unique(np.concatenate(
-            [ps.lo[keep], ps.hi[keep], ps.lo[idx], mids, ps.hi[idx]]
-        ))
-        ps = _PanelSet(f, eps, new_bp)
-    values = np.empty(om.size)
-    errors = np.empty(om.size)
-    f_end = float(f(np.array([u_max]), eps)[0]) if endpoint_correction else 0.0
-    for k, w in enumerate(om.ravel()):
-        v = raw[k]
-        corrected = False
-        if endpoint_correction and abs(w) * u_max >= 1.0 and w != 0.0:
-            if kind == "cos":
-                v += -f_end * math.sin(w * u_max) / w
-            else:
-                v += f_end * math.cos(w * u_max) / w
-            corrected = True
-        values[k] = v
-        errors[k] = qerr[k] + tail_bound(envelope, u_max, w, corrected)
-    return values, errors
+        active = active[missed]
+        mids = 0.5 * (lo[split] + hi[split])
+        bp = np.unique(np.concatenate([lo, hi, mids]))
+        lo, hi = bp[:-1], bp[1:]
+    corrected = np.zeros(om.size, dtype=bool)
+    if endpoint_correction:
+        corrected = (np.abs(om) * u_max >= 1.0) & (om != 0.0)
+        wc = om[corrected]
+        f_end = np.array([float(f(np.array([u_max]), e)[0])
+                          for e in eps_list])
+        if kind == "cos":
+            edge = -np.sin(wc * u_max) / wc
+        else:
+            edge = np.cos(wc * u_max) / wc
+        raw[:, corrected] += f_end[:, None] * edge[None, :]
+    qerr += np.array([tail_bound(envelope, u_max, w, c)
+                      for w, c in zip(om, corrected)])
+    if scalar_eps:
+        return raw[0], qerr[0]
+    return raw, qerr
 
 
 # ---------------------------------------------------------------------------

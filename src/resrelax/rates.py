@@ -254,14 +254,17 @@ def _band_index(w):
     return int(math.floor(math.log2(w)))
 
 
-def gamma_batch(kernel, omegas, g, cfg=None, kind="rf"):
+def gamma_batch(kernel, omegas, g, cfg=None, kind="rf", stats=None):
     """Rate coefficient on a frequency grid, sharing kernel samples.
 
     kind "rf" returns gamma_rf(|w|) per entry; kind "sr" returns the
     signed odd extension gamma_sr_signed(w).  Frequencies are grouped in
     octave bands; each band gets one panel layout and, for regulator-
     sensitive kernels, an epsilon schedule scaled by the band frequency
-    so the extrapolation error stays uniform across the grid.
+    so the extrapolation error stays uniform across the grid.  One batch
+    transform per band covers the whole schedule.  ``stats``, a dict,
+    accumulates the number of bands and the work counts of the batch
+    transforms.
 
     Returns (values, errors) numpy arrays aligned with ``omegas``.
     """
@@ -284,6 +287,8 @@ def gamma_batch(kernel, omegas, g, cfg=None, kind="rf"):
         bands.setdefault(_band_index(abs(w)), []).append(i)
     vflat = np.zeros(flat.shape)
     eflat = np.zeros(flat.shape)
+    if stats is not None:
+        stats["bands"] = stats.get("bands", 0) + len(bands)
     for band, idx in bands.items():
         idx = np.array(idx)
         wb = eval_freq[idx]
@@ -297,27 +302,16 @@ def gamma_batch(kernel, omegas, g, cfg=None, kind="rf"):
         env = kernel.envelope(sched[0])
         if not kernel.epsilon_sensitive:
             sched = sched[:1]
-        samples = []
-        errs = []
-        for eps in sched:
-            v, e = batch_halfline_transform(
-                f, wb, trig, cfg, eps, u_max=u_max, u_scale=u_scale,
-                envelope=env,
-            )
-            samples.append(v)
-            errs.append(e)
+        samples, errs = batch_halfline_transform(
+            f, wb, trig, cfg, sched, u_max=u_max, u_scale=u_scale,
+            envelope=env, stats=stats,
+        )
         if len(sched) == 1:
-            v0 = samples[0]
-            e0 = errs[0]
+            v0, e0 = samples[0], errs[0]
         else:
-            v0 = np.empty(wb.shape)
-            e0 = np.empty(wb.shape)
-            err_arr = np.vstack(errs)
-            for k in range(wb.size):
-                pts = [(eps, s[k]) for eps, s in zip(sched, samples)]
-                val, residual, wl1 = extrapolate_regulator(pts, order=2)
-                v0[k] = val
-                e0[k] = residual + wl1 * float(np.max(err_arr[:, k]))
+            v0, residual, wl1 = extrapolate_regulator(
+                list(zip(sched, samples)), order=2)
+            e0 = residual + wl1 * errs.max(axis=0)
         vflat[idx] = v0
         eflat[idx] = e0
     g2 = g * g

@@ -40,7 +40,9 @@ between wc and 2 wc).
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,8 @@ from .rates import gamma_batch
 from .system import ensure_validated, transition_elements
 
 _RING_SPAN = 2.0  # length of the numerically integrated ring segment
+
+log = logging.getLogger(__name__)
 
 
 def _require_cutoff(cfg, omega_needed):
@@ -112,16 +116,26 @@ class ShiftWorkspace:
         wc = _require_cutoff(cfg, max((abs(p) for p in poles), default=0.0))
         self.omega_c = wc
         self.mechanism = mechanism
+        start = time.perf_counter()
         grid = _coefficient_grid(2.0 * wc, poles)
-        vals, errs = gamma_batch(kernel, grid, g, cfg, kind=mechanism)
-        self._spline = CubicSpline(grid, vals)
-        self._err_spline = CubicSpline(grid, errs)
-        # probe the interpolation error at octave midpoints
+        # interpolation-error probes at octave midpoints, sampled together
+        # with the grid
         mids = np.sqrt(grid[1:] * np.maximum(grid[:-1], 1e-12))
         probes = mids[:: max(1, mids.size // 8)][:9]
-        pv_vals, _ = gamma_batch(kernel, probes, g, cfg, kind=mechanism)
-        self.interp_error = float(np.max(np.abs(pv_vals - self._spline(probes)))) \
+        self.stats = {}
+        vals, errs = gamma_batch(kernel, np.concatenate([grid, probes]), g,
+                                 cfg, kind=mechanism, stats=self.stats)
+        n = grid.size
+        self._spline = CubicSpline(grid, vals[:n])
+        self._err_spline = CubicSpline(grid, errs[:n])
+        self.interp_error = float(np.max(np.abs(vals[n:] - self._spline(probes)))) \
             if probes.size else 0.0
+        log.debug(
+            "%s workspace: %d grid points, %d bands, %d panels, %d kernel "
+            "points, %.3f s", mechanism, n, self.stats.get("bands", 0),
+            self.stats.get("panels", 0), self.stats.get("points", 0),
+            time.perf_counter() - start,
+        )
 
     def coefficient(self, omega):
         """gamma_mech on the real line: even for rf, odd for sr."""
@@ -322,13 +336,14 @@ class ShiftResult:
         return self.delta_e_rf + self.delta_e_sr
 
 
-def compute_shift(system, kernel, a, cfg=None, method="kk", _workspaces=None):
+def compute_shift(system, kernel, a, cfg=None, method="kk", workspaces=None):
     """ShiftResult for level index ``a``.
 
     method "kk" uses the dispersion path, "direct" the time-domain path,
     "both" reports kk values plus the cross-path residual in detail.
     The cutoff sensitivity err_cutoff is |dE(2 wc) - dE(wc)| summed over
-    mechanisms.
+    mechanisms.  ``workspaces`` may map "rf" and "sr" to prebuilt
+    ShiftWorkspaces of this system, kernel and cfg.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
@@ -339,7 +354,7 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", _workspaces=None):
     cut = {}
     detail = {}
     if method in ("kk", "both"):
-        ws_pair = _workspaces or {
+        ws_pair = workspaces or {
             mech: ShiftWorkspace(kernel, spec.g, cfg, mech, poles)
             for mech in ("rf", "sr")
         }
@@ -381,21 +396,23 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", _workspaces=None):
     )
 
 
-def delta_sr_relative(system, kernel, cfg=None, method="kk"):
+def delta_sr_relative(system, kernel, cfg=None, method="kk", workspace=None):
     """Two-level sr shift difference dE_upper^sr - dE_lower^sr.
 
     This vanishes identically (the sr shift moves both levels equally);
     the returned IntegralResult carries the numerical residual and its
-    combined error estimate.
+    combined error estimate.  ``workspace`` may supply the prebuilt sr
+    ShiftWorkspace of this system, kernel and cfg for the kk method.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
     if spec.n_levels != 2:
         raise ValueError("relative sr shift is defined for two-level systems")
     if method == "kk":
-        poles = [spec.omega_ab(i, j) for i, j in spec.active_pairs]
-        ws = ShiftWorkspace(kernel, spec.g, cfg, "sr", poles) \
-            if spec.g != 0.0 else None
+        ws = workspace
+        if ws is None and spec.g != 0.0:
+            poles = [spec.omega_ab(i, j) for i, j in spec.active_pairs]
+            ws = ShiftWorkspace(kernel, spec.g, cfg, "sr", poles)
         hi = shift_kk(spec, kernel, 1, "sr", cfg, workspace=ws)
         lo = shift_kk(spec, kernel, 0, "sr", cfg, workspace=ws)
     else:

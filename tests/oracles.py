@@ -1,7 +1,7 @@
 """Independent reference values for the test suite.
 
-Everything in this module is computed from closed forms or from
-scipy.integrate, never from the package's own quadrature engine, so a
+Everything in this module is computed from closed forms, from
+scipy.integrate or from mpmath, never from the package's own engine, so a
 bug in the engine cannot cancel out of a comparison.  The closed forms
 were derived and cross-checked against brute-force scipy quadrature
 before the engine was written; the quad-based helpers allow re-deriving
@@ -11,6 +11,7 @@ them on demand inside the tests.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -208,6 +209,15 @@ def heisenberg_spectral_functions(energies, ops, state, u):
             c_s[i, j] = 0.5 * (fwd_prod + rev_prod)
             chi_s[i, j] = 0.5 * (fwd_prod - rev_prod)
     return c_s, chi_s
+
+
+# ---------------------------------------------------------------------------
+# special functions
+
+def trigamma(z):
+    """psi_1(z) for complex z, in arbitrary precision (mpmath)."""
+    z = complex(z)
+    return complex(mpmath.psi(1, mpmath.mpc(z.real, z.imag)))
 
 
 # ---------------------------------------------------------------------------

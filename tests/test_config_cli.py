@@ -204,6 +204,29 @@ class TestShiftCommand:
         data = json.loads(out.read_text())
         assert data["kk_vs_direct_residual"] < 1e-5
 
+    @pytest.mark.parametrize("method, built", [("both", ["rf", "sr"]),
+                                               ("direct", [])])
+    def test_workspaces_built_once(self, tmp_path, monkeypatch, method,
+                                   built):
+        # the shift and delta_sr_relative share one workspace per mechanism
+        from resrelax.shifts import ShiftWorkspace
+
+        mechanisms = []
+        init = ShiftWorkspace.__init__
+
+        def counting_init(self, kernel, g, cfg, mechanism, poles):
+            mechanisms.append(mechanism)
+            init(self, kernel, g, cfg, mechanism, poles)
+
+        monkeypatch.setattr(ShiftWorkspace, "__init__", counting_init)
+        path = write(tmp_path, INERTIAL_INI.replace("omega_cutoff = 40.0",
+                                                    "omega_cutoff = 10.0"))
+        out = tmp_path / "shift.json"
+        assert run_cli(["shift", "--config", path, "--method", method,
+                        "--out", str(out)]) == 0
+        assert sorted(mechanisms) == built
+        assert "delta_sr_relative" in json.loads(out.read_text())
+
 
 class TestEvolveCommand:
     def test_csv_and_sidecar(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
+import oracles
 from resrelax import (
     AcceleratedVacuum,
     BandLimitedVacuum,
@@ -46,6 +47,36 @@ def test_trigamma_conjugate_symmetry():
         assert trigamma_complex(z.conjugate()) == pytest.approx(
             trigamma_complex(z).conjugate(), rel=1e-14
         )
+
+
+def _trigamma_oracle_points():
+    rng = np.random.default_rng(7)
+    # the right half-plane up to Re z = 40, |Im z| = 300
+    plane = rng.uniform(1e-3, 40.0, 1500) + 1j * rng.uniform(-300.0, 300.0, 1500)
+    near_axis = rng.uniform(1e-3, 2.0, 300) + 1j * rng.uniform(-20.0, 20.0, 300)
+    # both sides of |z| = 16, where the recurrence starts or stops, and
+    # rings inside it, where the bare asymptotic series would fail
+    theta = np.linspace(-0.499 * math.pi, 0.499 * math.pi, 101)
+    circle = np.concatenate([
+        r * np.exp(1j * theta)
+        for r in 16.0 * (1.0 + np.array([-0.05, -1e-3, -1e-9, 1e-9, 1e-3,
+                                         0.05]))
+    ] + [r * np.exp(1j * theta[::4]) for r in (0.5, 2.0, 5.0, 8.0, 12.0)])
+    # the ThermalOhmic line z = 1 + T (s - i u), s = 1/omega_j + eps
+    s = 1.0 / 5.0 + 2.5e-3
+    line = np.concatenate([
+        1.0 + t * (s - 1j * np.linspace(0.0, 300.0 / t, 200))
+        for t in (0.25, 1.0, 4.0)
+    ])
+    return np.concatenate([plane, near_axis, circle, line])
+
+
+def test_trigamma_matches_mpmath_oracle():
+    z = _trigamma_oracle_points()
+    ours = trigamma_complex(z)
+    ref = np.array([oracles.trigamma(v) for v in z])
+    rel = np.abs(ours - ref) / np.abs(ref)
+    assert np.max(rel) <= 1e-14, z[np.argmax(rel)]
 
 
 def test_trigamma_rejects_left_half_plane():

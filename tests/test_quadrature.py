@@ -2,24 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy import integrate
 
 import oracles
 from resrelax import (
     CutoffTooSmall,
     Envelope,
+    InertialVacuum,
     InsufficientSamples,
     NonConvergent,
     PoleOnBoundary,
     QuadratureConfig,
     SubdivisionLimit,
+    ThermalOhmic,
     halfline_cos_transform,
     halfline_sin_transform,
     kk_real_from_imag,
     pv_integral,
     richardson_extrapolate,
 )
-from resrelax.quadrature import batch_halfline_transform, extrapolate_regulator
+from resrelax.quadrature import (
+    DEFAULT_EPS_SCHEDULE,
+    batch_halfline_transform,
+    extrapolate_regulator,
+    tail_bound,
+)
 
 
 def decaying(u, eps):
@@ -230,6 +238,62 @@ class TestBatch:
         )
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[1] == pytest.approx(0.5, rel=1e-8)
+
+    @pytest.mark.parametrize("kernel, part, kind, w_lo", [
+        (InertialVacuum(), 0, "cos", 2.0),
+        (InertialVacuum(), 1, "sin", 0.25),
+        (ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0), 0, "cos", 4.0),
+        (ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0), 1, "sin", 0.5),
+    ])
+    def test_eps_sequence_matches_per_eps_calls(self, kernel, part, kind,
+                                                w_lo):
+        # one octave band of a rate-coefficient grid, laid out as the
+        # rate layer does it
+        def f(u, eps):
+            return kernel.evaluate(u, eps)[part]
+
+        omegas = np.geomspace(w_lo, 2.0 * w_lo, 25)[:-1]
+        sched = tuple(e / max(1.0, 2.0 * w_lo) for e in DEFAULT_EPS_SCHEDULE)
+        kw = dict(u_max=kernel.u_max_hint(w_lo, sched[0]),
+                  u_scale=kernel.origin_scale(sched[0]),
+                  envelope=kernel.envelope(sched[0]))
+        cfg = QuadratureConfig()
+        vals, errs = batch_halfline_transform(f, omegas, kind, cfg, sched,
+                                              **kw)
+        assert vals.shape == errs.shape == (len(sched), omegas.size)
+        for row, eps in enumerate(sched):
+            v, e = batch_halfline_transform(f, omegas, kind, cfg, eps, **kw)
+            assert_allclose(vals[row], v, rtol=1e-13, atol=0.0)
+            assert_allclose(errs[row], e, rtol=1e-13, atol=0.0)
+
+    def test_forced_refinement_meets_tolerance(self):
+        # int_0^inf eps/(eps^2 + u^2) cos(w u) du = (pi/2) exp(-w eps): the
+        # peak of width eps is far below the layout's short-distance scale,
+        # so every eps needs refinement on the shared layout
+        def f(u, eps):
+            return eps / (eps * eps + np.asarray(u) ** 2)
+
+        omegas = np.array([0.5, 1.0, 1.5])
+        sched = (4e-2, 2e-2, 1e-2)
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+        u_max = 2000.0
+        kw = dict(u_max=u_max, u_scale=1.0, refine_rounds=10,
+                  envelope=Envelope(kind="power", amplitude=sched[0]))
+        stats = {}
+        vals, errs = batch_halfline_transform(f, omegas, "cos", cfg, sched,
+                                              stats=stats, **kw)
+        one_round = {}
+        batch_halfline_transform(f, omegas, "cos", cfg, sched[0],
+                                 stats=one_round, **dict(kw, refine_rounds=1))
+        assert stats["panels"] > 3 * one_round["panels"]  # it did refine
+        for row, eps in enumerate(sched):
+            exact = 0.5 * math.pi * np.exp(-omegas * eps)
+            # the truncated tail, int_U^inf eps cos(w u)/u^2 du, is covered
+            # by the tail bound; the quadrature part meets rel_tol
+            tail = np.array([tail_bound(kw["envelope"], u_max, w, True)
+                             for w in omegas])
+            assert np.all(np.abs(vals[row] - exact) <= errs[row])
+            assert np.all(errs[row] - tail <= 1e-12 * exact)
 
 
 class TestEnvelope:

@@ -144,6 +144,16 @@ class TestWorkspace:
         fresh = shift_kk(vac_atom, kernel, 1, "rf", vac_cfg)
         assert with_ws.value == pytest.approx(fresh.value, rel=1e-12)
 
+    def test_delta_sr_relative_reuses_workspace(self, vac_atom):
+        kernel = InertialVacuum()
+        cfg = QuadratureConfig(omega_cutoff=10.0)
+        poles = [vac_atom.omega_ab(i, j) for i, j in vac_atom.active_pairs]
+        ws = ShiftWorkspace(kernel, 1.0, cfg, "sr", poles)
+        given = delta_sr_relative(vac_atom, kernel, cfg, workspace=ws)
+        own = delta_sr_relative(vac_atom, kernel, cfg)
+        assert given.value == own.value
+        assert given.error_estimate == own.error_estimate
+
 
 def test_three_level_rejected_by_relative_helper(vac_cfg):
     import numpy as np
