@@ -8,7 +8,8 @@ Subcommands:
   kk-check  dispersion-transform self-test on an analytic Hilbert pair
   sweep     parameter grids in long CSV format
 
-All numeric output is formatted %.12e and emitted in a fixed order, so
+All numeric output is formatted %.16e (JSON: shortest round-trip repr),
+which reproduces every double exactly, and emitted in a fixed order, so
 identical configs produce byte-identical files.  Files are written to a
 temporary name and renamed into place only on success.  Exit codes:
 0 success, 2 configuration or usage error, 3 numerical failure.
@@ -60,22 +61,11 @@ from .shifts import (
 
 log = logging.getLogger("resrelax")
 
-_FMT = "%.12e"
+_FMT = "%.16e"  # 17 significant digits round-trip every double
 
 
 def _fmt(x):
     return _FMT % float(x)
-
-
-def _round_floats(obj):
-    """Round floats through the output format so JSON bytes are stable."""
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, float):
-        return float(_FMT % obj)
-    return obj
 
 
 def _write_output(path, text):
@@ -101,7 +91,7 @@ def _csv(header, rows):
 
 
 def _json_text(obj):
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,33 @@ def trigamma_complex(z):
     return out[()]
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# rounding of a closed-form rate coefficient in units of eps, before an
+# exponential amplifies it; against mpmath the worst seen is about 2
+_ROUNDING_ULPS = 16.0
+
+
+def _rounding_error(value, exp_arg=0.0, scale=0.0):
+    """Floating-point error bound of a closed-form rate coefficient.
+
+    The few roundings of a formula and its libm calls cost a bounded
+    number of ulps.  exp(-x) turns the rounding of its argument into a
+    relative error of up to x ulps, so the bound grows with ``exp_arg``;
+    tanh(y) cannot amplify, its condition number 2y / sinh(2y) being at
+    most 1.  The smallest normal number, times 1 + ``scale`` (the factor
+    multiplying the exponential), covers results that underflow.
+    """
+    return (_EPS * (_ROUNDING_ULPS + exp_arg) * np.abs(value)
+            + _TINY * (1.0 + scale))
+
+
+def _x_coth(x):
+    """x coth(x) for x >= 0, with its limit 1 at x = 0."""
+    safe = np.where(x > 0.0, x, 1.0)
+    return np.where(x > 0.0, safe / np.tanh(safe), 1.0)
+
+
 def _as_array(u):
     arr = np.asarray(u, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
@@ -116,6 +143,16 @@ class ReservoirKernel:
     def evaluate(self, u, eps):
         """Return (Cs, Ca) arrays at separations ``u`` and regulator ``eps``."""
         raise NotImplementedError
+
+    def rate_coefficients(self, omega):
+        """Closed-form rate coefficients per g^2 at |omega|, or None.
+
+        Returns {"rf": (values, errors), "sr": (values, errors)}, arrays
+        shaped like ``omega``, with ``errors`` bounding the floating-
+        point error of ``values``.  None, the default, leaves the rates
+        to the time-domain transforms of ``evaluate``.
+        """
+        return None
 
     def origin_scale(self, eps):
         """Smallest structure scale near u = 0 the quadrature must resolve."""
@@ -173,6 +210,12 @@ class InertialVacuum(ReservoirKernel):
             return float(cs[0]), float(ca[0])
         return cs, ca
 
+    def rate_coefficients(self, omega):
+        """gamma_rf = gamma_sr = |omega| / 8 pi."""
+        gamma = np.abs(np.asarray(omega, dtype=float)) / (8.0 * math.pi)
+        pair = (gamma, _rounding_error(gamma))
+        return {"rf": pair, "sr": pair}
+
     def envelope(self, eps):
         return Envelope("power", 1.2 / FOUR_PI_SQ)
 
@@ -226,6 +269,16 @@ class AcceleratedVacuum(ReservoirKernel):
         if scalar:
             return float(cs[0]), float(ca[0])
         return cs, ca
+
+    def rate_coefficients(self, omega):
+        """gamma_rf = (|omega| / 8 pi) coth(pi |omega| / a), which is
+        a / 8 pi^2 at omega = 0, and gamma_sr = |omega| / 8 pi."""
+        w = np.abs(np.asarray(omega, dtype=float))
+        a = self.acceleration
+        rf = (a / (8.0 * math.pi ** 2)) * _x_coth(math.pi * w / a)
+        sr = w / (8.0 * math.pi)
+        return {"rf": (rf, _rounding_error(rf)),
+                "sr": (sr, _rounding_error(sr))}
 
     def envelope(self, eps):
         a = self.acceleration
@@ -286,6 +339,25 @@ class ThermalOhmic(ReservoirKernel):
         if scalar:
             return float(cs[0]), float(ca[0])
         return cs, ca
+
+    def rate_coefficients(self, omega):
+        """gamma_sr = (pi/2) eta |omega| exp(-|omega| / omega_j) and
+        gamma_rf = gamma_sr coth(|omega| / 2T), which is pi eta T at
+        omega = 0 (gamma_rf = gamma_sr at T = 0)."""
+        w = np.abs(np.asarray(omega, dtype=float))
+        x = w / self.omega_j
+        damp = np.exp(-x)
+        pref = 0.5 * math.pi * self.eta * w
+        sr = pref * damp
+        coeffs = {"sr": (sr, _rounding_error(sr, x, pref))}
+        t = self.temperature
+        if t == 0.0:
+            coeffs["rf"] = coeffs["sr"]
+        else:
+            pref = math.pi * self.eta * t * _x_coth(w / (2.0 * t))
+            rf = pref * damp
+            coeffs["rf"] = (rf, _rounding_error(rf, x, pref))
+        return coeffs
 
     def origin_scale(self, eps):
         return max(eps, 0.25 / self.omega_j)
@@ -441,6 +513,16 @@ def _cos_tail(nu, U):
     return -ci
 
 
+# Taylor coefficients in th^2 of the ring pieces for |th| < 0.5:
+# (cos th + th sin th - 1) / th^2 = sum_k (-1)^(k-1) (2k-1)/(2k)! th^(2k-2)
+# (th cos th - sin th) / th^2 = sum_k (-1)^k 2k/(2k+1)! th^(2k-1), k >= 1;
+# eleven terms reach rounding accuracy at |th| = 0.5
+_RING_CS_SERIES = tuple((-1) ** (k - 1) * (2 * k - 1) / math.factorial(2 * k)
+                        for k in range(1, 12))
+_RING_CA_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1)
+                        for k in range(1, 12))
+
+
 @dataclass
 class BandLimitedVacuum:
     """Vacuum kernel with its spectrum cut off sharply at |w| = omega_c.
@@ -484,14 +566,12 @@ class BandLimitedVacuum:
         # closed forms away from u = 0
         cs = (-1.0 + np.cos(th) + th * np.sin(th)) / (FOUR_PI_SQ * us * us)
         ca = (th * np.cos(th) - np.sin(th)) / (FOUR_PI_SQ * us * us)
-        # series in th for the short-distance window
+        # series in th for the short-distance window (polyval is Horner)
         t2 = ths * ths
-        cs_ser = (self.omega_c ** 2 / FOUR_PI_SQ) * (
-            0.5 + t2 * (-1.0 / 8 + t2 * (1.0 / 144 - t2 / 5760.0))
-        )
-        ca_ser = (self.omega_c ** 2 / FOUR_PI_SQ) * ths * (
-            -1.0 / 3 + t2 * (1.0 / 30 - t2 / 840.0)
-        )
+        pref = self.omega_c ** 2 / FOUR_PI_SQ
+        cs_ser = pref * np.polynomial.polynomial.polyval(t2, _RING_CS_SERIES)
+        ca_ser = pref * ths * np.polynomial.polynomial.polyval(
+            t2, _RING_CA_SERIES)
         cs = np.where(small, cs_ser, cs)
         ca = np.where(small, ca_ser, ca)
         if self._n_terms:

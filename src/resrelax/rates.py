@@ -15,6 +15,10 @@ Two mechanisms contribute to the relaxation of a level:
   odd in w.  ``gamma_rf`` and ``gamma_sr`` return the value at |w|;
   ``gamma_sr_signed`` restores the odd parity.
 
+Kernels with a closed form (``ReservoirKernel.rate_coefficients``) give
+both coefficients exactly, with a floating-point error bound; only the
+others go through the time-domain transforms and the eps -> 0 limit.
+
 A transition a -> b with frequency w_ab = E_a - E_b and strength
 m_ab = sum_i |<a|S_i|b>|^2 contributes
 
@@ -67,15 +71,32 @@ def _transform(kernel, omega, cfg, part, kind):
     )
 
 
+def _exact_batch(kernel, omegas, g, kind):
+    """Closed-form gamma_batch values and errors, or None without one."""
+    om = np.asarray(omegas, dtype=float)
+    exact = kernel.rate_coefficients(om)
+    if exact is None:
+        return None
+    values, errors = exact[kind]
+    if kind == "sr":
+        values = np.sign(om) * values
+    g2 = g * g
+    return g2 * values, g2 * errors
+
+
 def gamma_rf(kernel, omega, g, cfg=None):
     """Fluctuation-type rate coefficient at |omega|.
 
-    Returns an IntegralResult; its error combines quadrature, truncation
-    and regulator-extrapolation contributions.
+    Returns an IntegralResult.  For a closed-form kernel its error bounds
+    the rounding; otherwise it combines quadrature, truncation and
+    regulator-extrapolation contributions.
     """
     cfg = cfg or QuadratureConfig()
     if g == 0.0:
         return IntegralResult(0.0, 0.0)
+    exact = _exact_batch(kernel, abs(omega), g, "rf")
+    if exact is not None:
+        return IntegralResult(float(exact[0]), float(exact[1]))
     res = _transform(kernel, abs(omega), cfg, "cs", "cos")
     g2 = g * g
     return IntegralResult(g2 * res.value, g2 * res.error_estimate,
@@ -87,6 +108,9 @@ def gamma_sr(kernel, omega, g, cfg=None):
     cfg = cfg or QuadratureConfig()
     if g == 0.0 or omega == 0.0:
         return IntegralResult(0.0, 0.0)
+    exact = _exact_batch(kernel, abs(omega), g, "sr")
+    if exact is not None:
+        return IntegralResult(float(exact[0]), float(exact[1]))
     res = _transform(kernel, abs(omega), cfg, "ca", "sin")
     g2 = g * g
     return IntegralResult(-g2 * res.value, g2 * res.error_estimate,
@@ -258,7 +282,8 @@ def gamma_batch(kernel, omegas, g, cfg=None, kind="rf", stats=None):
     """Rate coefficient on a frequency grid, sharing kernel samples.
 
     kind "rf" returns gamma_rf(|w|) per entry; kind "sr" returns the
-    signed odd extension gamma_sr_signed(w).  Frequencies are grouped in
+    signed odd extension gamma_sr_signed(w).  A closed-form kernel
+    returns its exact coefficients.  Otherwise frequencies are grouped in
     octave bands; each band gets one panel layout and, for regulator-
     sensitive kernels, an epsilon schedule scaled by the band frequency
     so the extrapolation error stays uniform across the grid.  One batch
@@ -274,6 +299,9 @@ def gamma_batch(kernel, omegas, g, cfg=None, kind="rf", stats=None):
     errors = np.zeros(om.shape)
     if g == 0.0 or om.size == 0:
         return values, errors
+    exact = _exact_batch(kernel, om, g, kind)
+    if exact is not None:
+        return exact
     part = 0 if kind == "rf" else 1
     trig = "cos" if kind == "rf" else "sin"
 

@@ -58,7 +58,7 @@ from .quadrature import (
     integrate_adaptive,
     pv_integral,
 )
-from .rates import gamma_batch
+from .rates import _exact_batch, gamma_batch
 from .system import ensure_validated, transition_elements
 
 _RING_SPAN = 2.0  # length of the numerically integrated ring segment
@@ -105,9 +105,12 @@ def _coefficient_grid(w_top, poles):
 
 
 class ShiftWorkspace:
-    """Cached spline of a rate coefficient over [0, 2 wc].
+    """Rate coefficient of one mechanism over [0, 2 wc].
 
-    One workspace serves every level, both cutoffs of the sensitivity
+    A kernel with closed-form rate coefficients is evaluated exactly
+    wherever the dispersion integral asks.  Any other kernel is sampled
+    once on a frequency grid and interpolated by a cubic spline.  One
+    workspace serves every level, both cutoffs of the sensitivity
     difference, and all principal-value poles of a system: the scalar-
     kernel coefficient gamma(w') does not depend on the level pair.
     """
@@ -116,13 +119,20 @@ class ShiftWorkspace:
         wc = _require_cutoff(cfg, max((abs(p) for p in poles), default=0.0))
         self.omega_c = wc
         self.mechanism = mechanism
+        self.stats = {}
+        self.interp_error = 0.0
+        self._kernel, self._g = kernel, g
+        self._spline = None
+        if kernel.rate_coefficients(0.0) is not None:
+            log.debug("%s workspace: exact rate coefficients, no grid",
+                      mechanism)
+            return
         start = time.perf_counter()
         grid = _coefficient_grid(2.0 * wc, poles)
         # interpolation-error probes at octave midpoints, sampled together
         # with the grid
         mids = np.sqrt(grid[1:] * np.maximum(grid[:-1], 1e-12))
         probes = mids[:: max(1, mids.size // 8)][:9]
-        self.stats = {}
         vals, errs = gamma_batch(kernel, np.concatenate([grid, probes]), g,
                                  cfg, kind=mechanism, stats=self.stats)
         n = grid.size
@@ -137,8 +147,13 @@ class ShiftWorkspace:
             time.perf_counter() - start,
         )
 
+    def _exact(self, omega):
+        return _exact_batch(self._kernel, omega, self._g, self.mechanism)
+
     def coefficient(self, omega):
         """gamma_mech on the real line: even for rf, odd for sr."""
+        if self._spline is None:
+            return self._exact(omega)[0]
         omega = np.asarray(omega, dtype=float)
         val = self._spline(np.abs(omega))
         if self.mechanism == "sr":
@@ -146,6 +161,8 @@ class ShiftWorkspace:
         return val
 
     def coefficient_error(self, omega):
+        if self._spline is None:
+            return self._exact(omega)[1]
         omega = np.asarray(omega, dtype=float)
         return np.abs(self._err_spline(np.abs(omega))) + self.interp_error
 

@@ -9,6 +9,37 @@ sys.path.insert(0, os.path.dirname(__file__))
 from resrelax import QuadratureConfig, ThermalOhmic, two_level_system
 
 
+class TimeDomainOnly:
+    """A kernel without its closed-form rate coefficients.
+
+    Delegates everything else to the wrapped kernel, so the rate
+    functions and shift workspaces fall back to the time-domain engine,
+    the route every kernel without a closed form takes.
+    """
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+    def rate_coefficients(self, omega):
+        return None
+
+
+@pytest.fixture
+def time_domain():
+    """Wraps a kernel so that its rates come from the time-domain engine."""
+    return TimeDomainOnly
+
+
+@pytest.fixture
+def rate_routes():
+    """(name, wrap) for both rate routes: closed form and time domain."""
+    return (("closed form", lambda kernel: kernel),
+            ("time domain", TimeDomainOnly))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

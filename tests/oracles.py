@@ -56,6 +56,39 @@ def thermal_ratio(omega_0, temperature):
     return math.exp(-omega_0 / temperature)
 
 
+def mp_gammas(model, omega, g=1.0, **params):
+    """(gamma_rf, gamma_sr) at |omega| as mpmath numbers (50 digits).
+
+    The same closed forms as above, evaluated from the double inputs in
+    arbitrary precision, with their omega -> 0 limits.
+    """
+    with mpmath.workdps(50):
+        w = abs(mpmath.mpf(omega))
+        g2 = mpmath.mpf(g) ** 2
+        if model == "inertial_vacuum":
+            gamma = w / (8 * mpmath.pi)
+            return g2 * gamma, g2 * gamma
+        if model == "accelerated_vacuum":
+            a = mpmath.mpf(params["acceleration"])
+            sr = w / (8 * mpmath.pi)
+            rf = a / (8 * mpmath.pi ** 2) if w == 0 else \
+                sr * mpmath.coth(mpmath.pi * w / a)
+            return g2 * rf, g2 * sr
+        if model == "thermal_ohmic":
+            eta = mpmath.mpf(params["eta"])
+            damp = mpmath.exp(-w / mpmath.mpf(params["omega_j"]))
+            t = mpmath.mpf(params["temperature"])
+            sr = mpmath.pi / 2 * eta * w * damp
+            if t == 0:
+                rf = sr
+            elif w == 0:
+                rf = mpmath.pi * eta * t * damp
+            else:
+                rf = sr * mpmath.coth(w / (2 * t))
+            return g2 * rf, g2 * sr
+    raise ValueError("no closed form for %r" % model)
+
+
 # ---------------------------------------------------------------------------
 # closed-form energy shifts (sharp frequency window at omega_c)
 
@@ -71,6 +104,22 @@ def inertial_shift_sr(omega_0, omega_c, g=1.0):
         -2.0 * omega_c
         + omega_0 * math.log((omega_c + omega_0) / (omega_c - omega_0))
     )
+
+
+def ring_mp(omega_c, u):
+    """(cs, ca) ring pieces of the vacuum kernel windowed at omega_c.
+
+    cs = (cos th + th sin th - 1) / (4 pi^2 u^2) and
+    ca = (th cos th - sin th) / (4 pi^2 u^2), th = omega_c u, in 50-digit
+    arithmetic, which absorbs the cancellation at small th.
+    """
+    with mpmath.workdps(50):
+        u = mpmath.mpf(u)
+        th = mpmath.mpf(omega_c) * u
+        den = 4 * mpmath.pi ** 2 * u * u
+        cs = (mpmath.cos(th) + th * mpmath.sin(th) - 1) / den
+        ca = (th * mpmath.cos(th) - mpmath.sin(th)) / den
+        return float(cs), float(ca)
 
 
 def inertial_lamb(omega_0, omega_c, g=1.0):

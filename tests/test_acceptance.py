@@ -105,62 +105,71 @@ def test_criterion_02_dispersion_vs_direct_shift():
             (worst_margin, elapsed))
 
 
-def test_criterion_03_inertial_rate_balance():
-    kernel = InertialVacuum()
+def test_criterion_03_inertial_rate_balance(rate_routes):
     cfg = QuadratureConfig()
     worst = 0.0
+    a_up = []
     ok = True
-    for w in (0.1, 1.0, 10.0):
-        ref = oracles.inertial_gamma(w)
-        rf = gamma_rf(kernel, w, 1.0, cfg)
-        sr = gamma_sr(kernel, w, 1.0, cfg)
-        dev = max(abs(rf.value - ref), abs(sr.value - ref)) / ref
-        worst = max(worst, dev)
-        ok = ok and dev <= 1e-4
-    grf = gamma_rf(kernel, 1.0, 1.0, cfg)
-    gsr = gamma_sr(kernel, 1.0, 1.0, cfg)
-    ein = einstein_coefficients(grf, gsr)
-    ok = ok and abs(ein.a_up) <= 10.0 * ein.a_up_error
-    ok = ok and abs(ein.a_up) <= 1e-8 * ein.a_down
-    _report(3, "inertial rf = sr", ok,
-            "max rel dev %.2e at 3 frequencies; A_up = %.1e" %
-            (worst, ein.a_up))
-
-
-def test_criterion_04_acceleration_excitation_ratio():
-    cfg = QuadratureConfig()
-    worst = 0.0
-    ok = True
-    for acc in (1.0, 2.0 * math.pi, 10.0):
-        kernel = AcceleratedVacuum(acceleration=acc)
+    for _, route in rate_routes:
+        kernel = route(InertialVacuum())
+        for w in (0.1, 1.0, 10.0):
+            ref = oracles.inertial_gamma(w)
+            rf = gamma_rf(kernel, w, 1.0, cfg)
+            sr = gamma_sr(kernel, w, 1.0, cfg)
+            dev = max(abs(rf.value - ref), abs(sr.value - ref)) / ref
+            worst = max(worst, dev)
+            ok = ok and dev <= 1e-4
         grf = gamma_rf(kernel, 1.0, 1.0, cfg)
         gsr = gamma_sr(kernel, 1.0, 1.0, cfg)
         ein = einstein_coefficients(grf, gsr)
-        ref = oracles.unruh_ratio(1.0, acc)
-        dev = abs(ein.ratio - ref) / ref
-        worst = max(worst, dev)
-        ok = ok and dev <= 1e-3
+        ok = ok and abs(ein.a_up) <= 10.0 * ein.a_up_error
+        ok = ok and abs(ein.a_up) <= 1e-8 * ein.a_down
+        a_up.append("%.1e" % ein.a_up)
+    _report(3, "inertial rf = sr", ok,
+            "max rel dev %.2e at 3 frequencies; A_up = %s (%s)" %
+            (worst, " / ".join(a_up),
+             " / ".join(name for name, _ in rate_routes)))
+
+
+def test_criterion_04_acceleration_excitation_ratio(rate_routes):
+    cfg = QuadratureConfig()
+    worst = 0.0
+    ok = True
+    for _, route in rate_routes:
+        for acc in (1.0, 2.0 * math.pi, 10.0):
+            kernel = route(AcceleratedVacuum(acceleration=acc))
+            grf = gamma_rf(kernel, 1.0, 1.0, cfg)
+            gsr = gamma_sr(kernel, 1.0, 1.0, cfg)
+            ein = einstein_coefficients(grf, gsr)
+            ref = oracles.unruh_ratio(1.0, acc)
+            dev = abs(ein.ratio - ref) / ref
+            worst = max(worst, dev)
+            ok = ok and dev <= 1e-3
     _report(4, "thermal ratio under a", ok,
-            "max rel dev %.2e for a/omega_0 in {1, 2pi, 10}" % worst)
+            "max rel dev %.2e for a/omega_0 in {1, 2pi, 10}, both routes"
+            % worst)
 
 
-def test_criterion_05_thermal_detailed_balance():
+def test_criterion_05_thermal_detailed_balance(rate_routes):
     cfg = QuadratureConfig()
     ok = True
     worst = 0.0
-    for w0, temp in ((1.0, 0.5), (1.0, 2.0), (2.0, 1.0)):
-        kernel = ThermalOhmic(eta=0.5, omega_j=5.0, temperature=temp)
-        grf = gamma_rf(kernel, w0, 1.0, cfg)
-        gsr = gamma_sr(kernel, w0, 1.0, cfg)
-        ein = einstein_coefficients(grf, gsr)
-        ref = oracles.thermal_ratio(w0, temp)
-        sigma = (ein.a_up_error + abs(ein.ratio) * ein.a_down_error) \
-            / ein.a_down
-        dev = abs(ein.ratio - ref)
-        ok = ok and dev <= 10.0 * sigma
-        worst = max(worst, dev / max(sigma, 1e-300))
+    for _, route in rate_routes:
+        for w0, temp in ((1.0, 0.5), (1.0, 2.0), (2.0, 1.0)):
+            kernel = route(ThermalOhmic(eta=0.5, omega_j=5.0,
+                                        temperature=temp))
+            grf = gamma_rf(kernel, w0, 1.0, cfg)
+            gsr = gamma_sr(kernel, w0, 1.0, cfg)
+            ein = einstein_coefficients(grf, gsr)
+            ref = oracles.thermal_ratio(w0, temp)
+            sigma = (ein.a_up_error + abs(ein.ratio) * ein.a_down_error) \
+                / ein.a_down
+            dev = abs(ein.ratio - ref)
+            ok = ok and dev <= 10.0 * sigma
+            worst = max(worst, dev / max(sigma, 1e-300))
     _report(5, "detailed balance", ok,
-            "worst dev = %.2e sigma on 3 (omega_0, T) pairs" % worst)
+            "worst dev = %.2e sigma on 3 (omega_0, T) pairs, both routes"
+            % worst)
 
 
 def test_criterion_06_relaxation_trajectories():
@@ -198,39 +207,41 @@ def test_criterion_06_relaxation_trajectories():
             (worst_end, worst_fit))
 
 
-def test_criterion_07_transition_rate_consistency():
-    kernel = ThermalOhmic(**THERMAL)
+def test_criterion_07_transition_rate_consistency(rate_routes):
     cfg = QuadratureConfig()
     atom = two_level_system(1.0, 0.7)
-    grf = gamma_rf(kernel, 1.0, 0.7, cfg)
-    gsr = gamma_sr(kernel, 1.0, 0.7, cfg)
-    ok = True
-    worst_sum = 0.0
-    for a, h in ((0, -0.5), (1, 0.5)):
-        total = relaxation_rate(atom, a, kernel, cfg)
-        closed = oracles.two_level_energy_flux(grf.value, gsr.value, 1.0, h)
-        dev = abs(total.value - closed) / abs(closed)
-        worst_sum = max(worst_sum, dev)
-        ok = ok and dev <= 1e-10
-    # per-transition coefficients against the finite-difference oracle
     spec3 = _three_level()
-    kernel3 = ThermalOhmic(eta=0.4, omega_j=4.0, temperature=0.8)
     tight = QuadratureConfig(epsilon_schedule=(1.25e-3, 6.25e-4, 3.125e-4),
                              rel_tol=1e-11, abs_tol=1e-13)
+    ok = True
+    worst_sum = 0.0
     worst_fd = 0.0
-    for a in range(3):
-        for tr in transition_rates(spec3, a, kernel3, tight):
-            frf, _ = oracles.fd_transition_rf(
-                kernel3, tr.omega_ab, tr.strength, spec3.g)
-            fsr, _ = oracles.fd_transition_sr(
-                kernel3, tr.omega_ab, tr.strength, spec3.g)
-            dev = max(abs(tr.rf - frf) / abs(frf),
-                      abs(tr.sr - fsr) / abs(fsr))
-            worst_fd = max(worst_fd, dev)
-            ok = ok and dev <= 1e-8
+    for _, route in rate_routes:
+        kernel = route(ThermalOhmic(**THERMAL))
+        grf = gamma_rf(kernel, 1.0, 0.7, cfg)
+        gsr = gamma_sr(kernel, 1.0, 0.7, cfg)
+        for a, h in ((0, -0.5), (1, 0.5)):
+            total = relaxation_rate(atom, a, kernel, cfg)
+            closed = oracles.two_level_energy_flux(grf.value, gsr.value,
+                                                   1.0, h)
+            dev = abs(total.value - closed) / abs(closed)
+            worst_sum = max(worst_sum, dev)
+            ok = ok and dev <= 1e-10
+        # per-transition coefficients against the finite-difference oracle
+        raw3 = ThermalOhmic(eta=0.4, omega_j=4.0, temperature=0.8)
+        for a in range(3):
+            for tr in transition_rates(spec3, a, route(raw3), tight):
+                frf, _ = oracles.fd_transition_rf(
+                    raw3, tr.omega_ab, tr.strength, spec3.g)
+                fsr, _ = oracles.fd_transition_sr(
+                    raw3, tr.omega_ab, tr.strength, spec3.g)
+                dev = max(abs(tr.rf - frf) / abs(frf),
+                          abs(tr.sr - fsr) / abs(fsr))
+                worst_fd = max(worst_fd, dev)
+                ok = ok and dev <= 1e-8
     _report(7, "rate assembly", ok,
-            "two-level sum rel %.2e; fd oracle rel %.2e on 6 transitions" %
-            (worst_sum, worst_fd))
+            "two-level sum rel %.2e; fd oracle rel %.2e on 6 transitions, "
+            "both routes" % (worst_sum, worst_fd))
 
 
 def test_criterion_08_cutoff_scaling():

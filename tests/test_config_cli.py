@@ -168,6 +168,21 @@ class TestRatesCommand:
     def test_config_error_exit_code(self, capsys):
         assert run_cli(["rates", "--config", "/missing.ini"]) == 2
 
+    def test_values_round_trip(self, tmp_path, capsys):
+        # the printed gamma is the library's double, bit for bit
+        from resrelax import gamma_rf, gamma_sr
+
+        path = write(tmp_path, THERMAL_INI)
+        run_cli(["rates", "--config", path])
+        lines = capsys.readouterr().out.strip().splitlines()
+        kernel = ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0)
+        for line, gamma in zip(lines[1:3], (gamma_rf, gamma_sr)):
+            _, _, _, omega, value, err = line.split(",")
+            res = gamma(kernel, 1.0, 1.0)
+            assert float(omega) == 1.0
+            assert float(value) == res.value
+            assert float(err) == res.error_estimate
+
 
 class TestShiftCommand:
     def test_json_fields(self, tmp_path):
@@ -229,6 +244,21 @@ class TestShiftCommand:
 
 
 class TestEvolveCommand:
+    def test_fast_acceleration_small_gap(self, tmp_path):
+        # a * eps = 10 on the default regulator schedule, where the eps -> 0
+        # limit of the time-domain route does not converge; the closed
+        # form needs no regulator
+        text = ("[system]\nomega_0 = 1e-3\ng = 1.0\n\n[reservoir]\n"
+                "model = accelerated_vacuum\nacceleration = 1e3\n")
+        path = write(tmp_path, text)
+        out = tmp_path / "traj.csv"
+        assert run_cli(["evolve", "--config", path, "--out", str(out)]) == 0
+        side = json.loads((tmp_path / "traj.csv.json").read_text())
+        assert side["gamma_sr"] == pytest.approx(
+            oracles.inertial_gamma(1e-3), rel=1e-15)
+        assert abs(side["gamma_sr"] - oracles.inertial_gamma(1e-3)) \
+            <= side["gamma_sr_error"]
+
     def test_csv_and_sidecar(self, tmp_path):
         path = write(tmp_path, INERTIAL_INI)
         out = tmp_path / "traj.csv"

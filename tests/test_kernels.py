@@ -326,6 +326,21 @@ def test_ring_series_joins_closed_form():
     assert np.max(np.abs(np.diff(diffs, axis=0))) < 1e-4 * np.max(np.abs(vals))
 
 
+def test_ring_series_matches_mpmath():
+    # the small-angle series must be accurate to rounding up to its
+    # switch point theta = 0.5
+    wc = 40.0
+    k = BandLimitedVacuum(omega_c=wc)
+    thetas = np.concatenate([np.geomspace(1e-8, 0.5, 40),
+                             np.linspace(0.3, 0.5, 21)])
+    cs, ca = k.ring(thetas / wc)
+    scale = wc ** 2 / FOUR_PI_SQ
+    for th, c_s, c_a in zip(thetas, cs, ca):
+        ref_cs, ref_ca = oracles.ring_mp(wc, th / wc)
+        assert abs(c_s - ref_cs) <= 4e-16 * scale
+        assert abs(c_a - ref_ca) <= 4e-16 * scale * th
+
+
 def test_windowed_accelerated_matches_quadrature():
     # thermal-window spectral form: the windowed kernel for acceleration a
     # equals the integral of (w/4pi^2) coth(pi w / a) cos(w u) - odd part

@@ -146,14 +146,16 @@ class TestFailureModes:
                 envelope=Envelope(kind="power", amplitude=1e6),
             )
 
-    def test_nonconvergent_regulator(self):
+    def test_nonconvergent_regulator(self, time_domain):
         # an epsilon schedule deep in the nonlinear regime cannot be
-        # extrapolated; the engine must refuse rather than guess
+        # extrapolated; the engine must refuse rather than guess (the
+        # closed-form rates take no schedule, so the time-domain route
+        # is the one under test)
         from resrelax import InertialVacuum, gamma_rf
 
         cfg = QuadratureConfig(epsilon_schedule=(0.9, 0.45, 0.225))
         with pytest.raises(NonConvergent):
-            gamma_rf(InertialVacuum(), 9.0, 1.0, cfg)
+            gamma_rf(time_domain(InertialVacuum()), 9.0, 1.0, cfg)
 
 
 class TestPrincipalValue:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,14 +24,15 @@ from resrelax import (
 )
 
 
-def test_inertial_rates_match_oracle():
-    k = InertialVacuum()
-    for w in (0.1, 1.0, 10.0):
-        exact = oracles.inertial_gamma(w, g=1.0)
-        grf = gamma_rf(k, w, 1.0, QuadratureConfig())
-        gsr = gamma_sr(k, w, 1.0, QuadratureConfig())
-        assert grf.value == pytest.approx(exact, rel=1e-4)
-        assert gsr.value == pytest.approx(exact, rel=1e-4)
+def test_inertial_rates_match_oracle(rate_routes):
+    for _, route in rate_routes:
+        k = route(InertialVacuum())
+        for w in (0.1, 1.0, 10.0):
+            exact = oracles.inertial_gamma(w, g=1.0)
+            grf = gamma_rf(k, w, 1.0, QuadratureConfig())
+            gsr = gamma_sr(k, w, 1.0, QuadratureConfig())
+            assert grf.value == pytest.approx(exact, rel=1e-4)
+            assert gsr.value == pytest.approx(exact, rel=1e-4)
 
 
 def test_rates_scale_as_g_squared():
@@ -54,46 +56,48 @@ def test_sr_signed_is_odd():
     assert minus.error_estimate == plus.error_estimate
 
 
-def test_accelerated_rf_matches_coth_oracle():
-    for a in (1.0, 2.0 * math.pi):
-        k = AcceleratedVacuum(acceleration=a)
-        got = gamma_rf(k, 1.0, 1.0)
-        assert got.value == pytest.approx(
-            oracles.accelerated_gamma_rf(1.0, a), rel=1e-6
-        )
+def test_accelerated_rf_matches_coth_oracle(rate_routes):
+    for _, route in rate_routes:
+        for a in (1.0, 2.0 * math.pi):
+            k = route(AcceleratedVacuum(acceleration=a))
+            got = gamma_rf(k, 1.0, 1.0)
+            assert got.value == pytest.approx(
+                oracles.accelerated_gamma_rf(1.0, a), rel=1e-6
+            )
 
 
-def test_accelerated_sr_independent_of_acceleration():
-    vals = []
-    for a in (0.5, 2.0, 8.0):
-        k = AcceleratedVacuum(acceleration=a)
-        vals.append(gamma_sr(k, 1.0, 1.0).value)
+def test_accelerated_sr_independent_of_acceleration(rate_routes):
     inert = oracles.inertial_gamma(1.0)
-    for v in vals:
-        assert v == pytest.approx(inert, rel=1e-6)
+    for _, route in rate_routes:
+        for a in (0.5, 2.0, 8.0):
+            k = route(AcceleratedVacuum(acceleration=a))
+            assert gamma_sr(k, 1.0, 1.0).value == pytest.approx(inert,
+                                                                rel=1e-6)
 
 
-def test_thermal_rates_match_closed_forms():
+def test_thermal_rates_match_closed_forms(rate_routes):
     eta, omega_j, temp = 0.5, 5.0, 1.0
-    k = ThermalOhmic(eta=eta, omega_j=omega_j, temperature=temp)
-    for w in (0.5, 1.0, 2.0):
-        grf = gamma_rf(k, w, 1.0)
-        gsr = gamma_sr(k, w, 1.0)
-        assert grf.value == pytest.approx(
-            oracles.thermal_gamma_rf(w, eta, omega_j, temp), rel=1e-6
-        )
-        assert gsr.value == pytest.approx(
-            oracles.thermal_gamma_sr(w, eta, omega_j), rel=1e-6
-        )
+    for _, route in rate_routes:
+        k = route(ThermalOhmic(eta=eta, omega_j=omega_j, temperature=temp))
+        for w in (0.5, 1.0, 2.0):
+            grf = gamma_rf(k, w, 1.0)
+            gsr = gamma_sr(k, w, 1.0)
+            assert grf.value == pytest.approx(
+                oracles.thermal_gamma_rf(w, eta, omega_j, temp), rel=1e-6
+            )
+            assert gsr.value == pytest.approx(
+                oracles.thermal_gamma_sr(w, eta, omega_j), rel=1e-6
+            )
 
 
-def test_thermal_rf_over_sr_is_coth():
-    k = ThermalOhmic(eta=0.3, omega_j=8.0, temperature=2.0)
-    grf = gamma_rf(k, 1.0, 1.0)
-    gsr = gamma_sr(k, 1.0, 1.0)
-    assert grf.value / gsr.value == pytest.approx(
-        1.0 / math.tanh(0.25), rel=1e-7
-    )
+def test_thermal_rf_over_sr_is_coth(rate_routes):
+    for _, route in rate_routes:
+        k = route(ThermalOhmic(eta=0.3, omega_j=8.0, temperature=2.0))
+        grf = gamma_rf(k, 1.0, 1.0)
+        gsr = gamma_sr(k, 1.0, 1.0)
+        assert grf.value / gsr.value == pytest.approx(
+            1.0 / math.tanh(0.25), rel=1e-7
+        )
 
 
 class TestEinstein:
@@ -162,31 +166,96 @@ class TestTransitionRates:
 
 
 class TestBatch:
-    def test_matches_pointwise_within_estimates(self):
+    def test_matches_pointwise_within_estimates(self, rate_routes):
         # the batch path rescales the regulator per frequency band, so at
         # high omega it lands closer to the exact value than the scalar
         # path; both must still agree within their combined estimates
-        k = ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0)
-        omegas = np.array([0.25, 0.8, 1.7, 3.1, 6.5])
-        vals, errs = gamma_batch(k, omegas, 1.0, kind="rf")
-        for w, v, e in zip(omegas, vals, errs):
-            ref = gamma_rf(k, float(w), 1.0)
-            exact = oracles.thermal_gamma_rf(float(w), 0.5, 5.0, 1.0)
-            assert v == pytest.approx(exact, rel=1e-6)
-            assert abs(v - ref.value) <= 3.0 * (e + ref.error_estimate)
-        assert errs.shape == omegas.shape
+        for _, route in rate_routes:
+            k = route(ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0))
+            omegas = np.array([0.25, 0.8, 1.7, 3.1, 6.5])
+            vals, errs = gamma_batch(k, omegas, 1.0, kind="rf")
+            for w, v, e in zip(omegas, vals, errs):
+                ref = gamma_rf(k, float(w), 1.0)
+                exact = oracles.thermal_gamma_rf(float(w), 0.5, 5.0, 1.0)
+                assert v == pytest.approx(exact, rel=1e-6)
+                assert abs(v - ref.value) <= 3.0 * (e + ref.error_estimate)
+            assert errs.shape == omegas.shape
 
-    def test_sr_batch_signed(self):
-        k = ThermalOhmic(eta=0.5, omega_j=5.0, temperature=0.0)
-        omegas = np.array([-1.0, 1.0])
-        vals, _ = gamma_batch(k, omegas, 1.0, kind="sr")
-        assert vals[0] == pytest.approx(-vals[1], rel=1e-12)
+    def test_sr_batch_signed(self, rate_routes):
+        for _, route in rate_routes:
+            k = route(ThermalOhmic(eta=0.5, omega_j=5.0, temperature=0.0))
+            omegas = np.array([-1.0, 1.0])
+            vals, _ = gamma_batch(k, omegas, 1.0, kind="sr")
+            assert vals[0] == pytest.approx(-vals[1], rel=1e-12)
 
-    def test_accelerated_batch(self):
-        k = AcceleratedVacuum(acceleration=2.0)
-        omegas = np.array([0.5, 1.0, 2.0])
-        vals, _ = gamma_batch(k, omegas, 1.0, kind="rf")
-        for w, v in zip(omegas, vals):
-            assert v == pytest.approx(
-                oracles.accelerated_gamma_rf(float(w), 2.0), rel=1e-5
-            )
+    def test_accelerated_batch(self, rate_routes):
+        for _, route in rate_routes:
+            k = route(AcceleratedVacuum(acceleration=2.0))
+            omegas = np.array([0.5, 1.0, 2.0])
+            vals, _ = gamma_batch(k, omegas, 1.0, kind="rf")
+            for w, v in zip(omegas, vals):
+                assert v == pytest.approx(
+                    oracles.accelerated_gamma_rf(float(w), 2.0), rel=1e-5
+                )
+
+
+# ---------------------------------------------------------------------------
+# closed-form rate coefficients
+
+@pytest.mark.parametrize("kernel, omega, which, exact", [
+    # the time-domain route raises NonConvergent on the first two (omega
+    # eps and a eps too large for the regulator schedule) and is 0.2% off
+    # on the third
+    (InertialVacuum(), 100.0, "rf", oracles.inertial_gamma(100.0)),
+    (AcceleratedVacuum(1e3), 1e-3, "sr", oracles.inertial_gamma(1e-3)),
+    (AcceleratedVacuum(1.0), 50.0, "rf",
+     oracles.accelerated_gamma_rf(50.0, 1.0)),
+], ids=["inertial-rf-omega100", "accelerated1e3-sr-omega1e-3",
+        "accelerated1-rf-omega50"])
+def test_regime_edges(kernel, omega, which, exact):
+    res = (gamma_rf if which == "rf" else gamma_sr)(kernel, omega, 1.0)
+    assert abs(res.value - exact) <= res.error_estimate
+    assert res.error_estimate <= 1e-14 * exact
+
+
+def _grid_kernels():
+    yield InertialVacuum()
+    for a in (0.5, 2.0, 8.0):
+        yield AcceleratedVacuum(acceleration=a)
+    for temp in (0.0, 0.5, 2.0):
+        yield ThermalOhmic(eta=0.5, omega_j=5.0, temperature=temp)
+
+
+def test_closed_forms_match_time_domain(time_domain):
+    # the two routes share no code: each closed form must sit within the
+    # time-domain engine's own error estimate
+    for kernel in _grid_kernels():
+        for w in (0.3, 2.5):
+            for gamma in (gamma_rf, gamma_sr):
+                exact = gamma(kernel, w, 1.0)
+                timed = gamma(time_domain(kernel), w, 1.0)
+                assert abs(exact.value - timed.value) \
+                    <= timed.error_estimate, (kernel.describe(), w, gamma)
+
+
+def test_closed_form_error_bound_covers_mpmath():
+    # from omega = 0 through subnormal and tiny frequencies to twice a
+    # typical cutoff and far beyond, where exp(-omega / omega_j)
+    # amplifies the rounding of its argument and finally underflows
+    omegas = (0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.37, 1.0, 2.9, 17.3,
+              50.0, 100.0, 1e3, 4e3)
+    kernels = list(_grid_kernels()) + [
+        AcceleratedVacuum(acceleration=1e3),
+        ThermalOhmic(eta=2.3, omega_j=0.2, temperature=1e-2),
+    ]
+    g = 0.7
+    for kernel in kernels:
+        params = {k: v for k, v in kernel.describe().items()
+                  if k in ("acceleration", "eta", "omega_j", "temperature")}
+        for w in omegas:
+            ref_rf, ref_sr = oracles.mp_gammas(kernel.name, w, g, **params)
+            for res, ref in ((gamma_rf(kernel, w, g), ref_rf),
+                             (gamma_sr(kernel, w, g), ref_sr)):
+                err = abs(mpmath.mpf(res.value) - ref)
+                assert err <= res.error_estimate, (kernel.describe(), w)
+                assert res.error_estimate <= 1e-10 * abs(res.value) + 1e-290

@@ -53,6 +53,20 @@ class TestVacuumClosedForms:
             assert res.value == pytest.approx(exact, rel=1e-7)
             assert abs(res.value - exact) <= 10.0 * res.error_estimate
 
+    @pytest.mark.parametrize("omega_0", [0.6, 1.0, 1.77, 1.95])
+    def test_direct_at_rounding_accuracy(self, omega_0):
+        # the windowed direct route carries no truncation of its own: its
+        # short-distance series is exact to rounding
+        atom = two_level_system(omega_0, 1.0)
+        cfg = QuadratureConfig(omega_cutoff=40.0)
+        rf = shift_direct(atom, InertialVacuum(), 1, "rf", cfg)
+        assert rf.value == pytest.approx(
+            oracles.inertial_shift_rf_upper(omega_0, 40.0), abs=1e-14)
+        exact_sr = oracles.inertial_shift_sr(omega_0, 40.0)
+        for level in (0, 1):
+            sr = shift_direct(atom, InertialVacuum(), level, "sr", cfg)
+            assert sr.value == pytest.approx(exact_sr, abs=1e-14)
+
     def test_sr_shift_cancels_in_splitting(self, vac_atom, vac_cfg):
         for method in ("kk", "direct"):
             res = delta_sr_relative(vac_atom, InertialVacuum(), vac_cfg,
@@ -126,16 +140,20 @@ class TestLambShift:
 
 
 class TestWorkspace:
-    def test_coefficient_matches_pointwise(self, vac_cfg):
+    def test_coefficient_matches_pointwise(self, vac_cfg, rate_routes):
+        # closed form: exact coefficients; time domain: the spline
         from resrelax import gamma_rf
 
-        kernel = ThermalOhmic(eta=0.4, omega_j=5.0, temperature=0.8)
         cfg = QuadratureConfig(omega_cutoff=25.0)
-        ws = ShiftWorkspace(kernel, 1.0, cfg, "rf", poles=[W0])
-        for w in (0.6, 1.0, 7.3):
-            direct = gamma_rf(kernel, w, 1.0, cfg)
-            tol = 10.0 * (ws.coefficient_error(w) + direct.error_estimate)
-            assert abs(ws.coefficient(w) - direct.value) <= tol
+        for _, route in rate_routes:
+            kernel = route(ThermalOhmic(eta=0.4, omega_j=5.0,
+                                        temperature=0.8))
+            ws = ShiftWorkspace(kernel, 1.0, cfg, "rf", poles=[W0])
+            for w in (0.6, 1.0, 7.3):
+                direct = gamma_rf(kernel, w, 1.0, cfg)
+                tol = 10.0 * (ws.coefficient_error(w)
+                              + direct.error_estimate)
+                assert abs(ws.coefficient(w) - direct.value) <= tol
 
     def test_workspace_reuse_is_consistent(self, vac_atom, vac_cfg):
         kernel = InertialVacuum()
