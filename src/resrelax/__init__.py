@@ -60,7 +60,6 @@ from .kernels import (
     TabulatedKernel,
     ThermalOhmic,
     build_kernel,
-    eval_kernel,
     limit_check_accelerated,
     trigamma_complex,
 )
@@ -68,8 +67,6 @@ from .quadrature import (
     Envelope,
     IntegralResult,
     QuadratureConfig,
-    halfline_cos_transform,
-    halfline_sin_transform,
     kk_real_from_imag,
     pv_integral,
     richardson_extrapolate,
@@ -152,7 +149,6 @@ __all__ = [
     "delta_sr_relative",
     "einstein_coefficients",
     "equilibrium_energy",
-    "eval_kernel",
     "evolve_closed_form",
     "evolve_ode",
     "excitation_fraction",
@@ -161,8 +157,6 @@ __all__ = [
     "gamma_rf",
     "gamma_sr",
     "gamma_sr_signed",
-    "halfline_cos_transform",
-    "halfline_sin_transform",
     "kk_real_from_imag",
     "lamb_shift_two_level",
     "limit_check_accelerated",

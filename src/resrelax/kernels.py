@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import (
     ConfigError,
@@ -472,11 +471,6 @@ class TabulatedKernel(ReservoirKernel):
                 "u_end": float(self.u_grid[-1])}
 
 
-def eval_kernel(kernel, u, eps):
-    """Convenience wrapper: (Cs, Ca) of ``kernel`` at ``u`` with regulator."""
-    return kernel.evaluate(u, eps)
-
-
 def limit_check_accelerated(acceleration, u, eps):
     """Deviation of the accelerated kernel from the inertial one.
 
@@ -501,6 +495,8 @@ def limit_check_accelerated(acceleration, u, eps):
 
 def _sin_tail(nu, U):
     """int_U^inf sin(nu u) / u^2 du for nu >= 0."""
+    from scipy.special import sici
+
     if nu == 0.0:
         return 0.0
     si, ci = sici(nu * U)
@@ -509,6 +505,8 @@ def _sin_tail(nu, U):
 
 def _cos_tail(nu, U):
     """int_U^inf cos(nu u) / u du for nu > 0."""
+    from scipy.special import sici
+
     si, ci = sici(nu * U)
     return -ci
 

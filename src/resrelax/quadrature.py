@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CutoffTooSmall,
     InsufficientSamples,
     NonConvergent,
@@ -99,12 +100,12 @@ class QuadratureConfig:
         if not sched:
             raise InsufficientSamples("epsilon schedule is empty")
         if any(e <= 0 for e in sched):
-            raise NonConvergent("epsilon schedule values must be positive")
+            raise ConfigError("epsilon schedule values must be positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise NonConvergent("epsilon schedule must be strictly decreasing")
+            raise ConfigError("epsilon schedule must be strictly decreasing")
         self.epsilon_schedule = sched
         if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise NonConvergent("tolerances must be positive")
+            raise ConfigError("tolerances must be positive")
 
 
 @dataclass
@@ -437,16 +438,6 @@ def halfline_transform(f, omega, cfg, kind, *, u_max=None, u_scale=None,
     err = residual + wl1 * max(errs)
     return IntegralResult(v0, err, eps_extrapolated=True,
                           detail={"samples": samples, "u_max": u_cap})
-
-
-def halfline_cos_transform(f, omega, cfg, **kw):
-    """int_0^inf f(u; eps) cos(omega u) du, extrapolated eps -> 0."""
-    return halfline_transform(f, omega, cfg, "cos", **kw)
-
-
-def halfline_sin_transform(f, omega, cfg, **kw):
-    """int_0^inf f(u; eps) sin(omega u) du, extrapolated eps -> 0."""
-    return halfline_transform(f, omega, cfg, "sin", **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CutoffTooSmall
 from .quadrature import (
@@ -127,6 +126,8 @@ class ShiftWorkspace:
             log.debug("%s workspace: exact rate coefficients, no grid",
                       mechanism)
             return
+        from scipy.interpolate import CubicSpline
+
         start = time.perf_counter()
         grid = _coefficient_grid(2.0 * wc, poles)
         # interpolation-error probes at octave midpoints, sampled together
@@ -277,24 +278,6 @@ def _direct_raw(kernel, omega_ab, mechanism, cfg):
     return res.value, res.error_estimate
 
 
-def _reality_residual(spec, kernel_cs_at, a, probe_u):
-    """Imaginary part of the assembled complex integrand, trapezoid-summed.
-
-    The mechanism sums are built from hermitian transition matrices, so
-    the assembled shift integrand is real up to rounding; this measures
-    the leftover directly rather than assuming it.
-    """
-    from .system import system_spectral_functions
-
-    c_s, chi_s = system_spectral_functions(spec, a, probe_u)
-    scal = kernel_cs_at(probe_u)
-    assembled_rf = -1j * np.einsum("u,iiu->u", scal, chi_s)
-    assembled_sr = -1j * np.einsum("u,iiu->u", 1j * scal, c_s)
-    im = np.trapezoid(assembled_rf.imag, probe_u), \
-        np.trapezoid(assembled_sr.imag, probe_u)
-    return float(max(abs(im[0]), abs(im[1])))
-
-
 def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
     """Energy shift of level ``a`` evaluated in the time domain."""
     spec = ensure_validated(system)
@@ -319,16 +302,7 @@ def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
             v, e = _direct_raw(kernel, el.omega_ab, mechanism, cfg)
         total += g2 * m * v
         err += g2 * m * e
-    probe_u = np.linspace(0.05, 2.0, 64)
-    if window is not None:
-        reality = _reality_residual(spec, lambda u: window.evaluate(u)[0],
-                                    a, probe_u)
-    else:
-        eps0 = cfg.epsilon_schedule[0]
-        reality = _reality_residual(
-            spec, lambda u: kernel.evaluate(u, eps0)[0], a, probe_u
-        )
-    return IntegralResult(total, err, detail={"imag_residual": reality})
+    return IntegralResult(total, err)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +368,6 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspaces=None):
                 values[mech] = res.value
                 errs[mech] = res.error_estimate
                 cut[mech] = abs(res2.value - res.value)
-            detail.setdefault("imag_residual", 0.0)
-            detail["imag_residual"] = max(
-                detail["imag_residual"], res.detail.get("imag_residual", 0.0)
-            )
         if method == "both":
             detail["kk_vs_direct_residual"] = max(
                 abs(values[m] - dvals[m].value) for m in ("rf", "sr")

@@ -7,6 +7,7 @@ from scipy import integrate
 
 import oracles
 from resrelax import (
+    ConfigError,
     CutoffTooSmall,
     Envelope,
     InertialVacuum,
@@ -16,8 +17,6 @@ from resrelax import (
     QuadratureConfig,
     SubdivisionLimit,
     ThermalOhmic,
-    halfline_cos_transform,
-    halfline_sin_transform,
     kk_real_from_imag,
     pv_integral,
     richardson_extrapolate,
@@ -26,6 +25,7 @@ from resrelax.quadrature import (
     DEFAULT_EPS_SCHEDULE,
     batch_halfline_transform,
     extrapolate_regulator,
+    halfline_transform,
     tail_bound,
 )
 
@@ -41,9 +41,9 @@ class TestHalflineTransforms:
     def test_cos_of_exponential(self):
         # int_0^inf e^-u cos(wu) du = 1 / (1 + w^2)
         for w in (0.0, 0.3, 2.0, 17.0):
-            res = halfline_cos_transform(
-                decaying, w, QuadratureConfig(), u_max=60.0, u_scale=1.0,
-                envelope=EXP_ENV,
+            res = halfline_transform(
+                decaying, w, QuadratureConfig(), "cos", u_max=60.0,
+                u_scale=1.0, envelope=EXP_ENV,
             )
             exact = 1.0 / (1.0 + w * w)
             assert res.value == pytest.approx(exact, rel=1e-10)
@@ -51,9 +51,9 @@ class TestHalflineTransforms:
 
     def test_sin_of_exponential(self):
         for w in (0.5, 4.0):
-            res = halfline_sin_transform(
-                decaying, w, QuadratureConfig(), u_max=60.0, u_scale=1.0,
-                envelope=EXP_ENV,
+            res = halfline_transform(
+                decaying, w, QuadratureConfig(), "sin", u_max=60.0,
+                u_scale=1.0, envelope=EXP_ENV,
             )
             assert res.value == pytest.approx(w / (1.0 + w * w), rel=1e-10)
 
@@ -69,8 +69,8 @@ class TestHalflineTransforms:
         si, ci = sici(w)
         exact = 1.0 - w * (math.cos(w) * (0.5 * math.pi - si)
                            + math.sin(w) * ci)
-        res = halfline_cos_transform(
-            f, w, QuadratureConfig(), u_max=400.0, u_scale=1.0,
+        res = halfline_transform(
+            f, w, QuadratureConfig(), "cos", u_max=400.0, u_scale=1.0,
             envelope=Envelope(kind="power", amplitude=1.0),
         )
         assert res.value == pytest.approx(exact, rel=1e-7)
@@ -81,8 +81,8 @@ class TestHalflineTransforms:
         def f(u, eps):
             return 1.0 / (1.0 + np.asarray(u)) ** 2
 
-        res = halfline_cos_transform(
-            f, 0.0, QuadratureConfig(), u_max=50.0, u_scale=1.0,
+        res = halfline_transform(
+            f, 0.0, QuadratureConfig(), "cos", u_max=50.0, u_scale=1.0,
             envelope=Envelope(kind="power", amplitude=1.0),
         )
         exact = 1.0  # integral of (1+u)^-2 over the half line
@@ -96,8 +96,8 @@ class TestHalflineTransforms:
             return np.cos(5.0 * u) * np.exp(-0.02 * u)
 
         w = 4.9
-        res = halfline_cos_transform(
-            f, w, QuadratureConfig(), u_max=900.0, u_scale=1.0,
+        res = halfline_transform(
+            f, w, QuadratureConfig(), "cos", u_max=900.0, u_scale=1.0,
             envelope=Envelope(kind="exp", amplitude=1.0, rate=0.02),
             carrier=5.0,
         )
@@ -141,8 +141,8 @@ class TestFailureModes:
             return np.sin(40.0 * np.asarray(u) ** 2)
 
         with pytest.raises(SubdivisionLimit):
-            halfline_cos_transform(
-                nasty, 1.0, cfg, u_max=2000.0, u_scale=1.0,
+            halfline_transform(
+                nasty, 1.0, cfg, "cos", u_max=2000.0, u_scale=1.0,
                 envelope=Envelope(kind="power", amplitude=1e6),
             )
 
@@ -316,3 +316,13 @@ class TestEnvelope:
             QuadratureConfig(epsilon_schedule=())
         with pytest.raises(Exception):
             QuadratureConfig(abs_tol=-1.0)
+
+    @pytest.mark.parametrize("settings", [
+        {"epsilon_schedule": (1e-2, 0.0)},
+        {"epsilon_schedule": (2.5e-3, 5e-3)},
+        {"rel_tol": 0.0},
+    ], ids=["eps-not-positive", "eps-not-decreasing", "tol-not-positive"])
+    def test_bad_settings_raise_config_error(self, settings):
+        # bad settings are input errors, not failed computations
+        with pytest.raises(ConfigError):
+            QuadratureConfig(**settings)

@@ -196,8 +196,3 @@ def test_accelerated_kk_vs_direct(vac_atom):
     direct = shift_direct(vac_atom, kernel, 1, "rf", cfg)
     tol = 10.0 * (kk.error_estimate + direct.error_estimate)
     assert abs(kk.value - direct.value) <= tol
-
-
-def test_direct_imag_residual_reported(vac_atom, vac_cfg):
-    res = shift_direct(vac_atom, InertialVacuum(), 1, "rf", vac_cfg)
-    assert res.detail["imag_residual"] < 1e-10
