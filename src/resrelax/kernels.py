@@ -59,14 +59,17 @@ _TRIGAMMA_RADIUS = 16.0
 
 
 def _trigamma_series(z):
+    """1/z + 1/2z^2 + sum_k B_2k / z^(2k+1), by Horner in 1/z^2."""
     inv = 1.0 / z
     inv2 = inv * inv
-    series = inv + 0.5 * inv2
-    p = inv * inv2
-    for b in _BERNOULLI:
-        series = series + b * p
-        p = p * inv2
-    return series
+    acc = inv2 * _BERNOULLI[-1]
+    for b in _BERNOULLI[-2::-1]:
+        acc += b
+        acc *= inv2
+    acc += 0.5 * inv
+    acc += 1.0
+    acc *= inv
+    return acc
 
 
 def trigamma_complex(z):
@@ -493,22 +496,51 @@ def limit_check_accelerated(acceleration, u, eps):
 # ---------------------------------------------------------------------------
 # band-limited vacuum kernels (eps = 0, sharp window |w| < omega_c)
 
+_EULER_GAMMA = 0.5772156649015329
+# Ci(x) - gamma - ln x = sum_k (-1)^k x^(2k) / (2k (2k)!), k >= 1; twelve
+# terms reach rounding accuracy at x = 2
+_CI_SERIES = tuple((-1) ** k / (2 * k * math.factorial(2 * k))
+                   for k in range(1, 13))
+
+
+def _ci(x):
+    """Cosine integral Ci(x) = -int_x^inf cos(t) / t dt for x > 0.
+
+    The power series up to x = 2; beyond it Ci(x) = -Re E1(ix), with
+    E1(ix) from its continued fraction by the modified Lentz method.
+    """
+    if x <= 2.0:
+        t2 = x * x
+        acc = 0.0
+        for c in reversed(_CI_SERIES):
+            acc = acc * t2 + c
+        return _EULER_GAMMA + math.log(x) + acc * t2
+    # E1(z) = e^-z / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), z = ix
+    b = complex(1.0, x)
+    c = 1e300
+    d = h = 1.0 / b
+    for i in range(1, 100):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return -(complex(math.cos(x), -math.sin(x)) * h).real
+
+
 def _sin_tail(nu, U):
     """int_U^inf sin(nu u) / u^2 du for nu >= 0."""
-    from scipy.special import sici
-
     if nu == 0.0:
         return 0.0
-    si, ci = sici(nu * U)
-    return math.sin(nu * U) / U - nu * ci
+    return math.sin(nu * U) / U - nu * _ci(nu * U)
 
 
 def _cos_tail(nu, U):
     """int_U^inf cos(nu u) / u du for nu > 0."""
-    from scipy.special import sici
-
-    si, ci = sici(nu * U)
-    return -ci
+    return -_ci(nu * U)
 
 
 # Taylor coefficients in th^2 of the ring pieces for |th| < 0.5:

@@ -3,23 +3,33 @@
 All reservoir quantities reduce to three numerical primitives:
 
 1.  Half-line Fourier transforms  int_0^umax f(u) {cos, sin}(omega u) du
-    of a kernel slice f(u) = f(u; eps) at fixed regulator eps.  The
-    integrand is resolved with a fixed budget of panels per oscillation
-    period (at least 16 per 2 pi / |omega|) on top of a geometric ladder
-    that tracks the short-distance structure of the kernel near u = 0,
-    then refined adaptively.  Each panel is integrated with a 15-point
-    Gauss-Legendre rule; the difference against the embedded 7-point
-    value serves as the panel error.
+    of a kernel slice f(u) = f(u; eps), taken in one adaptive pass for
+    the whole regulator schedule and, where the caller wants several,
+    for every kernel part (such as the symmetric and antisymmetric
+    parts feeding the two shift mechanisms).  The panel layout has a
+    fixed budget of panels per oscillation period (at least 16 per
+    2 pi / |omega|) on top of a geometric ladder that tracks the
+    short-distance structure of the kernel near u = 0.  Each panel is
+    integrated with a 15-point Gauss-Legendre rule; the difference
+    against the 7-point rule on the same panel serves as the panel
+    error.  The kernel is sampled once per node and eps, in blocks of
+    BATCH_BLOCK_PANELS panels, and every sample feeds all parts.  The
+    adaptive engine keeps panel bounds, values and errors in arrays and
+    splits the worst panels in batches until each component (one eps
+    and one part) meets its own tolerance.
 
-2.  A regulator limit eps -> 0.  The transform is evaluated on a
-    decreasing eps schedule and extrapolated polynomially in eps.
+2.  A regulator limit eps -> 0.  The transform values along a
+    decreasing eps schedule come from that one pass and are
+    extrapolated polynomially in eps, part by part.
     The leading error model is linear, but the pinned default schedule
     {1e-2, 5e-3, 2.5e-3} leaves a measurable quadratic term for
     omega * eps ~ 0.1, so the schedule is fitted to quadratic order
     whenever three or more samples are available (linear for two).
     The reported residual is the spread between the extrapolation and
     the lower-order fit of the last two samples; it is a deliberate
-    overestimate of the true extrapolation error.
+    overestimate of the true extrapolation error.  The check that
+    refuses a non-convergent limit, and the endpoint term and tail
+    bound below, are applied to each part.
 
 3.  Principal-value integrals by symmetric pole subtraction,
 
@@ -37,7 +47,6 @@ envelope when one is supplied and folded into the error estimate.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -56,8 +65,8 @@ DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 PANELS_PER_PERIOD = 16
 LADDER_RATIO = 1.7
 PANEL_HARD_CAP = 400_000
-# panels per kernel-sampling block and per frequency-contraction chunk of
-# the batch transform
+# panels per kernel-sampling block (both engines; it bounds the working
+# set) and per frequency-contraction chunk of the batch transform
 BATCH_BLOCK_PANELS = 1024
 BATCH_CHUNK_PANELS = 64
 # Calibrated floor for declaring the regulator limit non-convergent; the
@@ -216,67 +225,96 @@ def _panel_nodes(lo, hi, order):
 def _eval_panels(fw, lo, hi):
     """Integrate a vectorized integrand on each panel [lo_i, hi_i].
 
-    Returns (values, errors) per panel from the GL15/GL7 pair.
+    ``fw`` maps nodes, shape (n,), to values of shape (n,) or to a stack
+    of m integrand components, shape (m, n).  Panels are taken in blocks
+    of BATCH_BLOCK_PANELS, with one ``fw`` call on the 22 GL15 and GL7
+    nodes of each panel in the block.  Returns (values, errors) per
+    panel from the GL15/GL7 pair, shape (n_panels,) or (m, n_panels).
     """
-    n15, w15 = _panel_nodes(lo, hi, 15)
-    n7, w7 = _panel_nodes(lo, hi, 7)
-    f15 = fw(n15.ravel()).reshape(n15.shape)
-    f7 = fw(n7.ravel()).reshape(n7.shape)
-    i15 = np.sum(w15 * f15, axis=1)
-    i7 = np.sum(w7 * f7, axis=1)
-    return i15, np.abs(i15 - i7)
+    vals, errs = [], []
+    for b in range(0, lo.size, BATCH_BLOCK_PANELS):
+        blk = slice(b, b + BATCH_BLOCK_PANELS)
+        n15, w15 = _panel_nodes(lo[blk], hi[blk], 15)
+        n7, w7 = _panel_nodes(lo[blk], hi[blk], 7)
+        out = np.asarray(fw(np.concatenate([n15.ravel(), n7.ravel()])))
+        lead = out.shape[:-1]
+        f15 = out[..., :n15.size].reshape(lead + n15.shape)
+        f7 = out[..., n15.size:].reshape(lead + n7.shape)
+        i15 = np.sum(w15 * f15, axis=-1)
+        vals.append(i15)
+        errs.append(np.abs(i15 - np.sum(w7 * f7, axis=-1)))
+    return np.concatenate(vals, axis=-1), np.concatenate(errs, axis=-1)
+
+
+def _work_counts(n_panels, splits, n_samples, components):
+    """Work of one adaptive pass that started from ``n_panels`` panels.
+
+    Every split evaluates two new halves at 22 nodes each, and each node
+    is sampled once per kernel slice (``n_samples`` regulator values)
+    for all ``components`` of the integrand.
+    """
+    return {"components": components, "splits": splits,
+            "panels": n_panels + splits,
+            "kernel_points": 22 * (n_panels + 2 * splits) * n_samples}
 
 
 def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
     """Globally adaptive panel integration of a vectorized integrand.
 
-    Splits the worst panels until the summed panel error meets
+    ``fw`` returns one integrand, shape (n,), or a stack of m components,
+    shape (m, n), on n nodes.  Batches of the worst panels are split
+    until every component's summed panel error meets its own
     max(abs_tol, rel_tol * |value|) or the split budget is exhausted
-    (SubdivisionLimit).  Returns (value, error, splits_used).
+    (SubdivisionLimit).  A batch takes up to 64 panels, ranked by their
+    error relative to the tolerance of the components still open, among
+    those at or above a quarter of such a component's mean panel error.
+    Returns (value, error, splits_used); value and error are floats for
+    one integrand and arrays of shape (m,) for a stack.
     """
     bp = np.asarray(breakpoints, dtype=float)
-    vals, errs = _eval_panels(fw, bp[:-1], bp[1:])
-    panels = [[bp[i], bp[i + 1], vals[i], errs[i]] for i in range(len(bp) - 1)]
-    heap = [(-p[3], i) for i, p in enumerate(panels)]
-    heapq.heapify(heap)
+    lo, hi = bp[:-1], bp[1:].copy()
+    vals, errs = _eval_panels(fw, lo, hi)
+    single = vals.ndim == 1
+    vals, errs = np.atleast_2d(vals), np.atleast_2d(errs)
     splits = 0
     while True:
-        total = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err <= tol:
-            return total, err, splits
+        total = vals.sum(axis=1)
+        err = errs.sum(axis=1)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        unmet = ~(err <= tol)
+        if not unmet.any():
+            break
         if splits >= max_subdivisions:
+            worst = np.argmax(np.where(unmet, err / tol, -np.inf))
             raise SubdivisionLimit(
                 "adaptive quadrature used all %d subdivisions (error %.3e, "
-                "tolerance %.3e)" % (max_subdivisions, err, tol)
+                "tolerance %.3e)" % (max_subdivisions, err[worst], tol[worst])
             )
-        # split a batch of the worst panels at once
-        batch = []
-        while heap and len(batch) < 64:
-            negerr, i = heapq.heappop(heap)
-            if -negerr != panels[i][3]:
-                continue  # stale entry
-            if -negerr < 0.25 * err / max(len(panels), 1):
-                heapq.heappush(heap, (negerr, i))
-                break
-            batch.append(i)
-        if not batch:
-            batch = [max(range(len(panels)), key=lambda i: panels[i][3])]
-        lo = np.array([panels[i][0] for i in batch])
-        hi = np.array([panels[i][1] for i in batch])
-        mid = 0.5 * (lo + hi)
-        nlo = np.concatenate([lo, mid])
-        nhi = np.concatenate([mid, hi])
-        nvals, nerrs = _eval_panels(fw, nlo, nhi)
-        for k, i in enumerate(batch):
-            panels[i] = [nlo[k], nhi[k], nvals[k], nerrs[k]]
-            heapq.heappush(heap, (-nerrs[k], i))
-            j = len(panels)
-            panels.append([nlo[k + len(batch)], nhi[k + len(batch)],
-                           nvals[k + len(batch)], nerrs[k + len(batch)]])
-            heapq.heappush(heap, (-nerrs[k + len(batch)], j))
-        splits += len(batch)
+        e_open = errs[unmet]
+        score = np.max(e_open / tol[unmet, None], axis=0)
+        floor = 0.25 * err[unmet, None] / lo.size
+        cand = np.flatnonzero(np.any(e_open >= floor, axis=0))
+        if cand.size:
+            batch = cand[np.lexsort((cand, -score[cand]))][:64]
+        else:  # a NaN error leaves no candidate; split towards the budget
+            batch = np.array([np.argmax(score)])
+        mid = 0.5 * (lo[batch] + hi[batch])
+        right = hi[batch]
+        nvals, nerrs = _eval_panels(fw, np.concatenate([lo[batch], mid]),
+                                    np.concatenate([mid, right]))
+        nvals, nerrs = np.atleast_2d(nvals), np.atleast_2d(nerrs)
+        n = batch.size
+        # the left half keeps the panel's slot, the right half is appended
+        hi[batch] = mid
+        vals[:, batch], errs[:, batch] = nvals[:, :n], nerrs[:, :n]
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([hi, right])
+        vals = np.concatenate([vals, nvals[:, n:]], axis=1)
+        errs = np.concatenate([errs, nerrs[:, n:]], axis=1)
+        splits += n
+    if single:
+        return float(total[0]), float(err[0]), splits
+    return total, err, splits
 
 
 # ---------------------------------------------------------------------------
@@ -356,32 +394,6 @@ def _check_convergent(v0, residual, scale_hint, cfg):
 # ---------------------------------------------------------------------------
 # half-line transforms
 
-def _transform_once(f, omega, kind, eps, u_max, u_scale, cfg,
-                    envelope, endpoint_correction, carrier):
-    w = float(omega)
-    trig = np.cos if kind == "cos" else np.sin
-    omega_layout = abs(w) + abs(carrier)
-    bp = _halfline_breakpoints(omega_layout, u_scale, u_max)
-
-    def fw(u):
-        return f(u, eps) * trig(w * u)
-
-    value, qerr, _ = integrate_adaptive(
-        fw, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
-    )
-    corrected = False
-    if endpoint_correction and abs(w) * u_max >= 1.0 and carrier == 0.0:
-        f_end = float(f(np.array([u_max]), eps)[0])
-        if kind == "cos":
-            value += -f_end * math.sin(w * u_max) / w
-        else:
-            value += f_end * math.cos(w * u_max) / w
-        corrected = True
-    w_eff = abs(abs(carrier) - abs(w)) if carrier else abs(w)
-    tb = tail_bound(envelope, u_max, w_eff, corrected)
-    return value, qerr + tb
-
-
 def _resolve_u_max(cfg, u_max, f, eps):
     if u_max is not None:
         return float(u_max)
@@ -389,7 +401,7 @@ def _resolve_u_max(cfg, u_max, f, eps):
         return float(cfg.u_max)
     # probe outward for decay when nothing better is known
     for u in (30.0, 100.0, 300.0, 1000.0, 3000.0):
-        if abs(float(f(np.array([u]), eps)[0])) < cfg.abs_tol:
+        if np.max(np.abs(f(np.array([u]), eps))) < cfg.abs_tol:
             return u
     return 10000.0
 
@@ -400,12 +412,18 @@ def halfline_transform(f, omega, cfg, kind, *, u_max=None, u_scale=None,
                        extrapolate=True):
     """Half-line cos/sin transform of a kernel slice with eps -> 0 limit.
 
+    One adaptive pass covers the whole eps schedule and every kernel
+    part: each node is sampled once per eps, and each component (eps,
+    part) is refined until it meets its own tolerance.
+
     Parameters
     ----------
-    f : callable (u_array, eps) -> array
+    f : callable (u_array, eps) -> array of shape (n,), or a stack of k
+        kernel parts of shape (k, n).
     omega : transform frequency.
     cfg : QuadratureConfig
-    kind : "cos" or "sin"
+    kind : "cos" or "sin"; for a stacked f, a sequence of them, one per
+        part.
     u_max, u_scale, envelope : truncation point, short-distance scale
         near u = 0 to resolve, and tail envelope (see Envelope).
     eps_schedule : overrides cfg.epsilon_schedule.
@@ -414,30 +432,67 @@ def halfline_transform(f, omega, cfg, kind, *, u_max=None, u_scale=None,
         panel grid resolves it.
     extrapolate : evaluate the full schedule and extrapolate; otherwise
         a single evaluation at the first schedule entry is returned.
+
+    Returns an IntegralResult, or for a sequence ``kind`` a tuple of
+    them, one per part.  Each detail holds u_max and the pass's work:
+    components (eps values times parts), splits, panels and
+    kernel_points (nodes times eps values); an extrapolated result adds
+    its (eps, value) samples.
     """
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     sched = tuple(eps_schedule) if eps_schedule is not None else cfg.epsilon_schedule
     u_cap = _resolve_u_max(cfg, u_max, f, sched[0])
     scale = u_scale if u_scale is not None else max(sched[-1], u_cap * 1e-6)
-    if not extrapolate or len(sched) == 1:
-        value, err = _transform_once(
-            f, omega, kind, sched[0], u_cap, scale, cfg,
-            envelope, endpoint_correction, carrier,
-        )
-        return IntegralResult(value, err, eps_extrapolated=False)
-    samples, errs = [], []
-    for eps in sched:
-        v, e = _transform_once(
-            f, omega, kind, eps, u_cap, scale, cfg,
-            envelope, endpoint_correction, carrier,
-        )
-        samples.append((eps, v))
-        errs.append(e)
-    v0, residual, wl1 = extrapolate_regulator(samples, order=2)
-    scale_hint = max(abs(v) for _, v in samples)
-    _check_convergent(v0, residual, scale_hint, cfg)
-    err = residual + wl1 * max(errs)
-    return IntegralResult(v0, err, eps_extrapolated=True,
-                          detail={"samples": samples, "u_max": u_cap})
+    if not extrapolate:
+        sched = sched[:1]
+    w = float(omega)
+    n_eps, n_parts = len(sched), len(kinds)
+
+    def parts(u, eps):
+        return np.reshape(f(u, eps), (n_parts, -1))
+
+    def fw(u):
+        osc = np.stack([np.cos(w * u) if k == "cos" else np.sin(w * u)
+                        for k in kinds])
+        return np.concatenate([parts(u, eps) * osc for eps in sched])
+
+    bp = _halfline_breakpoints(abs(w) + abs(carrier), scale, u_cap)
+    raw, qerr, splits = integrate_adaptive(
+        fw, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
+    )
+    raw = raw.reshape(n_eps, n_parts)
+    qerr = qerr.reshape(n_eps, n_parts)
+    work = _work_counts(bp.size - 1, splits, n_eps, raw.size)
+    corrected = (endpoint_correction and abs(w) * u_cap >= 1.0
+                 and carrier == 0.0)
+    if corrected:
+        f_end = np.stack([parts(np.array([u_cap]), eps)[:, 0]
+                          for eps in sched])
+        edge = np.array([-math.sin(w * u_cap) if k == "cos"
+                         else math.cos(w * u_cap) for k in kinds])
+        raw += f_end * edge / w
+        work["kernel_points"] += n_eps
+    w_eff = abs(abs(carrier) - abs(w)) if carrier else abs(w)
+    qerr += tail_bound(envelope, u_cap, w_eff, corrected)
+    detail = dict(work, u_max=u_cap)
+    if n_eps == 1:
+        out = tuple(IntegralResult(float(raw[0, j]), float(qerr[0, j]),
+                                   eps_extrapolated=False, detail=dict(detail))
+                    for j in range(n_parts))
+    else:
+        v0, residual, wl1 = extrapolate_regulator(list(zip(sched, raw)),
+                                                  order=2)
+        scale_hint = np.max(np.abs(raw), axis=0)
+        err = residual + wl1 * np.max(qerr, axis=0)
+        out = []
+        for j in range(n_parts):
+            _check_convergent(v0[j], residual[j], scale_hint[j], cfg)
+            samples = [(eps, float(v)) for eps, v in zip(sched, raw[:, j])]
+            out.append(IntegralResult(float(v0[j]), float(err[j]),
+                                      eps_extrapolated=True,
+                                      detail=dict(detail, samples=samples)))
+        out = tuple(out)
+    return out[0] if isinstance(kind, str) else out
 
 
 # ---------------------------------------------------------------------------

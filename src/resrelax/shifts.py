@@ -20,7 +20,9 @@ domain,
 
 which makes the sr identity manifest: the cosine is even in w_ab, so
 the sr shift of every level of a two-level system is identical and the
-relative shift vanishes.
+relative shift vanishes.  Per partner level b, both mechanisms and the
+whole regulator schedule come from one adaptive pass that samples
+Cs and Ca together at each node and eps.
 
 Cutoff semantics: the frequency cutoff wc of QuadratureConfig bounds
 the dispersion integral.  So that both paths regularize identically,
@@ -53,6 +55,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     _halfline_breakpoints,
+    _work_counts,
     halfline_transform,
     integrate_adaptive,
     pv_integral,
@@ -211,63 +214,73 @@ def _kk_at_cutoff(spec, a, ws, wc, cfg):
 # ---------------------------------------------------------------------------
 # time-domain path
 
-def _direct_windowed(window, omega_ab, mechanism, cfg):
-    """Band-limited vacuum transform: short ring segment + analytic tail."""
-    wc = window.omega_c
+def _direct_windowed(window, omega_ab, mechanisms, cfg):
+    """Band-limited vacuum transforms: short ring segment + analytic tail.
+
+    The ring segment of every requested mechanism comes from one
+    adaptive pass.  Returns ({mechanism: (value, error)}, work counts).
+    """
     w = float(omega_ab)
     aw = abs(w)
-    if mechanism == "rf":
-        def ring_f(u):
-            return window.ring(u)[0] * np.sin(w * u)
-    else:
-        def ring_f(u):
-            return window.ring(u)[1] * np.cos(w * u)
-    bp = _halfline_breakpoints(wc + aw, 1.0 / wc, _RING_SPAN)
-    ring_val, ring_err, _ = integrate_adaptive(
+
+    def ring_f(u):
+        cs, ca = window.ring(u)
+        return np.stack([cs * np.sin(w * u) if mech == "rf"
+                         else ca * np.cos(w * u) for mech in mechanisms])
+
+    bp = _halfline_breakpoints(window.omega_c + aw, 1.0 / window.omega_c,
+                               _RING_SPAN)
+    ring_val, ring_err, splits = integrate_adaptive(
         ring_f, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
     )
-    if mechanism == "rf":
-        tail = math.copysign(1.0, w) * window.ring_tail_sin_cs(_RING_SPAN, aw) \
-            if w != 0.0 else 0.0
-    else:
-        tail = window.ring_tail_cos_ca(_RING_SPAN, aw)
-    err = ring_err + window.image_tail_error(_RING_SPAN, aw)
-    value = ring_val + tail
-    # smooth (non-ringing) remainder, present for accelerated trajectories
-    if mechanism == "rf" and window.acceleration > 0.0:
-        env = window.smooth_envelope()
-        u_max = max(2500.0 / max(aw, 0.1), 50.0)
+    image_err = window.image_tail_error(_RING_SPAN, aw)
+    out = {}
+    for j, mech in enumerate(mechanisms):
+        if mech == "rf":
+            tail = math.copysign(1.0, w) * window.ring_tail_sin_cs(
+                _RING_SPAN, aw) if w != 0.0 else 0.0
+        else:
+            tail = window.ring_tail_cos_ca(_RING_SPAN, aw)
+        value = ring_val[j] + tail
+        err = ring_err[j] + image_err
+        # smooth (non-ringing) remainder, present for accelerated trajectories
+        if mech == "rf" and window.acceleration > 0.0:
+            def f_smooth(u, eps):
+                return window.smooth_cs(u)
 
-        def f_smooth(u, eps):
-            return window.smooth_cs(u)
+            res = halfline_transform(
+                f_smooth, w, cfg, "sin",
+                u_max=max(2500.0 / max(aw, 0.1), 50.0),
+                u_scale=2.0 * math.pi / window.acceleration,
+                envelope=window.smooth_envelope(), extrapolate=False,
+            )
+            value += res.value
+            err += res.error_estimate
+        out[mech] = (value, err)
+    return out, _work_counts(bp.size - 1, splits, 1, len(mechanisms))
 
-        res = halfline_transform(
-            f_smooth, w, cfg, "sin", u_max=u_max,
-            u_scale=2.0 * math.pi / window.acceleration,
-            envelope=env, extrapolate=False,
-        )
-        value += res.value
-        err += res.error_estimate
-    return value, err
 
-
-def _direct_raw(kernel, omega_ab, mechanism, cfg):
-    """Raw-kernel transform for spectra that decay on their own.
+def _direct_raw(kernel, omega_ab, mechanisms, cfg):
+    """Raw-kernel transforms for spectra that decay on their own.
 
     Shift integrands weight the whole kernel spectrum, so the regulator
     schedule is scaled down by the spectral width to keep eps * omega
     small across it (a plain rate evaluation needs no such scaling).
+    One adaptive pass covers every requested mechanism and the whole
+    schedule, so each kernel sample serves all of them.  Returns
+    ({mechanism: (value, error)}, the pass's detail with its work).
     """
-    part = 0 if mechanism == "rf" else 1
-    kind = "sin" if mechanism == "rf" else "cos"
+    parts = [0 if mech == "rf" else 1 for mech in mechanisms]
+    kinds = ["sin" if mech == "rf" else "cos" for mech in mechanisms]
 
     def f(u, eps):
-        return kernel.evaluate(u, eps)[part]
+        cs_ca = kernel.evaluate(u, eps)
+        return np.stack([cs_ca[p] for p in parts])
 
     sched = tuple(e / kernel.spectral_scale() for e in cfg.epsilon_schedule)
     eps0 = sched[0]
     res = halfline_transform(
-        f, omega_ab, cfg, kind,
+        f, omega_ab, cfg, kinds,
         u_max=cfg.u_max if cfg.u_max is not None else
         kernel.u_max_hint(omega_ab, eps0),
         u_scale=kernel.origin_scale(eps0),
@@ -275,34 +288,51 @@ def _direct_raw(kernel, omega_ab, mechanism, cfg):
         eps_schedule=sched,
         extrapolate=kernel.epsilon_sensitive,
     )
-    return res.value, res.error_estimate
+    return ({mech: (r.value, r.error_estimate)
+             for mech, r in zip(mechanisms, res)}, res[0].detail)
 
 
 def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
-    """Energy shift of level ``a`` evaluated in the time domain."""
+    """Energy shift of level ``a`` evaluated in the time domain.
+
+    ``mechanism`` "rf" or "sr" returns that shift as an IntegralResult;
+    "both" returns {"rf": ..., "sr": ...}, with both mechanisms taken
+    from one pass per partner level that shares every kernel sample.
+    """
+    mechanisms = ("rf", "sr") if mechanism == "both" else (mechanism,)
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
-    if spec.g == 0.0:
-        return IntegralResult(0.0, 0.0)
-    poles = [abs(spec.omega_ab(i, j)) for i, j in spec.active_pairs]
-    wc = omega_c if omega_c is not None else _require_cutoff(
-        cfg, max(poles, default=0.0)
-    )
-    window = kernel.band_limited(wc)
-    g2 = spec.g ** 2
-    total = 0.0
-    err = 0.0
-    for el in transition_elements(spec, a):
-        m = el.strength
-        if m == 0.0:
-            continue
-        if window is not None:
-            v, e = _direct_windowed(window, el.omega_ab, mechanism, cfg)
-        else:
-            v, e = _direct_raw(kernel, el.omega_ab, mechanism, cfg)
-        total += g2 * m * v
-        err += g2 * m * e
-    return IntegralResult(total, err)
+    total = dict.fromkeys(mechanisms, 0.0)
+    err = dict.fromkeys(mechanisms, 0.0)
+    if spec.g != 0.0:
+        poles = [abs(spec.omega_ab(i, j)) for i, j in spec.active_pairs]
+        wc = omega_c if omega_c is not None else _require_cutoff(
+            cfg, max(poles, default=0.0)
+        )
+        window = kernel.band_limited(wc)
+        g2 = spec.g ** 2
+        for el in transition_elements(spec, a):
+            m = el.strength
+            if m == 0.0:
+                continue
+            start = time.perf_counter()
+            if window is not None:
+                parts, work = _direct_windowed(window, el.omega_ab,
+                                               mechanisms, cfg)
+            else:
+                parts, work = _direct_raw(kernel, el.omega_ab, mechanisms, cfg)
+            log.debug(
+                "direct pass at omega %.6g: %d components, %d panels, %d "
+                "kernel points, %d splits, %.3f s", el.omega_ab,
+                work["components"], work["panels"], work["kernel_points"],
+                work["splits"], time.perf_counter() - start,
+            )
+            for mech, (v, e) in parts.items():
+                total[mech] += g2 * m * v
+                err[mech] += g2 * m * e
+    results = {mech: IntegralResult(total[mech], err[mech])
+               for mech in mechanisms}
+    return results if mechanism == "both" else results[mechanism]
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +388,16 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspaces=None):
             errs[mech] = res.error_estimate
             cut[mech] = abs(res2.value - res.value)
     if method in ("direct", "both"):
-        dvals = {}
-        for mech in ("rf", "sr"):
-            res = shift_direct(spec, kernel, a, mech, cfg)
-            res2 = shift_direct(spec, kernel, a, mech, cfg, omega_c=2.0 * wc) \
-                if kernel.band_limited(wc) is not None else res
-            dvals[mech] = res
-            if method == "direct":
-                values[mech] = res.value
-                errs[mech] = res.error_estimate
-                cut[mech] = abs(res2.value - res.value)
-        if method == "both":
+        dvals = shift_direct(spec, kernel, a, "both", cfg)
+        if method == "direct":
+            dvals2 = shift_direct(spec, kernel, a, "both", cfg,
+                                  omega_c=2.0 * wc) \
+                if kernel.band_limited(wc) is not None else dvals
+            for mech in ("rf", "sr"):
+                values[mech] = dvals[mech].value
+                errs[mech] = dvals[mech].error_estimate
+                cut[mech] = abs(dvals2[mech].value - dvals[mech].value)
+        else:
             detail["kk_vs_direct_residual"] = max(
                 abs(values[m] - dvals[m].value) for m in ("rf", "sr")
             )

@@ -27,6 +27,30 @@ class TimeDomainOnly:
         return None
 
 
+class CountingKernel:
+    """A kernel that records every ``evaluate`` call: its eps and nodes.
+
+    Delegates everything else to the wrapped kernel, like TimeDomainOnly.
+    """
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+    def evaluate(self, u, eps):
+        self.calls.append((float(eps), np.array(u, dtype=float)))
+        return self._kernel.evaluate(u, eps)
+
+
+@pytest.fixture
+def counting():
+    """Wraps a kernel so that its evaluate calls are recorded."""
+    return CountingKernel
+
+
 @pytest.fixture
 def time_domain():
     """Wraps a kernel so that its rates come from the time-domain engine."""

@@ -122,6 +122,12 @@ def ring_mp(omega_c, u):
         return float(cs), float(ca)
 
 
+def ci_mp(x):
+    """Cosine integral Ci(x) = -int_x^inf cos(t)/t dt, x > 0 (mpmath)."""
+    with mpmath.workdps(50):
+        return float(mpmath.ci(mpmath.mpf(x)))
+
+
 def inertial_lamb(omega_0, omega_c, g=1.0):
     """Shift of the level splitting: twice the rf upper-level shift."""
     return -(g * g * omega_0 / (16.0 * math.pi ** 2)) * math.log(

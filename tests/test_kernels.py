@@ -385,6 +385,21 @@ def test_window_tail_increment_identity():
     assert got_ca == pytest.approx(inc_ca, rel=1e-9, abs=1e-13)
 
 
+def test_ci_matches_mpmath():
+    # the cosine integral behind the ring tails: power series up to x = 2,
+    # continued fraction beyond; checked on both sides of the switch and
+    # at the first zeros of Ci, where only an absolute error is meaningful
+    from resrelax.kernels import _ci
+
+    zeros = (0.6165054856207162, 3.384180422551186, 6.427047744050339,
+             9.566843113548)
+    xs = np.concatenate([np.geomspace(1e-8, 1e3, 400),
+                         np.linspace(1.9, 2.1, 41), zeros,
+                         [np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)]])
+    for x in xs:
+        assert abs(_ci(float(x)) - oracles.ci_mp(x)) <= 4e-15
+
+
 def test_window_rejects_beat_collision():
     k = BandLimitedVacuum(omega_c=2.0)
     with pytest.raises(OutOfRange):

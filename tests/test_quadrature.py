@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -22,10 +23,13 @@ from resrelax import (
     richardson_extrapolate,
 )
 from resrelax.quadrature import (
+    BATCH_BLOCK_PANELS,
     DEFAULT_EPS_SCHEDULE,
+    _eval_panels,
     batch_halfline_transform,
     extrapolate_regulator,
     halfline_transform,
+    integrate_adaptive,
     tail_bound,
 )
 
@@ -296,6 +300,139 @@ class TestBatch:
                              for w in omegas])
             assert np.all(np.abs(vals[row] - exact) <= errs[row])
             assert np.all(errs[row] - tail <= 1e-12 * exact)
+
+
+def _heap_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
+    """Single-integrand adaptive engine with a heap and panel lists.
+
+    The reference for integrate_adaptive: the same split rule (up to 64
+    of the worst panels at or above a quarter of the mean panel error)
+    written panel by panel.  Returns (value, error, splits).
+    """
+    bp = np.asarray(breakpoints, dtype=float)
+    vals, errs = _eval_panels(fw, bp[:-1], bp[1:])
+    panels = [[bp[i], bp[i + 1], vals[i], errs[i]] for i in range(len(bp) - 1)]
+    heap = [(-p[3], i) for i, p in enumerate(panels)]
+    heapq.heapify(heap)
+    splits = 0
+    while True:
+        total = math.fsum(p[2] for p in panels)
+        err = math.fsum(p[3] for p in panels)
+        if err <= max(abs_tol, rel_tol * abs(total)):
+            return total, err, splits
+        if splits >= max_subdivisions:
+            raise SubdivisionLimit("budget exhausted")
+        batch = []
+        while heap and len(batch) < 64:
+            negerr, i = heapq.heappop(heap)
+            if -negerr != panels[i][3]:
+                continue  # stale entry
+            if -negerr < 0.25 * err / len(panels):
+                heapq.heappush(heap, (negerr, i))
+                break
+            batch.append(i)
+        lo = np.array([panels[i][0] for i in batch])
+        hi = np.array([panels[i][1] for i in batch])
+        mid = 0.5 * (lo + hi)
+        nvals, nerrs = _eval_panels(fw, np.concatenate([lo, mid]),
+                                    np.concatenate([mid, hi]))
+        n = len(batch)
+        for k, i in enumerate(batch):
+            panels[i] = [lo[k], mid[k], nvals[k], nerrs[k]]
+            heapq.heappush(heap, (-nerrs[k], i))
+            heapq.heappush(heap, (-nerrs[n + k], len(panels)))
+            panels.append([mid[k], hi[k], nvals[n + k], nerrs[n + k]])
+        splits += n
+
+
+def _lorentzian(u):
+    return 1e-3 / (1e-6 + (np.asarray(u) - 3.3) ** 2)
+
+
+def _lorentzian_exact(hi):
+    return math.atan((hi - 3.3) / 1e-3) + math.atan(3.3 / 1e-3)
+
+
+class TestAdaptiveStack:
+    """integrate_adaptive on a stack of integrand components."""
+
+    BP = np.linspace(0.0, 10.0, 11)
+
+    def test_each_component_meets_its_own_tolerance(self):
+        # a narrow Lorentzian next to an oscillation 1e6 times smaller,
+        # whose initial error is far below the Lorentzian's tolerance: it
+        # is refined to its own tolerance all the same
+        def stack(u):
+            return np.stack([_lorentzian(u), 1e-6 * np.cos(8.0 * u)])
+
+        rel_tol = 1e-10
+        value, error, splits = integrate_adaptive(stack, self.BP, 1e-30,
+                                                  rel_tol, 2000)
+        exact = np.array([_lorentzian_exact(10.0), 1e-6 * math.sin(80.0) / 8.0])
+        assert value.shape == error.shape == (2,)
+        assert np.all(error <= rel_tol * np.abs(value))
+        assert np.all(np.abs(value - exact) <= error + 1e-15 * np.abs(exact))
+        # the Lorentzian alone leaves the oscillation unresolved
+        lone = integrate_adaptive(_lorentzian, self.BP, 1e-30, rel_tol, 2000)
+        assert lone[2] < splits
+
+    def test_single_component_matches_heap_reference(self):
+        # a chirp over 50 panels offers more than 64 candidates per batch,
+        # so the ranking of the worst panels decides the splits
+        def chirp(u):
+            return np.cos(3.0 * u ** 2)
+
+        bp = np.linspace(0.0, 10.0, 51)
+        ref = _heap_adaptive(chirp, bp, 1e-30, 1e-13, 2000)
+        value, error, splits = integrate_adaptive(chirp, bp, 1e-30, 1e-13, 2000)
+        assert splits == ref[2] > 64
+        assert abs(value - ref[0]) <= error
+        assert error == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+        # a stack of one is the same integral
+        value1, error1, splits1 = integrate_adaptive(
+            lambda u: chirp(u)[None], bp, 1e-30, 1e-13, 2000)
+        assert value1.shape == (1,)
+        assert (value1[0], error1[0], splits1) == (value, error, splits)
+
+    def test_subdivision_limit(self):
+        def stack(u):
+            return np.stack([_lorentzian(u), np.sin(40.0 * u ** 2)])
+
+        with pytest.raises(SubdivisionLimit):
+            integrate_adaptive(stack, self.BP, 1e-30, 1e-14, 100)
+
+    def test_blocks_bound_each_call(self):
+        sizes = []
+
+        def counted(u):
+            sizes.append(u.size)
+            return np.exp(-u)
+
+        bp = np.linspace(0.0, 1.0, 2 * BATCH_BLOCK_PANELS + 2)
+        integrate_adaptive(counted, bp, 1e-10, 1e-8, 10)
+        assert sizes == [BATCH_BLOCK_PANELS * 22, BATCH_BLOCK_PANELS * 22, 22]
+
+    def test_halfline_stack_reports_its_work(self):
+        # two parts, three eps: one pass, each node sampled once per eps
+        points = []
+
+        def f(u, eps):
+            points.append(u.size)
+            return np.stack([np.exp(-u) * (1.0 + eps), np.exp(-2.0 * u)])
+
+        res = halfline_transform(f, 1.5, QuadratureConfig(), ("cos", "sin"),
+                                 u_max=60.0, u_scale=1.0, envelope=EXP_ENV)
+        assert len(res) == 2
+        assert res[0].value == pytest.approx(1.0 / (1.0 + 1.5 ** 2), rel=1e-10)
+        assert res[1].value == pytest.approx(1.5 / (4.0 + 1.5 ** 2), rel=1e-10)
+        detail = res[0].detail
+        assert detail["components"] == 6
+        assert detail["kernel_points"] == sum(points)
+        assert detail["panels"] >= 1 and detail["splits"] >= 0
+        single = halfline_transform(lambda u, eps: f(u, eps)[1], 1.5,
+                                    QuadratureConfig(), "sin", u_max=60.0,
+                                    u_scale=1.0, envelope=EXP_ENV)
+        assert single.value == pytest.approx(res[1].value, rel=1e-13, abs=0.0)
 
 
 class TestEnvelope:

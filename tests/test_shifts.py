@@ -16,6 +16,7 @@ from resrelax import (
     shift_kk,
     two_level_system,
 )
+from resrelax.quadrature import BATCH_BLOCK_PANELS
 from resrelax.shifts import ShiftWorkspace
 
 W0 = 1.0
@@ -187,6 +188,63 @@ def test_three_level_rejected_by_relative_helper(vac_cfg):
     )
     with pytest.raises(ValueError):
         delta_sr_relative(spec, InertialVacuum(), vac_cfg)
+
+
+def _ladder3():
+    import numpy as np
+
+    from resrelax import SystemSpec
+
+    op = np.zeros((3, 3))
+    op[0, 1] = op[1, 0] = op[1, 2] = op[2, 1] = 0.5
+    return SystemSpec(levels=(("a", -1.0), ("b", 0.0), ("c", 1.3)),
+                      coupling_ops=(op,), g=0.2)
+
+
+def _ladder_kernel():
+    return ThermalOhmic(eta=0.4, omega_j=5.0, temperature=0.8)
+
+
+def test_direct_pass_shares_each_kernel_sample(counting):
+    # level b has two partners; each gets one pass in which the three
+    # eps values and both mechanisms share every kernel sample.  Kernel
+    # points (22 per panel, plus the endpoint): 1,688,028 when every
+    # (mechanism, eps) had its own pass, 844,014 with one pass per partner
+    import numpy as np
+
+    spec = _ladder3()
+    cfg = QuadratureConfig(omega_cutoff=25.0)
+    both = counting(_ladder_kernel())
+    res = compute_shift(spec, both, 1, cfg, method="direct")
+    points = sum(u.size for _, u in both.calls)
+    assert points * 2 <= 1_688_028
+    assert max(u.size for _, u in both.calls) <= BATCH_BLOCK_PANELS * 22
+    # every eps of the schedule samples the same nodes
+    per_eps = {}
+    for eps, u in both.calls:
+        per_eps.setdefault(eps, []).append(u)
+    assert len(per_eps) == len(cfg.epsilon_schedule)
+    nodes = [np.concatenate(us) for us in per_eps.values()]
+    assert all(np.array_equal(nodes[0], n) for n in nodes[1:])
+    # one mechanism alone samples just as many points as both together
+    for mech, value in (("rf", res.delta_e_rf), ("sr", res.delta_e_sr)):
+        one = counting(_ladder_kernel())
+        alone = shift_direct(spec, one, 1, mech, cfg)
+        assert sum(u.size for _, u in one.calls) == points
+        assert alone.value == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+def test_direct_pass_logged(caplog):
+    # one debug line per partner pass, with its work counts
+    spec = _ladder3()
+    cfg = QuadratureConfig(omega_cutoff=25.0)
+    with caplog.at_level("DEBUG", logger="resrelax.shifts"):
+        shift_direct(spec, _ladder_kernel(), 1, "both", cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("direct pass")]
+    assert len(lines) == 2
+    assert all("6 components" in line and "kernel points" in line
+               for line in lines)
 
 
 def test_accelerated_kk_vs_direct(vac_atom):

@@ -1,10 +1,10 @@
 """Cold start: a CLI run on a closed-form kernel never imports scipy.
 
-scipy.special and scipy.interpolate take most of the start-up time of a
-process, and only the tabulated kernel, the spline workspace of a kernel
-without closed-form rates, the band-limited vacuum direct route (sici)
-and ``kk_check.table`` use them.  Each case runs in a fresh interpreter
-so that no other test's imports leak into ``sys.modules``.
+scipy.interpolate takes most of the start-up time of a process, and
+only the tabulated kernel, the spline workspace of a kernel without
+closed-form rates and ``kk_check.table`` use it.  Each case runs in a
+fresh interpreter so that no other test's imports leak into
+``sys.modules``.
 """
 
 import json
@@ -47,6 +47,18 @@ temperature = [0.5, 1.0]
 omega_0 = [0.8, 1.6]
 """
 
+INERTIAL_INI = """\
+[system]
+omega_0 = 1.0
+g = 1.0
+
+[reservoir]
+model = inertial_vacuum
+
+[quadrature]
+omega_cutoff = 40.0
+"""
+
 ACCELERATED_INI = """\
 [system]
 omega_0 = 1.3
@@ -77,6 +89,8 @@ CASES = [
     ("accelerated_vacuum", ACCELERATED_INI, ["kk-check"]),
     ("accelerated_vacuum", ACCELERATED_INI, ["sweep"]),
     ("accelerated_vacuum", ACCELERATED_INI, ["shift", "--method", "kk"]),
+    ("accelerated_vacuum", ACCELERATED_INI, ["shift", "--method", "both"]),
+    ("inertial_vacuum", INERTIAL_INI, ["shift", "--method", "both"]),
 ]
 
 
