@@ -54,7 +54,6 @@ from .system import (
 )
 from .kernels import (
     AcceleratedVacuum,
-    BandLimitedVacuum,
     InertialVacuum,
     ReservoirKernel,
     TabulatedKernel,
@@ -69,7 +68,6 @@ from .quadrature import (
     QuadratureConfig,
     kk_real_from_imag,
     pv_integral,
-    richardson_extrapolate,
 )
 from .rates import (
     EinsteinCoefficients,
@@ -108,7 +106,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcceleratedVacuum",
-    "BandLimitedVacuum",
     "ConfigError",
     "CutoffTooSmall",
     "DegenerateTransition",
@@ -164,7 +161,6 @@ __all__ = [
     "pv_integral",
     "rate_table",
     "relaxation_rate",
-    "richardson_extrapolate",
     "shift_direct",
     "shift_kk",
     "system_spectral_functions",

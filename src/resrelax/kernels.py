@@ -163,8 +163,8 @@ class ReservoirKernel:
     def spectral_scale(self):
         """Frequency extent of the kernel spectrum (1 for scale-free ones).
 
-        Regulator schedules for integrals sensitive to the whole spectrum
-        are divided by this, keeping eps * omega uniformly small.
+        Every time-domain transform divides its regulator schedule by at
+        least this, keeping eps * omega small across the spectrum.
         """
         return 1.0
 

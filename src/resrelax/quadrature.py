@@ -3,24 +3,29 @@
 All reservoir quantities reduce to three numerical primitives:
 
 1.  Half-line Fourier transforms  int_0^umax f(u) {cos, sin}(omega u) du
-    of a kernel slice f(u) = f(u; eps), taken in one adaptive pass for
-    the whole regulator schedule and, where the caller wants several,
-    for every kernel part (such as the symmetric and antisymmetric
-    parts feeding the two shift mechanisms).  The panel layout has a
-    fixed budget of panels per oscillation period (at least 16 per
-    2 pi / |omega|) on top of a geometric ladder that tracks the
-    short-distance structure of the kernel near u = 0.  Each panel is
-    integrated with a 15-point Gauss-Legendre rule; the difference
-    against the 7-point rule on the same panel serves as the panel
-    error.  The kernel is sampled once per node and eps, in blocks of
-    BATCH_BLOCK_PANELS panels, and every sample feeds all parts.  The
-    adaptive engine keeps panel bounds, values and errors in arrays and
-    splits the worst panels in batches until each component (one eps
-    and one part) meets its own tolerance.
+    of a kernel slice f(u) = f(u; eps).  One adaptive pass serves one
+    frequency or a vector of them, the whole regulator schedule and
+    every kernel part the caller asks for (such as Cs and Ca); its
+    components are omega x eps x part, and each is refined until it
+    meets its own tolerance.  The kernel is sampled once per node and
+    eps, in blocks of BATCH_BLOCK_PANELS panels, and each panel's
+    samples are contracted against the oscillation factors of every
+    frequency at once.
+
+    Panel policy: the initial layout puts PANELS_PER_PERIOD panels on
+    each period 2 pi / |omega| of the call's largest |omega|, on top of
+    a geometric ladder that tracks the short-distance structure of the
+    kernel near u = 0.  Each panel is integrated with a 15-point
+    Gauss-Legendre rule; the difference against the 7-point rule on the
+    same panel serves as the panel error.  The two rules share the
+    panel midpoint, so a panel takes NODES_PER_PANEL = 21 samples.
+    The adaptive engine keeps panel bounds, values and errors in arrays
+    and splits the worst panels in batches until every component meets
+    its tolerance or the split budget is spent (SubdivisionLimit).
 
 2.  A regulator limit eps -> 0.  The transform values along a
     decreasing eps schedule come from that one pass and are
-    extrapolated polynomially in eps, part by part.
+    extrapolated polynomially in eps, component by component.
     The leading error model is linear, but the pinned default schedule
     {1e-2, 5e-3, 2.5e-3} leaves a measurable quadratic term for
     omega * eps ~ 0.1, so the schedule is fitted to quadratic order
@@ -29,7 +34,14 @@ All reservoir quantities reduce to three numerical primitives:
     the lower-order fit of the last two samples; it is a deliberate
     overestimate of the true extrapolation error.  The check that
     refuses a non-convergent limit, and the endpoint term and tail
-    bound below, are applied to each part.
+    bound below, are applied to each component.
+
+    Regulator policy: a kernel transform divides the configured
+    schedule by max(1, the call's largest |omega|, the kernel's
+    spectral scale), so eps * omega stays small at every frequency the
+    call and the kernel spectrum reach.  ``rates._kernel_transform`` is
+    the one place that applies it, for the rates and for the direct
+    shift route alike.
 
 3.  Principal-value integrals by symmetric pole subtraction,
 
@@ -62,25 +74,39 @@ from .errors import (
 )
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
-PANELS_PER_PERIOD = 16
+PANELS_PER_PERIOD = 6
 LADDER_RATIO = 1.7
 PANEL_HARD_CAP = 400_000
-# panels per kernel-sampling block (both engines; it bounds the working
-# set) and per frequency-contraction chunk of the batch transform
+# panels per kernel-sampling block; it bounds the working set
 BATCH_BLOCK_PANELS = 1024
-BATCH_CHUNK_PANELS = 64
+# GL15 nodes plus the six GL7 nodes off the shared midpoint
+NODES_PER_PANEL = 21
 # Calibrated floor for declaring the regulator limit non-convergent; the
 # raw 100 * rel_tol criterion trips on the benign O((omega*eps)^3)
 # curvature left by the default schedule, so a relative floor is added.
 NONCONVERGENT_FLOOR = 0.02
 
-_GL_CACHE = {}
+_RULE = []
 
 
-def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+def _panel_rule():
+    """The GL15/GL7 pair on [-1, 1], sharing the node x = 0.
+
+    Returns (x, w15, w7, at7, rule): the NODES_PER_PANEL nodes (GL15's
+    15, then GL7's six others), the GL15 weights of the first 15, the
+    GL7 weights with the indices ``at7`` of their nodes in x, and both
+    rules as rows over all nodes: GL15, and GL15 minus GL7.
+    """
+    if not _RULE:
+        x15, w15 = np.polynomial.legendre.leggauss(15)
+        x7, w7 = np.polynomial.legendre.leggauss(7)
+        off = np.flatnonzero(x7 != 0.0)
+        at7 = np.insert(15 + np.arange(off.size), 3, 7)
+        rule = np.zeros((2, NODES_PER_PANEL))
+        rule[:, :15] = w15
+        rule[1, at7] -= w7
+        _RULE.extend((np.concatenate([x15, x7[off]]), w15, w7, at7, rule))
+    return _RULE
 
 
 @dataclass
@@ -122,7 +148,8 @@ class IntegralResult:
     """Value with an error estimate.
 
     error_estimate combines quadrature error, truncation tail bound and
-    (when applicable) the regulator extrapolation residual.
+    (when applicable) the regulator extrapolation residual.  A transform
+    at a vector of frequencies holds arrays aligned with them.
     """
 
     value: float
@@ -165,30 +192,26 @@ class Envelope:
         return self.rate * self.at(u)
 
 
-def tail_bound(envelope, u_max, omega, corrected):
+def tail_bound(envelope, u_max, omega):
     """Bound on the dropped tail of a half-line transform.
 
-    With the analytic endpoint term applied the remainder is
-    O(|f'(u_max)| / omega^2); otherwise O(env(u_max)/|omega|).  For
-    frequencies too small to oscillate within the tail the plain
-    envelope integral is used.
+    For |omega| u_max >= 1 the analytic endpoint term is applied and the
+    remainder is O(|f'(u_max)| / omega^2).  Frequencies too small to
+    oscillate within the tail get the plain envelope integral.
     """
     if envelope is None:
         return 0.0
     w = abs(omega)
     no_osc = envelope.integral_beyond(u_max)
-    if w * u_max < 1.0 or w == 0.0:
+    if w * u_max < 1.0:
         return no_osc
-    if corrected:
-        return min(no_osc, 2.0 * envelope.derivative_at(u_max) / w ** 2)
-    return min(no_osc, 2.0 * envelope.at(u_max) / w)
+    return min(no_osc, 2.0 * envelope.derivative_at(u_max) / w ** 2)
 
 
 # ---------------------------------------------------------------------------
 # panel machinery
 
-def _halfline_breakpoints(omega_max, u_scale, u_max, max_panels=PANEL_HARD_CAP,
-                          panels_per_period=PANELS_PER_PERIOD):
+def _halfline_breakpoints(omega_max, u_scale, u_max):
     """Panel boundaries for [0, u_max]: geometric ladder + periodic grid."""
     pts = {0.0, u_max}
     u0 = max(u_scale / 32.0, u_max * 1e-13)
@@ -198,12 +221,12 @@ def _halfline_breakpoints(omega_max, u_scale, u_max, max_panels=PANEL_HARD_CAP,
         u *= LADDER_RATIO
     w = abs(omega_max)
     if w > 0:
-        h = (2.0 * math.pi / w) / panels_per_period
+        h = (2.0 * math.pi / w) / PANELS_PER_PERIOD
         n_osc = u_max / h
-        if n_osc > max_panels:
+        if n_osc > PANEL_HARD_CAP:
             raise SubdivisionLimit(
-                "initial oscillation grid needs %d panels (cap %d); "
-                "reduce u_max or the frequency range" % (int(n_osc), max_panels)
+                "initial oscillation grid needs %d panels (cap %d); reduce "
+                "u_max or the frequency range" % (int(n_osc), PANEL_HARD_CAP)
             )
         if n_osc >= 1:
             pts.update(np.arange(h, u_max, h))
@@ -213,57 +236,70 @@ def _halfline_breakpoints(omega_max, u_scale, u_max, max_panels=PANEL_HARD_CAP,
     return bp[keep]
 
 
-def _panel_nodes(lo, hi, order):
-    x, w = _gl(order)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes, weights
-
-
 def _eval_panels(fw, lo, hi):
     """Integrate a vectorized integrand on each panel [lo_i, hi_i].
 
-    ``fw`` maps nodes, shape (n,), to values of shape (n,) or to a stack
-    of m integrand components, shape (m, n).  Panels are taken in blocks
-    of BATCH_BLOCK_PANELS, with one ``fw`` call on the 22 GL15 and GL7
-    nodes of each panel in the block.  Returns (values, errors) per
-    panel from the GL15/GL7 pair, shape (n_panels,) or (m, n_panels).
+    ``fw`` maps nodes, shape (n,), to values of shape (n,), to a stack
+    of m integrand components, shape (m, n), or to a factored stack
+    (samples, osc): kernel samples of shape (E, P, n) and oscillation
+    factors of shape (P, n, W).  The products samples[e, p] *
+    osc[p, :, w] are then the m = W * E * P components, ordered
+    (w, e, p); they are never formed, as each panel's weighted samples
+    are contracted against its oscillation factors by matrix products.
+    Panels are taken in blocks of BATCH_BLOCK_PANELS, with one ``fw``
+    call on the NODES_PER_PANEL nodes of each panel in the block.
+    Returns (values, errors) per panel from the GL15/GL7 pair, shape
+    (n_panels,) or (m, n_panels).
     """
+    x, w15, w7, at7, rule = _panel_rule()
     vals, errs = [], []
     for b in range(0, lo.size, BATCH_BLOCK_PANELS):
         blk = slice(b, b + BATCH_BLOCK_PANELS)
-        n15, w15 = _panel_nodes(lo[blk], hi[blk], 15)
-        n7, w7 = _panel_nodes(lo[blk], hi[blk], 7)
-        out = np.asarray(fw(np.concatenate([n15.ravel(), n7.ravel()])))
-        lead = out.shape[:-1]
-        f15 = out[..., :n15.size].reshape(lead + n15.shape)
-        f7 = out[..., n15.size:].reshape(lead + n7.shape)
-        i15 = np.sum(w15 * f15, axis=-1)
+        mid = 0.5 * (lo[blk] + hi[blk])
+        half = 0.5 * (hi[blk] - lo[blk])
+        shape = (mid.size, NODES_PER_PANEL)
+        out = fw((mid[:, None] + half[:, None] * x[None, :]).ravel())
+        if isinstance(out, tuple):
+            samples, osc = out
+            n_eps, n_parts = samples.shape[:2]
+            samples = samples.reshape((n_eps, n_parts) + shape)
+            osc = osc.reshape((n_parts,) + shape + (-1,))
+            # per rule: (part, panel, eps, node) @ (part, panel, node, omega)
+            s = np.stack([np.einsum("epkj,j->pkej", samples, r) @ osc
+                          for r in rule])
+            # to (rule, omega x eps x part, panel)
+            s = s.transpose(0, 4, 3, 1, 2).reshape(2, -1, mid.size)
+            i15, diff = half * s
+        else:
+            f = np.asarray(out).reshape(np.shape(out)[:-1] + shape)
+            i15 = np.sum(half[:, None] * w15[None, :] * f[..., :15], axis=-1)
+            diff = i15 - np.sum(half[:, None] * w7[None, :] * f[..., at7],
+                                axis=-1)
         vals.append(i15)
-        errs.append(np.abs(i15 - np.sum(w7 * f7, axis=-1)))
+        errs.append(np.abs(diff))
     return np.concatenate(vals, axis=-1), np.concatenate(errs, axis=-1)
 
 
 def _work_counts(n_panels, splits, n_samples, components):
     """Work of one adaptive pass that started from ``n_panels`` panels.
 
-    Every split evaluates two new halves at 22 nodes each, and each node
-    is sampled once per kernel slice (``n_samples`` regulator values)
-    for all ``components`` of the integrand.
+    Every split evaluates two new halves at NODES_PER_PANEL nodes each,
+    and each node is sampled once per kernel slice (``n_samples``
+    regulator values) for all ``components`` of the integrand.
     """
     return {"components": components, "splits": splits,
             "panels": n_panels + splits,
-            "kernel_points": 22 * (n_panels + 2 * splits) * n_samples}
+            "kernel_points": (NODES_PER_PANEL * (n_panels + 2 * splits)
+                              * n_samples)}
 
 
 def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
     """Globally adaptive panel integration of a vectorized integrand.
 
-    ``fw`` returns one integrand, shape (n,), or a stack of m components,
-    shape (m, n), on n nodes.  Batches of the worst panels are split
-    until every component's summed panel error meets its own
+    ``fw`` returns one integrand, shape (n,), a stack of m components,
+    shape (m, n), or a factored stack (see _eval_panels) on n nodes.
+    Batches of the worst panels are split until every component's summed
+    panel error meets its own
     max(abs_tol, rel_tol * |value|) or the split budget is exhausted
     (SubdivisionLimit).  A batch takes up to 64 panels, ranked by their
     error relative to the tolerance of the components still open, among
@@ -333,6 +369,8 @@ def extrapolate_regulator(samples, order=2):
     (plus any least-squares misfit); weight_l1 bounds how much per-
     sample noise is amplified.  Values may be equal-shape arrays, one
     sequence per eps; v0 and residual are then arrays of that shape.
+    Raises InsufficientSamples for fewer than two samples and
+    ConfigError unless eps is positive and strictly decreasing.
     """
     if len(samples) < 2:
         raise InsufficientSamples(
@@ -341,11 +379,13 @@ def extrapolate_regulator(samples, order=2):
     eps = np.array([e for e, _ in samples], dtype=float)
     vals = np.array([v for _, v in samples], dtype=float)
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise NonConvergent("regulator samples must have strictly decreasing eps")
+        raise ConfigError("regulator samples must have positive, strictly "
+                          "decreasing eps; fix the epsilon schedule")
+    shape = vals.shape[1:]
+    vals = vals.reshape(eps.size, -1)  # one column per sequence
     p = min(order, len(samples) - 1)
     v0, coeffs = _polyfit_zero(eps, vals, p)
-    at_eps = eps.reshape((-1,) + (1,) * (vals.ndim - 1))
-    misfit = np.max(np.abs(np.polyval(coeffs, at_eps) - vals), axis=0)
+    misfit = np.max(np.abs(np.polyval(coeffs, eps[:, None]) - vals), axis=0)
     v_lin = _polyfit_zero(eps[-2:], vals[-2:], 1)[0] if p >= 1 else vals[-1]
     residual = np.abs(v0 - v_lin) + misfit
     # l1 norm of the Lagrange weights at 0 for the exact-fit case
@@ -357,254 +397,116 @@ def extrapolate_regulator(samples, order=2):
         weight_l1 = float(np.sum(np.abs(wts)))
     else:
         weight_l1 = float(len(samples))
-    if vals.ndim == 1:
-        return float(v0), float(residual), weight_l1
-    return v0, residual, weight_l1
-
-
-def richardson_extrapolate(values):
-    """Linear-in-eps Richardson extrapolation of [(eps, value), ...].
-
-    Fits v(eps) = v0 + c * eps (least squares beyond two samples) and
-    returns (v0, residual) with residual the maximum deviation from the
-    fit.  Raises InsufficientSamples for fewer than two samples.
-    """
-    if len(values) < 2:
-        raise InsufficientSamples(
-            "need at least two (eps, value) samples, got %d" % len(values)
-        )
-    eps = np.array([e for e, _ in values], dtype=float)
-    vals = np.array([v for _, v in values], dtype=float)
-    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise NonConvergent("regulator samples must have strictly decreasing eps")
-    v0, coeffs = _polyfit_zero(eps, vals, 1)
-    residual = float(np.max(np.abs(np.polyval(coeffs, eps) - vals)))
-    return float(v0), residual
+    if not shape:
+        return float(v0[0]), float(residual[0]), weight_l1
+    return v0.reshape(shape), residual.reshape(shape), weight_l1
 
 
 def _check_convergent(v0, residual, scale_hint, cfg):
-    scale = max(abs(v0), 0.1 * scale_hint, 1e4 * cfg.abs_tol)
-    if residual > max(100.0 * cfg.rel_tol, NONCONVERGENT_FLOOR) * scale:
+    """Refuse a regulator limit whose residual is too large (per component)."""
+    scale = np.maximum(np.maximum(np.abs(v0), 0.1 * scale_hint),
+                       1e4 * cfg.abs_tol)
+    tol = max(100.0 * cfg.rel_tol, NONCONVERGENT_FLOOR) * scale
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
         raise NonConvergent(
             "regulator extrapolation residual %.3e exceeds tolerance at value "
-            "%.3e; decrease the epsilon schedule or omega" % (residual, v0)
+            "%.3e; decrease the epsilon schedule or omega"
+            % (residual.flat[bad[0]], v0.flat[bad[0]])
         )
 
 
 # ---------------------------------------------------------------------------
 # half-line transforms
 
-def _resolve_u_max(cfg, u_max, f, eps):
-    if u_max is not None:
-        return float(u_max)
-    if cfg.u_max is not None:
-        return float(cfg.u_max)
-    # probe outward for decay when nothing better is known
-    for u in (30.0, 100.0, 300.0, 1000.0, 3000.0):
-        if np.max(np.abs(f(np.array([u]), eps))) < cfg.abs_tol:
-            return u
-    return 10000.0
-
-
-def halfline_transform(f, omega, cfg, kind, *, u_max=None, u_scale=None,
-                       envelope=None, eps_schedule=None,
-                       endpoint_correction=True, carrier=0.0,
-                       extrapolate=True):
+def halfline_transform(f, omega, cfg, kind, *, u_max, u_scale, envelope=None,
+                       eps_schedule=None, extrapolate=True):
     """Half-line cos/sin transform of a kernel slice with eps -> 0 limit.
 
-    One adaptive pass covers the whole eps schedule and every kernel
-    part: each node is sampled once per eps, and each component (eps,
-    part) is refined until it meets its own tolerance.
+    One adaptive pass covers every frequency, the whole eps schedule and
+    every kernel part: each node is sampled once per eps, and each
+    component (omega, eps, part) is refined until it meets its own
+    tolerance.
 
     Parameters
     ----------
     f : callable (u_array, eps) -> array of shape (n,), or a stack of k
         kernel parts of shape (k, n).
-    omega : transform frequency.
+    omega : transform frequency, or a 1-d array of them.
     cfg : QuadratureConfig
     kind : "cos" or "sin"; for a stacked f, a sequence of them, one per
         part.
     u_max, u_scale, envelope : truncation point, short-distance scale
         near u = 0 to resolve, and tail envelope (see Envelope).
     eps_schedule : overrides cfg.epsilon_schedule.
-    endpoint_correction : apply the analytic boundary term at u_max.
-    carrier : internal oscillation frequency of f itself, if any, so the
-        panel grid resolves it.
     extrapolate : evaluate the full schedule and extrapolate; otherwise
         a single evaluation at the first schedule entry is returned.
 
     Returns an IntegralResult, or for a sequence ``kind`` a tuple of
-    them, one per part.  Each detail holds u_max and the pass's work:
-    components (eps values times parts), splits, panels and
-    kernel_points (nodes times eps values); an extrapolated result adds
-    its (eps, value) samples.
+    them, one per part; for an array ``omega`` their values and errors
+    are arrays aligned with it.  Each detail holds u_max and the pass's
+    work: components (frequencies times eps values times parts), splits,
+    panels and kernel_points (nodes times eps values); an extrapolated
+    result adds its (eps, value) samples.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
     sched = tuple(eps_schedule) if eps_schedule is not None else cfg.epsilon_schedule
-    u_cap = _resolve_u_max(cfg, u_max, f, sched[0])
-    scale = u_scale if u_scale is not None else max(sched[-1], u_cap * 1e-6)
+    u_cap = float(u_max)
     if not extrapolate:
         sched = sched[:1]
-    w = float(omega)
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
     n_eps, n_parts = len(sched), len(kinds)
+    trig = {"cos": np.cos, "sin": np.sin}
 
     def parts(u, eps):
         return np.reshape(f(u, eps), (n_parts, -1))
 
     def fw(u):
-        osc = np.stack([np.cos(w * u) if k == "cos" else np.sin(w * u)
-                        for k in kinds])
-        return np.concatenate([parts(u, eps) * osc for eps in sched])
+        osc = np.empty((n_parts, u.size, om.size))
+        phase = np.multiply.outer(u, om, out=osc[-1])  # overwritten last
+        for p, k in enumerate(kinds):
+            trig[k](phase, out=osc[p])
+        return np.stack([parts(u, eps) for eps in sched]), osc
 
-    bp = _halfline_breakpoints(abs(w) + abs(carrier), scale, u_cap)
+    bp = _halfline_breakpoints(np.max(np.abs(om)), u_scale, u_cap)
     raw, qerr, splits = integrate_adaptive(
         fw, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
     )
-    raw = raw.reshape(n_eps, n_parts)
-    qerr = qerr.reshape(n_eps, n_parts)
+    raw = raw.reshape(om.size, n_eps, n_parts)
+    qerr = qerr.reshape(om.size, n_eps, n_parts)
     work = _work_counts(bp.size - 1, splits, n_eps, raw.size)
-    corrected = (endpoint_correction and abs(w) * u_cap >= 1.0
-                 and carrier == 0.0)
-    if corrected:
+    corrected = np.abs(om) * u_cap >= 1.0
+    if corrected.any():
+        w = om[corrected, None, None]
         f_end = np.stack([parts(np.array([u_cap]), eps)[:, 0]
                           for eps in sched])
-        edge = np.array([-math.sin(w * u_cap) if k == "cos"
-                         else math.cos(w * u_cap) for k in kinds])
-        raw += f_end * edge / w
+        edge = np.concatenate([-np.sin(w * u_cap) if k == "cos"
+                               else np.cos(w * u_cap) for k in kinds], axis=-1)
+        raw[corrected] += f_end * edge / w
         work["kernel_points"] += n_eps
-    w_eff = abs(abs(carrier) - abs(w)) if carrier else abs(w)
-    qerr += tail_bound(envelope, u_cap, w_eff, corrected)
+    tails = [tail_bound(envelope, u_cap, w) for w in om]
+    qerr += np.reshape(tails, (-1, 1, 1))
     detail = dict(work, u_max=u_cap)
     if n_eps == 1:
-        out = tuple(IntegralResult(float(raw[0, j]), float(qerr[0, j]),
-                                   eps_extrapolated=False, detail=dict(detail))
-                    for j in range(n_parts))
+        value, err = raw[:, 0], qerr[:, 0]
     else:
-        v0, residual, wl1 = extrapolate_regulator(list(zip(sched, raw)),
-                                                  order=2)
-        scale_hint = np.max(np.abs(raw), axis=0)
-        err = residual + wl1 * np.max(qerr, axis=0)
-        out = []
-        for j in range(n_parts):
-            _check_convergent(v0[j], residual[j], scale_hint[j], cfg)
-            samples = [(eps, float(v)) for eps, v in zip(sched, raw[:, j])]
-            out.append(IntegralResult(float(v0[j]), float(err[j]),
-                                      eps_extrapolated=True,
-                                      detail=dict(detail, samples=samples)))
-        out = tuple(out)
-    return out[0] if isinstance(kind, str) else out
+        value, residual, wl1 = extrapolate_regulator(
+            list(zip(sched, raw.swapaxes(0, 1))), order=2)
+        err = residual + wl1 * np.max(qerr, axis=1)
+        _check_convergent(value, residual, np.max(np.abs(raw), axis=1), cfg)
 
+    def shaped(a):
+        return float(a[0]) if np.ndim(omega) == 0 else a
 
-# ---------------------------------------------------------------------------
-# batched transforms over many frequencies (shared kernel samples)
-
-def _batch_panel_sums(f, eps_list, lo, hi, om, kind, stats):
-    """GL15 sums of f(u; eps) * trig(omega u) over the panels [lo_i, hi_i].
-
-    The kernel is sampled once per eps and trig(omega u) once per
-    (omega, node) for all eps.  Panels are taken in blocks of
-    BATCH_BLOCK_PANELS for the kernel samples and the frequency axis is
-    contracted in chunks of BATCH_CHUNK_PANELS, so the working set stays
-    small.  Returns (raw, qerr, worst): raw and qerr, shape
-    (n_eps, n_omega), sum the panel values and the GL15/GL7 differences;
-    worst, shape (n_eps, n_panels), is the largest difference over the
-    frequencies.
-    """
-    trig = np.cos if kind == "cos" else np.sin
-    n_eps, n_panels = len(eps_list), lo.size
-    if stats is not None:
-        stats["panels"] = stats.get("panels", 0) + n_eps * n_panels
-        stats["points"] = stats.get("points", 0) + n_eps * n_panels * 22
-    raw = np.zeros((n_eps, om.size))
-    qerr = np.zeros((n_eps, om.size))
-    worst = np.empty((n_eps, n_panels))
-    for b in range(0, n_panels, BATCH_BLOCK_PANELS):
-        blk = slice(b, b + BATCH_BLOCK_PANELS)
-        n15, w15 = _panel_nodes(lo[blk], hi[blk], 15)
-        n7, w7 = _panel_nodes(lo[blk], hi[blk], 7)
-        nodes = np.concatenate([n15.ravel(), n7.ravel()])
-        samples = np.stack([f(nodes, e) for e in eps_list])
-        wf15 = w15 * samples[:, :n15.size].reshape((n_eps,) + n15.shape)
-        wf7 = w7 * samples[:, n15.size:].reshape((n_eps,) + n7.shape)
-        for c in range(0, n15.shape[0], BATCH_CHUNK_PANELS):
-            sl = slice(c, c + BATCH_CHUNK_PANELS)
-            i15 = np.einsum("kpj,epj->ekp", trig(om[:, None, None] * n15[sl]),
-                            wf15[:, sl])
-            i7 = np.einsum("kpj,epj->ekp", trig(om[:, None, None] * n7[sl]),
-                           wf7[:, sl])
-            diff = np.abs(i15 - i7)
-            raw += i15.sum(axis=2)
-            qerr += diff.sum(axis=2)
-            worst[:, b + c:b + c + BATCH_CHUNK_PANELS] = diff.max(axis=1)
-    return raw, qerr, worst
-
-
-def batch_halfline_transform(f, omegas, kind, cfg, eps, *, u_max, u_scale,
-                             envelope=None, endpoint_correction=True,
-                             refine_rounds=3, panels_per_period=6,
-                             stats=None):
-    """Transform one kernel slice at many frequencies on a shared grid.
-
-    The panel layout is built once for the largest |omega| in the batch
-    (coarser per period than the scalar path, which the embedded high-
-    order rule tolerates) and refined where the error estimate is worst
-    across the batch.  ``eps`` is one regulator value or a sequence of
-    them; all of them share the layout, which is refined wherever any
-    eps still misses its tolerance (an eps that meets it keeps its
-    values from that round).  Returns (values, errors) aligned with
-    ``omegas``, with a leading eps axis when ``eps`` is a sequence.
-    ``stats``, a dict, accumulates the evaluated panels and kernel
-    points (per eps).
-    """
-    scalar_eps = np.ndim(eps) == 0
-    eps_list = [float(eps)] if scalar_eps else [float(e) for e in eps]
-    om = np.asarray(omegas, dtype=float).ravel()
-    n_eps = len(eps_list)
-    if om.size == 0:
-        shape = (0,) if scalar_eps else (n_eps, 0)
-        return np.zeros(shape), np.zeros(shape)
-    w_layout = float(np.max(np.abs(om)))
-    bp = _halfline_breakpoints(w_layout, u_scale, u_max,
-                               panels_per_period=panels_per_period)
-    lo, hi = bp[:-1], bp[1:]
-    raw = np.empty((n_eps, om.size))
-    qerr = np.empty((n_eps, om.size))
-    active = np.arange(n_eps)
-    for round_no in range(refine_rounds):
-        r, q, worst = _batch_panel_sums(f, [eps_list[i] for i in active],
-                                        lo, hi, om, kind, stats)
-        raw[active] = r
-        qerr[active] = q
-        total_err = worst.sum(axis=1)
-        vmax = np.max(np.abs(r), axis=1)
-        missed = total_err > np.maximum(cfg.abs_tol, 0.1 * cfg.rel_tol * vmax)
-        if not missed.any() or round_no == refine_rounds - 1:
-            break
-        worst, total_err = worst[missed], total_err[missed]
-        cut = np.maximum(worst.max(axis=1) * 0.05, total_err / lo.size)
-        split = np.any(worst > cut[:, None], axis=0)
-        if not split.any():
-            break
-        active = active[missed]
-        mids = 0.5 * (lo[split] + hi[split])
-        bp = np.unique(np.concatenate([lo, hi, mids]))
-        lo, hi = bp[:-1], bp[1:]
-    corrected = np.zeros(om.size, dtype=bool)
-    if endpoint_correction:
-        corrected = (np.abs(om) * u_max >= 1.0) & (om != 0.0)
-        wc = om[corrected]
-        f_end = np.array([float(f(np.array([u_max]), e)[0])
-                          for e in eps_list])
-        if kind == "cos":
-            edge = -np.sin(wc * u_max) / wc
-        else:
-            edge = np.cos(wc * u_max) / wc
-        raw[:, corrected] += f_end[:, None] * edge[None, :]
-    qerr += np.array([tail_bound(envelope, u_max, w, c)
-                      for w, c in zip(om, corrected)])
-    if scalar_eps:
-        return raw[0], qerr[0]
-    return raw, qerr
+    out = []
+    for j in range(n_parts):
+        d = dict(detail)
+        if n_eps > 1:
+            d["samples"] = [(eps, shaped(raw[:, i, j]))
+                            for i, eps in enumerate(sched)]
+        out.append(IntegralResult(shaped(value[:, j]), shaped(err[:, j]),
+                                  eps_extrapolated=n_eps > 1, detail=d))
+    return out[0] if isinstance(kind, str) else tuple(out)
 
 
 # ---------------------------------------------------------------------------

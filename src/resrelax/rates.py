@@ -44,44 +44,99 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NegativeExcitationRate
-from .quadrature import (
-    IntegralResult,
-    QuadratureConfig,
-    batch_halfline_transform,
-    extrapolate_regulator,
-    halfline_transform,
-)
+from .quadrature import IntegralResult, QuadratureConfig, halfline_transform
 from .system import ensure_validated, transition_elements
 
+_BAND_FLOOR = 1.0 / 64.0
 
-def _transform(kernel, omega, cfg, part, kind):
-    """Half-line transform of one kernel part with kernel-chosen truncation."""
-    idx = 0 if part == "cs" else 1
+
+def _kernel_transform(kernel, omegas, cfg, parts, kinds):
+    """Half-line transforms of kernel parts in one pass.
+
+    ``parts`` index the pair (Cs, Ca) that ``kernel.evaluate`` returns,
+    ``kinds`` give each part's "cos" or "sin", and ``omegas`` is one
+    frequency or an array of them.  This is the one regulator policy:
+    cfg's schedule is divided by max(1, the largest |omega|, the
+    kernel's spectral scale), so eps * omega stays small at every
+    frequency the call and the kernel spectrum reach.  Truncation
+    follows the kernel at the smallest |omega|.  Returns one
+    IntegralResult per part (see halfline_transform).
+    """
+    om = np.abs(np.asarray(omegas, dtype=float))
+    scale = max(1.0, float(np.max(om)), kernel.spectral_scale())
+    sched = tuple(e / scale for e in cfg.epsilon_schedule)
 
     def f(u, eps):
-        return kernel.evaluate(u, eps)[idx]
+        cs_ca = kernel.evaluate(u, eps)
+        return np.stack([cs_ca[p] for p in parts])
 
-    eps0 = cfg.epsilon_schedule[0]
     return halfline_transform(
-        f, omega, cfg, kind,
-        u_max=cfg.u_max if cfg.u_max is not None else kernel.u_max_hint(omega, eps0),
-        u_scale=kernel.origin_scale(eps0),
-        envelope=kernel.envelope(eps0),
+        f, omegas, cfg, kinds,
+        u_max=cfg.u_max if cfg.u_max is not None else
+        kernel.u_max_hint(float(np.min(om)), sched[0]),
+        u_scale=kernel.origin_scale(sched[0]),
+        envelope=kernel.envelope(sched[0]),
+        eps_schedule=sched,
         extrapolate=kernel.epsilon_sensitive,
     )
 
 
-def _exact_batch(kernel, omegas, g, kind):
-    """Closed-form gamma_batch values and errors, or None without one."""
+def _time_domain(kernel, om, cfg, kinds, stats):
+    """Time-domain coefficients at the frequencies ``om`` (all >= 0).
+
+    One pass per octave band, in which rf (Cs cos) and sr (Ca sin) share
+    every kernel sample.  Returns {kind: (values, errors)} per unit g^2,
+    arrays shaped like ``om``.
+    """
+    out = {kind: (np.zeros(om.shape), np.zeros(om.shape)) for kind in kinds}
+    bands = {}
+    for i, w in enumerate(om.flat):
+        band = None if w < _BAND_FLOOR else math.floor(math.log2(w))
+        bands.setdefault(band, []).append(i)
+    for idx in bands.values():
+        res = _kernel_transform(
+            kernel, om.flat[idx], cfg, [0 if k == "rf" else 1 for k in kinds],
+            ["cos" if k == "rf" else "sin" for k in kinds])
+        for kind, r in zip(kinds, res):
+            out[kind][0].flat[idx] = r.value if kind == "rf" else -r.value
+            out[kind][1].flat[idx] = r.error_estimate
+        if stats is not None:
+            for key in ("components", "splits", "panels", "kernel_points"):
+                stats[key] = stats.get(key, 0) + res[0].detail[key]
+    return out
+
+
+def _coefficients(kernel, omegas, g, cfg, kinds=("rf", "sr"), stats=None):
+    """Rate coefficients on a frequency grid: {kind: IntegralResult}.
+
+    Each IntegralResult holds arrays shaped like ``omegas``: gamma_rf(|w|)
+    for "rf" and the signed odd extension gamma_sr_signed(w) for "sr".
+    A closed-form kernel gives them exactly; any other goes through
+    _time_domain, with ``stats`` accumulating its work counts.
+    """
     om = np.asarray(omegas, dtype=float)
-    exact = kernel.rate_coefficients(om)
-    if exact is None:
-        return None
-    values, errors = exact[kind]
-    if kind == "sr":
-        values = np.sign(om) * values
+    if g == 0.0 or om.size == 0:
+        return {kind: IntegralResult(np.zeros(om.shape), np.zeros(om.shape))
+                for kind in kinds}
+    coeffs = kernel.rate_coefficients(np.abs(om))
+    extrapolated = coeffs is None and kernel.epsilon_sensitive
+    if coeffs is None:
+        coeffs = _time_domain(kernel, np.abs(om), cfg, kinds, stats)
     g2 = g * g
-    return g2 * values, g2 * errors
+    out = {}
+    for kind in kinds:
+        values, errors = coeffs[kind]
+        if kind == "sr":
+            values = np.sign(om) * values
+        out[kind] = IntegralResult(g2 * values, g2 * errors, extrapolated)
+    return out
+
+
+def _gamma(kernel, omega, g, cfg, kind):
+    res = _coefficients(kernel, abs(omega), g, cfg or QuadratureConfig(),
+                        (kind,))[kind]
+    return IntegralResult(float(res.value), float(res.error_estimate),
+                          res.eps_extrapolated)
 
 
 def gamma_rf(kernel, omega, g, cfg=None):
@@ -91,30 +146,14 @@ def gamma_rf(kernel, omega, g, cfg=None):
     the rounding; otherwise it combines quadrature, truncation and
     regulator-extrapolation contributions.
     """
-    cfg = cfg or QuadratureConfig()
-    if g == 0.0:
-        return IntegralResult(0.0, 0.0)
-    exact = _exact_batch(kernel, abs(omega), g, "rf")
-    if exact is not None:
-        return IntegralResult(float(exact[0]), float(exact[1]))
-    res = _transform(kernel, abs(omega), cfg, "cs", "cos")
-    g2 = g * g
-    return IntegralResult(g2 * res.value, g2 * res.error_estimate,
-                          res.eps_extrapolated)
+    return _gamma(kernel, omega, g, cfg, "rf")
 
 
 def gamma_sr(kernel, omega, g, cfg=None):
     """Back-reaction-type rate coefficient at |omega| (>= 0 for |omega| > 0)."""
-    cfg = cfg or QuadratureConfig()
-    if g == 0.0 or omega == 0.0:
+    if omega == 0.0:
         return IntegralResult(0.0, 0.0)
-    exact = _exact_batch(kernel, abs(omega), g, "sr")
-    if exact is not None:
-        return IntegralResult(float(exact[0]), float(exact[1]))
-    res = _transform(kernel, abs(omega), cfg, "ca", "sin")
-    g2 = g * g
-    return IntegralResult(-g2 * res.value, g2 * res.error_estimate,
-                          res.eps_extrapolated)
+    return _gamma(kernel, omega, g, cfg, "sr")
 
 
 def gamma_sr_signed(kernel, omega, g, cfg=None):
@@ -183,41 +222,37 @@ class TransitionRate:
         return self.rf + self.sr
 
 
-class _GammaCache:
-    """Caches the two rate coefficients per distinct |omega|."""
+def _transition_rows(spec, kernel, cfg, elements):
+    """TransitionRates of ``elements`` and the coefficients behind them.
 
-    def __init__(self, kernel, g, cfg):
-        self.kernel, self.g, self.cfg = kernel, g, cfg
-        self._data = {}
-
-    def at(self, omega_abs):
-        key = round(float(omega_abs), 15)
-        if key not in self._data:
-            self._data[key] = (
-                gamma_rf(self.kernel, omega_abs, self.g, self.cfg),
-                gamma_sr(self.kernel, omega_abs, self.g, self.cfg),
-            )
-        return self._data[key]
-
-
-def transition_rates(spec, a, kernel, cfg=None, _cache=None):
-    """Per-partner relaxation contributions of level index ``a``."""
-    spec = ensure_validated(spec)
-    cfg = cfg or QuadratureConfig()
-    cache = _cache if _cache is not None else _GammaCache(kernel, spec.g, cfg)
-    out = []
-    for el in transition_elements(spec, a):
+    Both coefficients at every distinct |omega_ab| come from one call.
+    Returns (freqs, {kind: IntegralResult of arrays aligned with freqs},
+    rows).
+    """
+    freqs = sorted({round(abs(el.omega_ab), 15) for el in elements})
+    coeffs = _coefficients(kernel, freqs, spec.g, cfg)
+    at = {w: i for i, w in enumerate(freqs)}
+    grf, gsr = coeffs["rf"], coeffs["sr"]
+    rows = []
+    for el in elements:
         w = el.omega_ab
         m = el.strength
-        grf, gsr = cache.at(abs(w))
-        rf = -2.0 * w * m * grf.value
-        sr = -2.0 * abs(w) * m * gsr.value
-        out.append(TransitionRate(
-            a=el.a, b=el.b, omega_ab=w, strength=m, rf=rf, sr=sr,
-            rf_error=2.0 * abs(w) * m * grf.error_estimate,
-            sr_error=2.0 * abs(w) * m * gsr.error_estimate,
+        i = at[round(abs(w), 15)]
+        rows.append(TransitionRate(
+            a=el.a, b=el.b, omega_ab=w, strength=m,
+            rf=-2.0 * w * m * grf.value[i],
+            sr=-2.0 * abs(w) * m * gsr.value[i],
+            rf_error=2.0 * abs(w) * m * grf.error_estimate[i],
+            sr_error=2.0 * abs(w) * m * gsr.error_estimate[i],
         ))
-    return out
+    return freqs, coeffs, rows
+
+
+def transition_rates(spec, a, kernel, cfg=None):
+    """Per-partner relaxation contributions of level index ``a``."""
+    spec = ensure_validated(spec)
+    return _transition_rows(spec, kernel, cfg or QuadratureConfig(),
+                            transition_elements(spec, a))[2]
 
 
 @dataclass
@@ -251,100 +286,34 @@ def rate_table(spec, kernel, cfg=None):
     hold the per-pair energy relaxation contributions.
     """
     spec = ensure_validated(spec)
-    cfg = cfg or QuadratureConfig()
-    cache = _GammaCache(kernel, spec.g, cfg)
-    freqs = sorted({round(abs(spec.omega_ab(a, b)), 15)
-                    for a, b in spec.active_pairs})
+    elements = [el for a in range(spec.n_levels)
+                for el in transition_elements(spec, a)]
+    freqs, coeffs, transition_rows = _transition_rows(
+        spec, kernel, cfg or QuadratureConfig(), elements)
     gamma_rows = []
-    for w in freqs:
-        grf, gsr = cache.at(w)
-        gamma_rows.append(("rf", w, grf.value, grf.error_estimate))
-        gamma_rows.append(("sr", w, gsr.value, gsr.error_estimate))
-    transition_rows = []
-    for a in range(spec.n_levels):
-        transition_rows.extend(transition_rates(spec, a, kernel, cfg, _cache=cache))
+    for i, w in enumerate(freqs):
+        for kind in ("rf", "sr"):
+            res = coeffs[kind]
+            gamma_rows.append((kind, w, float(res.value[i]),
+                               float(res.error_estimate[i])))
     return gamma_rows, transition_rows
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation over frequency grids (used by the shift integrals)
-
-_BAND_FLOOR = 1.0 / 64.0
-
-
-def _band_index(w):
-    if w < _BAND_FLOOR:
-        return None
-    return int(math.floor(math.log2(w)))
-
+# frequency grids (used by the shift integrals)
 
 def gamma_batch(kernel, omegas, g, cfg=None, kind="rf", stats=None):
     """Rate coefficient on a frequency grid, sharing kernel samples.
 
     kind "rf" returns gamma_rf(|w|) per entry; kind "sr" returns the
     signed odd extension gamma_sr_signed(w).  A closed-form kernel
-    returns its exact coefficients.  Otherwise frequencies are grouped in
-    octave bands; each band gets one panel layout and, for regulator-
-    sensitive kernels, an epsilon schedule scaled by the band frequency
-    so the extrapolation error stays uniform across the grid.  One batch
-    transform per band covers the whole schedule.  ``stats``, a dict,
-    accumulates the number of bands and the work counts of the batch
-    transforms.
+    returns its exact coefficients; any other takes the time-domain
+    route of gamma_rf and gamma_sr, one pass per octave band.
+    ``stats``, a dict, accumulates the work counts of those passes:
+    components, splits, panels and kernel_points.
 
     Returns (values, errors) numpy arrays aligned with ``omegas``.
     """
-    cfg = cfg or QuadratureConfig()
-    om = np.asarray(omegas, dtype=float)
-    values = np.zeros(om.shape)
-    errors = np.zeros(om.shape)
-    if g == 0.0 or om.size == 0:
-        return values, errors
-    exact = _exact_batch(kernel, om, g, kind)
-    if exact is not None:
-        return exact
-    part = 0 if kind == "rf" else 1
-    trig = "cos" if kind == "rf" else "sin"
-
-    def f(u, eps):
-        return kernel.evaluate(u, eps)[part]
-
-    flat = om.ravel()
-    eval_freq = np.abs(flat) if kind == "rf" else flat
-    bands = {}
-    for i, w in enumerate(flat):
-        bands.setdefault(_band_index(abs(w)), []).append(i)
-    vflat = np.zeros(flat.shape)
-    eflat = np.zeros(flat.shape)
-    if stats is not None:
-        stats["bands"] = stats.get("bands", 0) + len(bands)
-    for band, idx in bands.items():
-        idx = np.array(idx)
-        wb = eval_freq[idx]
-        w_hi = 2.0 ** (band + 1) if band is not None else _BAND_FLOOR
-        w_lo = 2.0 ** band if band is not None else 0.0
-        scale = max(1.0, w_hi)
-        sched = tuple(e / scale for e in cfg.epsilon_schedule)
-        u_max = (cfg.u_max if cfg.u_max is not None
-                 else kernel.u_max_hint(max(w_lo, _BAND_FLOOR), sched[0]))
-        u_scale = kernel.origin_scale(sched[0])
-        env = kernel.envelope(sched[0])
-        if not kernel.epsilon_sensitive:
-            sched = sched[:1]
-        samples, errs = batch_halfline_transform(
-            f, wb, trig, cfg, sched, u_max=u_max, u_scale=u_scale,
-            envelope=env, stats=stats,
-        )
-        if len(sched) == 1:
-            v0, e0 = samples[0], errs[0]
-        else:
-            v0, residual, wl1 = extrapolate_regulator(
-                list(zip(sched, samples)), order=2)
-            e0 = residual + wl1 * errs.max(axis=0)
-        vflat[idx] = v0
-        eflat[idx] = e0
-    g2 = g * g
-    if kind == "sr":
-        vflat = -vflat
-    values = (g2 * vflat).reshape(om.shape)
-    errors = (g2 * eflat).reshape(om.shape)
-    return values, errors
+    res = _coefficients(kernel, omegas, g, cfg or QuadratureConfig(), (kind,),
+                        stats)[kind]
+    return res.value, res.error_estimate

@@ -60,7 +60,7 @@ from .quadrature import (
     integrate_adaptive,
     pv_integral,
 )
-from .rates import _exact_batch, gamma_batch
+from .rates import _coefficients, _kernel_transform, gamma_batch
 from .system import ensure_validated, transition_elements
 
 _RING_SPAN = 2.0  # length of the numerically integrated ring segment
@@ -123,7 +123,7 @@ class ShiftWorkspace:
         self.mechanism = mechanism
         self.stats = {}
         self.interp_error = 0.0
-        self._kernel, self._g = kernel, g
+        self._kernel, self._g, self._cfg = kernel, g, cfg
         self._spline = None
         if kernel.rate_coefficients(0.0) is not None:
             log.debug("%s workspace: exact rate coefficients, no grid",
@@ -145,19 +145,21 @@ class ShiftWorkspace:
         self.interp_error = float(np.max(np.abs(vals[n:] - self._spline(probes)))) \
             if probes.size else 0.0
         log.debug(
-            "%s workspace: %d grid points, %d bands, %d panels, %d kernel "
-            "points, %.3f s", mechanism, n, self.stats.get("bands", 0),
-            self.stats.get("panels", 0), self.stats.get("points", 0),
+            "%s workspace: %d grid points, %d components, %d panels, %d "
+            "kernel points, %d splits, %.3f s", mechanism, n,
+            self.stats.get("components", 0), self.stats.get("panels", 0),
+            self.stats.get("kernel_points", 0), self.stats.get("splits", 0),
             time.perf_counter() - start,
         )
 
     def _exact(self, omega):
-        return _exact_batch(self._kernel, omega, self._g, self.mechanism)
+        return _coefficients(self._kernel, omega, self._g, self._cfg,
+                             (self.mechanism,))[self.mechanism]
 
     def coefficient(self, omega):
         """gamma_mech on the real line: even for rf, odd for sr."""
         if self._spline is None:
-            return self._exact(omega)[0]
+            return self._exact(omega).value
         omega = np.asarray(omega, dtype=float)
         val = self._spline(np.abs(omega))
         if self.mechanism == "sr":
@@ -166,7 +168,7 @@ class ShiftWorkspace:
 
     def coefficient_error(self, omega):
         if self._spline is None:
-            return self._exact(omega)[1]
+            return self._exact(omega).error_estimate
         omega = np.asarray(omega, dtype=float)
         return np.abs(self._err_spline(np.abs(omega))) + self.interp_error
 
@@ -263,31 +265,15 @@ def _direct_windowed(window, omega_ab, mechanisms, cfg):
 def _direct_raw(kernel, omega_ab, mechanisms, cfg):
     """Raw-kernel transforms for spectra that decay on their own.
 
-    Shift integrands weight the whole kernel spectrum, so the regulator
-    schedule is scaled down by the spectral width to keep eps * omega
-    small across it (a plain rate evaluation needs no such scaling).
     One adaptive pass covers every requested mechanism and the whole
-    schedule, so each kernel sample serves all of them.  Returns
-    ({mechanism: (value, error)}, the pass's detail with its work).
+    regulator schedule, so each kernel sample serves all of them.
+    Returns ({mechanism: (value, error)}, the pass's detail with its
+    work).
     """
-    parts = [0 if mech == "rf" else 1 for mech in mechanisms]
-    kinds = ["sin" if mech == "rf" else "cos" for mech in mechanisms]
-
-    def f(u, eps):
-        cs_ca = kernel.evaluate(u, eps)
-        return np.stack([cs_ca[p] for p in parts])
-
-    sched = tuple(e / kernel.spectral_scale() for e in cfg.epsilon_schedule)
-    eps0 = sched[0]
-    res = halfline_transform(
-        f, omega_ab, cfg, kinds,
-        u_max=cfg.u_max if cfg.u_max is not None else
-        kernel.u_max_hint(omega_ab, eps0),
-        u_scale=kernel.origin_scale(eps0),
-        envelope=kernel.envelope(eps0),
-        eps_schedule=sched,
-        extrapolate=kernel.epsilon_sensitive,
-    )
+    res = _kernel_transform(
+        kernel, omega_ab, cfg,
+        [0 if mech == "rf" else 1 for mech in mechanisms],
+        ["sin" if mech == "rf" else "cos" for mech in mechanisms])
     return ({mech: (r.value, r.error_estimate)
              for mech, r in zip(mechanisms, res)}, res[0].detail)
 

@@ -8,7 +8,6 @@ from scipy import integrate, special
 import oracles
 from resrelax import (
     AcceleratedVacuum,
-    BandLimitedVacuum,
     ConfigError,
     InertialVacuum,
     InsufficientSamples,
@@ -20,6 +19,7 @@ from resrelax import (
     limit_check_accelerated,
     trigamma_complex,
 )
+from resrelax.kernels import BandLimitedVacuum
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 

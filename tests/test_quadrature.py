@@ -20,13 +20,12 @@ from resrelax import (
     ThermalOhmic,
     kk_real_from_imag,
     pv_integral,
-    richardson_extrapolate,
 )
 from resrelax.quadrature import (
     BATCH_BLOCK_PANELS,
     DEFAULT_EPS_SCHEDULE,
+    NODES_PER_PANEL,
     _eval_panels,
-    batch_halfline_transform,
     extrapolate_regulator,
     halfline_transform,
     integrate_adaptive,
@@ -92,31 +91,12 @@ class TestHalflineTransforms:
         exact = 1.0  # integral of (1+u)^-2 over the half line
         assert abs(res.value - exact) <= 2.0 * res.error_estimate
 
-    def test_carrier_beat_handled(self):
-        # f itself oscillates near the transform frequency: the effective
-        # modulation is the slow beat, which the truncation bound must use
-        def f(u, eps):
-            u = np.asarray(u)
-            return np.cos(5.0 * u) * np.exp(-0.02 * u)
-
-        w = 4.9
-        res = halfline_transform(
-            f, w, QuadratureConfig(), "cos", u_max=900.0, u_scale=1.0,
-            envelope=Envelope(kind="exp", amplitude=1.0, rate=0.02),
-            carrier=5.0,
-        )
-        # exact: half-sum of Lorentzians at w +- 5
-        s = 0.02
-        exact = 0.5 * (s / (s * s + (w - 5.0) ** 2)
-                       + s / (s * s + (w + 5.0) ** 2))
-        assert res.value == pytest.approx(exact, rel=1e-6)
-
 
 class TestExtrapolation:
     def test_linear_sequence_recovered(self):
         samples = [(1e-2, 3.0 + 5.0 * 1e-2), (5e-3, 3.0 + 5.0 * 5e-3),
                    (2.5e-3, 3.0 + 5.0 * 2.5e-3)]
-        v0, residual = richardson_extrapolate(samples)
+        v0, residual, _ = extrapolate_regulator(samples, order=1)
         assert v0 == pytest.approx(3.0, abs=1e-12)
         assert residual < 1e-12
 
@@ -133,7 +113,16 @@ class TestExtrapolation:
 
     def test_requires_two_samples(self):
         with pytest.raises(InsufficientSamples):
-            richardson_extrapolate([(1e-2, 1.0)])
+            extrapolate_regulator([(1e-2, 1.0)])
+
+    @pytest.mark.parametrize("eps", [
+        (5e-3, 1e-2), (1e-2, 1e-2), (1e-2, -5e-3),
+    ], ids=["increasing", "repeated", "negative"])
+    def test_bad_eps_order_is_config_error(self, eps):
+        # a badly ordered schedule is an input error (exit 2), not a
+        # failed limit (exit 3)
+        with pytest.raises(ConfigError):
+            extrapolate_regulator([(e, 1.0) for e in eps])
 
 
 class TestFailureModes:
@@ -222,28 +211,30 @@ class TestDispersion:
 
 
 class TestBatch:
+    """halfline_transform at a vector of frequencies."""
+
     def test_matches_pointwise_transform(self):
         def f(u, eps):
             return np.exp(-0.8 * np.asarray(u))
 
         omegas = np.array([0.3, 1.1, 2.4, 6.0])
-        vals, errs = batch_halfline_transform(
-            f, omegas, "cos", QuadratureConfig(), 0.0, u_max=80.0,
-            u_scale=1.0, envelope=Envelope(kind="exp", amplitude=1.0,
-                                           rate=0.8),
+        res = halfline_transform(
+            f, omegas, QuadratureConfig(), "cos", u_max=80.0, u_scale=1.0,
+            envelope=Envelope(kind="exp", amplitude=1.0, rate=0.8),
+            extrapolate=False,
         )
-        for w, v in zip(omegas, vals):
-            exact = 0.8 / (0.64 + w * w)
-            assert v == pytest.approx(exact, rel=1e-8)
-        assert np.all(errs >= 0.0)
+        assert res.value.shape == res.error_estimate.shape == omegas.shape
+        exact = 0.8 / (0.64 + omegas ** 2)
+        assert_allclose(res.value, exact, rtol=1e-8, atol=0.0)
+        assert np.all(res.error_estimate >= 0.0)
 
     def test_sin_batch_is_odd_ready(self):
-        vals, _ = batch_halfline_transform(
-            decaying, np.array([0.0, 1.0]), "sin", QuadratureConfig(), 0.0,
-            u_max=60.0, u_scale=1.0, envelope=EXP_ENV,
+        res = halfline_transform(
+            decaying, np.array([0.0, 1.0]), QuadratureConfig(), "sin",
+            u_max=60.0, u_scale=1.0, envelope=EXP_ENV, extrapolate=False,
         )
-        assert vals[0] == pytest.approx(0.0, abs=1e-12)
-        assert vals[1] == pytest.approx(0.5, rel=1e-8)
+        assert res.value[0] == 0.0
+        assert res.value[1] == pytest.approx(0.5, rel=1e-8)
 
     @pytest.mark.parametrize("kernel, part, kind, w_lo", [
         (InertialVacuum(), 0, "cos", 2.0),
@@ -253,8 +244,8 @@ class TestBatch:
     ])
     def test_eps_sequence_matches_per_eps_calls(self, kernel, part, kind,
                                                 w_lo):
-        # one octave band of a rate-coefficient grid, laid out as the
-        # rate layer does it
+        # one octave band of a rate-coefficient grid: the samples of the
+        # whole-schedule pass agree with one pass per eps to the tolerance
         def f(u, eps):
             return kernel.evaluate(u, eps)[part]
 
@@ -264,13 +255,16 @@ class TestBatch:
                   u_scale=kernel.origin_scale(sched[0]),
                   envelope=kernel.envelope(sched[0]))
         cfg = QuadratureConfig()
-        vals, errs = batch_halfline_transform(f, omegas, kind, cfg, sched,
-                                              **kw)
-        assert vals.shape == errs.shape == (len(sched), omegas.size)
-        for row, eps in enumerate(sched):
-            v, e = batch_halfline_transform(f, omegas, kind, cfg, eps, **kw)
-            assert_allclose(vals[row], v, rtol=1e-13, atol=0.0)
-            assert_allclose(errs[row], e, rtol=1e-13, atol=0.0)
+        res = halfline_transform(f, omegas, cfg, kind, eps_schedule=sched,
+                                 **kw)
+        assert res.value.shape == res.error_estimate.shape == omegas.shape
+        assert res.detail["components"] == omegas.size * len(sched)
+        assert [e for e, _ in res.detail["samples"]] == list(sched)
+        for eps, values in res.detail["samples"]:
+            one = halfline_transform(f, omegas, cfg, kind, eps_schedule=(eps,),
+                                     extrapolate=False, **kw)
+            tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(one.value))
+            assert np.all(np.abs(values - one.value) <= 2.0 * tol)
 
     def test_forced_refinement_meets_tolerance(self):
         # int_0^inf eps/(eps^2 + u^2) cos(w u) du = (pi/2) exp(-w eps): the
@@ -283,23 +277,17 @@ class TestBatch:
         sched = (4e-2, 2e-2, 1e-2)
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
         u_max = 2000.0
-        kw = dict(u_max=u_max, u_scale=1.0, refine_rounds=10,
-                  envelope=Envelope(kind="power", amplitude=sched[0]))
-        stats = {}
-        vals, errs = batch_halfline_transform(f, omegas, "cos", cfg, sched,
-                                              stats=stats, **kw)
-        one_round = {}
-        batch_halfline_transform(f, omegas, "cos", cfg, sched[0],
-                                 stats=one_round, **dict(kw, refine_rounds=1))
-        assert stats["panels"] > 3 * one_round["panels"]  # it did refine
-        for row, eps in enumerate(sched):
+        env = Envelope(kind="power", amplitude=sched[0])
+        res = halfline_transform(f, omegas, cfg, "cos", u_max=u_max,
+                                 u_scale=1.0, envelope=env, eps_schedule=sched)
+        assert res.detail["splits"] > 0  # it did refine
+        # the truncated tail, int_U^inf eps cos(w u)/u^2 du, is covered by
+        # the tail bound; the quadrature part meets rel_tol
+        tail = np.array([tail_bound(env, u_max, w) for w in omegas])
+        for eps, values in res.detail["samples"]:
             exact = 0.5 * math.pi * np.exp(-omegas * eps)
-            # the truncated tail, int_U^inf eps cos(w u)/u^2 du, is covered
-            # by the tail bound; the quadrature part meets rel_tol
-            tail = np.array([tail_bound(kw["envelope"], u_max, w, True)
-                             for w in omegas])
-            assert np.all(np.abs(vals[row] - exact) <= errs[row])
-            assert np.all(errs[row] - tail <= 1e-12 * exact)
+            assert np.all(np.abs(values - exact) <= tail + 1e-12 * exact)
+        assert np.all(np.abs(res.value - 0.5 * math.pi) <= res.error_estimate)
 
 
 def _heap_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
@@ -410,7 +398,8 @@ class TestAdaptiveStack:
 
         bp = np.linspace(0.0, 1.0, 2 * BATCH_BLOCK_PANELS + 2)
         integrate_adaptive(counted, bp, 1e-10, 1e-8, 10)
-        assert sizes == [BATCH_BLOCK_PANELS * 22, BATCH_BLOCK_PANELS * 22, 22]
+        assert sizes == [BATCH_BLOCK_PANELS * NODES_PER_PANEL,
+                         BATCH_BLOCK_PANELS * NODES_PER_PANEL, NODES_PER_PANEL]
 
     def test_halfline_stack_reports_its_work(self):
         # two parts, three eps: one pass, each node sampled once per eps

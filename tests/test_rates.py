@@ -10,6 +10,7 @@ from resrelax import (
     InertialVacuum,
     IntegralResult,
     NegativeExcitationRate,
+    NonConvergent,
     QuadratureConfig,
     ThermalOhmic,
     einstein_coefficients,
@@ -158,6 +159,25 @@ class TestTransitionRates:
         assert len(transitions) == 2
         assert {(t.a, t.b) for t in transitions} == {(0, 1), (1, 0)}
 
+    def test_rate_table_shares_each_kernel_sample(self, atom, counting,
+                                                  time_domain):
+        # gamma_rf and gamma_sr at the atom's frequency come from one
+        # pass: each node is sampled once per eps, for both coefficients
+        kernel = counting(time_domain(ThermalOhmic(eta=0.5, omega_j=5.0,
+                                                   temperature=1.0)))
+        gamma_rows, _ = rate_table(atom, kernel)
+        per_eps = {}
+        for eps, u in kernel.calls:
+            per_eps.setdefault(eps, []).append(u)
+        assert len(per_eps) == len(QuadratureConfig().epsilon_schedule)
+        for nodes in per_eps.values():
+            nodes = np.concatenate(nodes)
+            assert np.unique(nodes).size == nodes.size
+        closed = dict(((m, w), v) for m, w, v, _ in rate_table(
+            atom, ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0))[0])
+        for m, w, v, e in gamma_rows:
+            assert abs(v - closed[(m, w)]) <= e
+
     def test_g_zero_gives_zero_rows(self, thermal_kernel):
         atom = two_level_system(1.0, 0.0)
         gamma_rows, transitions = rate_table(atom, thermal_kernel)
@@ -187,6 +207,14 @@ class TestBatch:
             omegas = np.array([-1.0, 1.0])
             vals, _ = gamma_batch(k, omegas, 1.0, kind="sr")
             assert vals[0] == pytest.approx(-vals[1], rel=1e-12)
+
+    def test_nonconvergent_regulator_raises(self, time_domain):
+        # the grid route refuses the limit that gamma_rf refuses, rather
+        # than passing it on to a shift workspace
+        cfg = QuadratureConfig(epsilon_schedule=(0.9, 0.45, 0.225))
+        with pytest.raises(NonConvergent):
+            gamma_batch(time_domain(InertialVacuum()),
+                        np.array([0.5, 8.5, 9.0, 9.5]), 1.0, cfg)
 
     def test_accelerated_batch(self, rate_routes):
         for _, route in rate_routes:
@@ -228,14 +256,17 @@ def _grid_kernels():
 
 def test_closed_forms_match_time_domain(time_domain):
     # the two routes share no code: each closed form must sit within the
-    # time-domain engine's own error estimate
+    # time-domain engine's own error estimate, and within 1e-6 of it also
+    # at omega = 10, where the regulator schedule is scaled down by the
+    # frequency (unscaled, the error there is about 2e-5)
     for kernel in _grid_kernels():
-        for w in (0.3, 2.5):
+        for w in (0.3, 2.5, 10.0):
             for gamma in (gamma_rf, gamma_sr):
                 exact = gamma(kernel, w, 1.0)
                 timed = gamma(time_domain(kernel), w, 1.0)
-                assert abs(exact.value - timed.value) \
-                    <= timed.error_estimate, (kernel.describe(), w, gamma)
+                err = abs(exact.value - timed.value)
+                assert err <= timed.error_estimate, (kernel.describe(), w)
+                assert err <= 1e-6 * exact.value, (kernel.describe(), w)
 
 
 def test_closed_form_error_bound_covers_mpmath():

@@ -16,7 +16,7 @@ from resrelax import (
     shift_kk,
     two_level_system,
 )
-from resrelax.quadrature import BATCH_BLOCK_PANELS
+from resrelax.quadrature import BATCH_BLOCK_PANELS, NODES_PER_PANEL
 from resrelax.shifts import ShiftWorkspace
 
 W0 = 1.0
@@ -156,6 +156,23 @@ class TestWorkspace:
                               + direct.error_estimate)
                 assert abs(ws.coefficient(w) - direct.value) <= tol
 
+    def test_sampled_workspace_reports_its_work(self, caplog, counting,
+                                                time_domain):
+        # the work counts of the time-domain passes are the kernel points
+        # really sampled, and the debug line reports them
+        kernel = counting(time_domain(InertialVacuum()))
+        cfg = QuadratureConfig(omega_cutoff=10.0)
+        with caplog.at_level("DEBUG", logger="resrelax.shifts"):
+            ws = ShiftWorkspace(kernel, 1.0, cfg, "sr", poles=[W0])
+        assert set(ws.stats) == {"components", "splits", "panels",
+                                 "kernel_points"}
+        points = sum(u.size for _, u in kernel.calls)
+        assert ws.stats["kernel_points"] == points
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("sr workspace")]
+        assert len(lines) == 1
+        assert "%d kernel points" % ws.stats["kernel_points"] in lines[0]
+
     def test_workspace_reuse_is_consistent(self, vac_atom, vac_cfg):
         kernel = InertialVacuum()
         ws = ShiftWorkspace(kernel, 1.0, vac_cfg, "rf", poles=[W0])
@@ -208,8 +225,9 @@ def _ladder_kernel():
 def test_direct_pass_shares_each_kernel_sample(counting):
     # level b has two partners; each gets one pass in which the three
     # eps values and both mechanisms share every kernel sample.  Kernel
-    # points (22 per panel, plus the endpoint): 1,688,028 when every
-    # (mechanism, eps) had its own pass, 844,014 with one pass per partner
+    # points, endpoints included: 1,688,028 with one pass per (mechanism,
+    # eps) and 844,014 with one per partner, at 22 nodes per panel and 16
+    # panels per period; 304,296 at 21 nodes and 6 panels per period
     import numpy as np
 
     spec = _ladder3()
@@ -218,7 +236,8 @@ def test_direct_pass_shares_each_kernel_sample(counting):
     res = compute_shift(spec, both, 1, cfg, method="direct")
     points = sum(u.size for _, u in both.calls)
     assert points * 2 <= 1_688_028
-    assert max(u.size for _, u in both.calls) <= BATCH_BLOCK_PANELS * 22
+    assert max(u.size for _, u in both.calls) \
+        <= BATCH_BLOCK_PANELS * NODES_PER_PANEL
     # every eps of the schedule samples the same nodes
     per_eps = {}
     for eps, u in both.calls:
