@@ -45,7 +45,6 @@ from .errors import (
 from .system import (
     SystemSpec,
     TransitionElement,
-    TwoLevelSpec,
     system_spectral_functions,
     transition_element,
     transition_elements,
@@ -139,7 +138,6 @@ __all__ = [
     "ThermalOhmic",
     "TransitionElement",
     "TransitionRate",
-    "TwoLevelSpec",
     "ZeroRelaxationRate",
     "build_kernel",
     "compute_shift",

@@ -157,14 +157,14 @@ def cmd_shift(cfg: RunConfig, args):
             "need a frequency cutoff)"
         )
     a = _resolve_level(spec, cfg.get("shift", "level"))
-    workspaces = None
+    workspace = None
     if args.method != "direct":
-        # one rf and one sr workspace serve the shift and delta_sr_relative
+        # one workspace of both mechanisms serves the shift and
+        # delta_sr_relative
         poles = [spec.omega_ab(i, j) for i, j in spec.active_pairs]
-        workspaces = {mech: ShiftWorkspace(kernel, spec.g, qcfg, mech, poles)
-                      for mech in ("rf", "sr")}
+        workspace = ShiftWorkspace(kernel, spec.g, qcfg, "both", poles)
     res = compute_shift(spec, kernel, a, qcfg, method=args.method,
-                        workspaces=workspaces)
+                        workspace=workspace)
     obj = {
         "level": spec.labels[a],
         "delta_e_rf": res.delta_e_rf,
@@ -176,10 +176,8 @@ def cmd_shift(cfg: RunConfig, args):
     }
     if spec.n_levels == 2:
         dsr_method = "direct" if args.method == "direct" else "kk"
-        dsr = delta_sr_relative(
-            spec, kernel, qcfg, method=dsr_method,
-            workspace=workspaces["sr"] if workspaces else None,
-        )
+        dsr = delta_sr_relative(spec, kernel, qcfg, method=dsr_method,
+                                workspace=workspace)
         obj["delta_sr_relative"] = dsr.value
         obj["delta_sr_error"] = dsr.error_estimate
     if args.method == "both":

@@ -76,8 +76,7 @@ def _kernel_transform(kernel, omegas, cfg, parts, kinds):
         kernel.u_max_hint(float(np.min(om)), sched[0]),
         u_scale=kernel.origin_scale(sched[0]),
         envelope=kernel.envelope(sched[0]),
-        eps_schedule=sched,
-        extrapolate=kernel.epsilon_sensitive,
+        eps_schedule=sched if kernel.epsilon_sensitive else sched[:1],
     )
 
 

@@ -20,9 +20,11 @@ domain,
 
 which makes the sr identity manifest: the cosine is even in w_ab, so
 the sr shift of every level of a two-level system is identical and the
-relative shift vanishes.  Per partner level b, both mechanisms and the
-whole regulator schedule come from one adaptive pass that samples
-Cs and Ca together at each node and eps.
+relative shift vanishes.  Each route takes one pass per partner level
+b (and, on the dispersion route, per cutoff) in which every sample
+serves both mechanisms: a PV pass on the stacked rf and sr integrands
+of one ShiftWorkspace, or an adaptive pass that samples Cs and Ca
+together at each node and eps.
 
 Cutoff semantics: the frequency cutoff wc of QuadratureConfig bounds
 the dispersion integral.  So that both paths regularize identically,
@@ -51,7 +53,6 @@ import numpy as np
 
 from .errors import CutoffTooSmall
 from .quadrature import (
-    Envelope,
     IntegralResult,
     QuadratureConfig,
     _halfline_breakpoints,
@@ -60,15 +61,25 @@ from .quadrature import (
     integrate_adaptive,
     pv_integral,
 )
-from .rates import _coefficients, _kernel_transform, gamma_batch
-from .system import ensure_validated, transition_elements
+from .rates import _coefficients, _kernel_transform
+from .system import ensure_validated, transition_elements, two_level_system
 
 _RING_SPAN = 2.0  # length of the numerically integrated ring segment
+
+_MECHANISMS = ("rf", "sr")
+# the mechanisms that a "mechanism" argument asks for
+_ASKED = {"rf": ("rf",), "sr": ("sr",), "both": _MECHANISMS}
 
 log = logging.getLogger(__name__)
 
 
-def _require_cutoff(cfg, omega_needed):
+def _poles(spec):
+    return [spec.omega_ab(i, j) for i, j in spec.active_pairs]
+
+
+def _require_cutoff(cfg, poles):
+    """The frequency cutoff of cfg, which must exceed every |pole|."""
+    omega_needed = max((abs(p) for p in poles), default=0.0)
     if cfg.omega_cutoff is None:
         raise CutoffTooSmall(
             "omega_cutoff must be set in QuadratureConfig for shift integrals"
@@ -96,38 +107,38 @@ def _coefficient_grid(w_top, poles):
         w = w_next
     pts.add(w_top)
     for p in poles:
-        p = abs(p)
-        if p == 0.0:
-            continue
         for d in (-0.1, -0.05, -0.02, -0.01, 0.01, 0.02, 0.05, 0.1):
-            q = p * (1.0 + d)
+            q = abs(p) * (1.0 + d)
             if 0.0 < q < w_top:
                 pts.add(q)
     return np.array(sorted(pts))
 
 
 class ShiftWorkspace:
-    """Rate coefficient of one mechanism over [0, 2 wc].
+    """Rate coefficients of one or both mechanisms over [0, 2 wc].
 
+    ``mechanism`` is "rf", "sr" or "both"; ``mechanisms`` holds the
+    order in which ``coefficient`` and ``coefficient_error`` stack them.
     A kernel with closed-form rate coefficients is evaluated exactly
     wherever the dispersion integral asks.  Any other kernel is sampled
-    once on a frequency grid and interpolated by a cubic spline.  One
-    workspace serves every level, both cutoffs of the sensitivity
-    difference, and all principal-value poles of a system: the scalar-
-    kernel coefficient gamma(w') does not depend on the level pair.
+    once on a frequency grid, every mechanism from the same kernel
+    samples, and interpolated by a cubic spline.  One workspace serves
+    every level, both cutoffs of the sensitivity difference, and all
+    principal-value poles of a system: the scalar-kernel coefficient
+    gamma(w') does not depend on the level pair.
     """
 
     def __init__(self, kernel, g, cfg, mechanism, poles):
-        wc = _require_cutoff(cfg, max((abs(p) for p in poles), default=0.0))
+        wc = _require_cutoff(cfg, poles)
         self.omega_c = wc
-        self.mechanism = mechanism
+        self.mechanisms = _ASKED[mechanism]
         self.stats = {}
-        self.interp_error = 0.0
+        self.interp_error = np.zeros(len(self.mechanisms))
         self._kernel, self._g, self._cfg = kernel, g, cfg
         self._spline = None
+        label = "+".join(self.mechanisms)
         if kernel.rate_coefficients(0.0) is not None:
-            log.debug("%s workspace: exact rate coefficients, no grid",
-                      mechanism)
+            log.debug("%s workspace: exact rate coefficients, no grid", label)
             return
         from scipy.interpolate import CubicSpline
 
@@ -137,40 +148,46 @@ class ShiftWorkspace:
         # with the grid
         mids = np.sqrt(grid[1:] * np.maximum(grid[:-1], 1e-12))
         probes = mids[:: max(1, mids.size // 8)][:9]
-        vals, errs = gamma_batch(kernel, np.concatenate([grid, probes]), g,
-                                 cfg, kind=mechanism, stats=self.stats)
+        vals, errs = self._stack(_coefficients(
+            kernel, np.concatenate([grid, probes]), g, cfg, self.mechanisms,
+            self.stats))
         n = grid.size
-        self._spline = CubicSpline(grid, vals[:n])
-        self._err_spline = CubicSpline(grid, errs[:n])
-        self.interp_error = float(np.max(np.abs(vals[n:] - self._spline(probes)))) \
-            if probes.size else 0.0
+        self._spline = CubicSpline(grid, vals[:, :n], axis=1)
+        self._err_spline = CubicSpline(grid, errs[:, :n], axis=1)
+        self.interp_error = np.max(
+            np.abs(vals[:, n:] - self._spline(probes)), axis=1)
         log.debug(
             "%s workspace: %d grid points, %d components, %d panels, %d "
-            "kernel points, %d splits, %.3f s", mechanism, n,
+            "kernel points, %d splits, %.3f s", label, n,
             self.stats.get("components", 0), self.stats.get("panels", 0),
             self.stats.get("kernel_points", 0), self.stats.get("splits", 0),
             time.perf_counter() - start,
         )
 
+    def _stack(self, coeffs):
+        """(values, errors) of {mechanism: IntegralResult}, stacked."""
+        return (np.stack([coeffs[m].value for m in self.mechanisms]),
+                np.stack([coeffs[m].error_estimate for m in self.mechanisms]))
+
     def _exact(self, omega):
-        return _coefficients(self._kernel, omega, self._g, self._cfg,
-                             (self.mechanism,))[self.mechanism]
+        return self._stack(_coefficients(self._kernel, omega, self._g,
+                                         self._cfg, self.mechanisms))
 
     def coefficient(self, omega):
-        """gamma_mech on the real line: even for rf, odd for sr."""
-        if self._spline is None:
-            return self._exact(omega).value
+        """gamma of each mechanism on the real line: even rf, odd sr."""
         omega = np.asarray(omega, dtype=float)
+        if self._spline is None:
+            return self._exact(omega)[0]
         val = self._spline(np.abs(omega))
-        if self.mechanism == "sr":
-            return np.sign(omega) * val
-        return val
+        return np.stack([np.sign(omega) * v if m == "sr" else v
+                         for m, v in zip(self.mechanisms, val)])
 
     def coefficient_error(self, omega):
-        if self._spline is None:
-            return self._exact(omega).error_estimate
         omega = np.asarray(omega, dtype=float)
-        return np.abs(self._err_spline(np.abs(omega))) + self.interp_error
+        if self._spline is None:
+            return self._exact(omega)[1]
+        return (np.abs(self._err_spline(np.abs(omega)))
+                + self.interp_error.reshape((-1,) + (1,) * omega.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +196,29 @@ class ShiftWorkspace:
 def shift_kk(system, kernel, a, mechanism, cfg=None, workspace=None):
     """Energy shift of level ``a`` from the dispersion integral.
 
-    mechanism is "rf" or "sr".  Passing a prebuilt ShiftWorkspace reuses
-    the rate-coefficient spline across levels and cutoffs.
+    ``mechanism`` "rf" or "sr" returns that shift as an IntegralResult;
+    "both" returns {"rf": ..., "sr": ...} from one PV pass per partner
+    level.  A prebuilt ShiftWorkspace holding the mechanism lends its
+    coefficients to every level and cutoff.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
-    if spec.g == 0.0:
-        return IntegralResult(0.0, 0.0)
-    poles = [spec.omega_ab(i, j) for i, j in spec.active_pairs]
-    ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, mechanism, poles)
-    return _kk_at_cutoff(spec, a, ws, ws.omega_c, cfg)
+    ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, mechanism,
+                                     _poles(spec))
+    res = _kk_at_cutoff(spec, a, ws, ws.omega_c, cfg)
+    return res if mechanism == "both" else res[mechanism]
 
 
 def _kk_at_cutoff(spec, a, ws, wc, cfg):
-    total = 0.0
-    err = 0.0
+    """{mechanism: IntegralResult} of level ``a`` at cutoff ``wc``.
+
+    Every mechanism of the workspace comes from one PV pass per partner
+    level, on the stack of their integrands.
+    """
+    total, err = np.zeros((2, len(ws.mechanisms)))
     for el in transition_elements(spec, a):
         m = el.strength
-        if m == 0.0:
+        if m == 0.0 or spec.g == 0.0:
             continue
 
         def h(w, _m=m):
@@ -210,7 +232,9 @@ def _kk_at_cutoff(spec, a, ws, wc, cfg):
         total += res.value
         err += res.error_estimate
     two_pi = 2.0 * math.pi
-    return IntegralResult(total / two_pi, err / two_pi)
+    return {mech: IntegralResult(float(total[j] / two_pi),
+                                 float(err[j] / two_pi))
+            for j, mech in enumerate(ws.mechanisms)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +278,13 @@ def _direct_windowed(window, omega_ab, mechanisms, cfg):
                 f_smooth, w, cfg, "sin",
                 u_max=max(2500.0 / max(aw, 0.1), 50.0),
                 u_scale=2.0 * math.pi / window.acceleration,
-                envelope=window.smooth_envelope(), extrapolate=False,
+                envelope=window.smooth_envelope(),
+                eps_schedule=cfg.epsilon_schedule[:1],
             )
             value += res.value
             err += res.error_estimate
         out[mech] = (value, err)
     return out, _work_counts(bp.size - 1, splits, 1, len(mechanisms))
-
-
-def _direct_raw(kernel, omega_ab, mechanisms, cfg):
-    """Raw-kernel transforms for spectra that decay on their own.
-
-    One adaptive pass covers every requested mechanism and the whole
-    regulator schedule, so each kernel sample serves all of them.
-    Returns ({mechanism: (value, error)}, the pass's detail with its
-    work).
-    """
-    res = _kernel_transform(
-        kernel, omega_ab, cfg,
-        [0 if mech == "rf" else 1 for mech in mechanisms],
-        ["sin" if mech == "rf" else "cos" for mech in mechanisms])
-    return ({mech: (r.value, r.error_estimate)
-             for mech, r in zip(mechanisms, res)}, res[0].detail)
 
 
 def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
@@ -285,16 +294,14 @@ def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
     "both" returns {"rf": ..., "sr": ...}, with both mechanisms taken
     from one pass per partner level that shares every kernel sample.
     """
-    mechanisms = ("rf", "sr") if mechanism == "both" else (mechanism,)
+    mechanisms = _ASKED[mechanism]
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
     total = dict.fromkeys(mechanisms, 0.0)
     err = dict.fromkeys(mechanisms, 0.0)
     if spec.g != 0.0:
-        poles = [abs(spec.omega_ab(i, j)) for i, j in spec.active_pairs]
-        wc = omega_c if omega_c is not None else _require_cutoff(
-            cfg, max(poles, default=0.0)
-        )
+        wc = (omega_c if omega_c is not None
+              else _require_cutoff(cfg, _poles(spec)))
         window = kernel.band_limited(wc)
         g2 = spec.g ** 2
         for el in transition_elements(spec, a):
@@ -305,8 +312,14 @@ def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
             if window is not None:
                 parts, work = _direct_windowed(window, el.omega_ab,
                                                mechanisms, cfg)
-            else:
-                parts, work = _direct_raw(kernel, el.omega_ab, mechanisms, cfg)
+            else:  # a raw spectrum that decays on its own
+                res = _kernel_transform(
+                    kernel, el.omega_ab, cfg,
+                    [0 if mech == "rf" else 1 for mech in mechanisms],
+                    ["sin" if mech == "rf" else "cos" for mech in mechanisms])
+                parts = {mech: (r.value, r.error_estimate)
+                         for mech, r in zip(mechanisms, res)}
+                work = res[0].detail
             log.debug(
                 "direct pass at omega %.6g: %d components, %d panels, %d "
                 "kernel points, %d splits, %.3f s", el.omega_ab,
@@ -343,59 +356,65 @@ class ShiftResult:
         return self.delta_e_rf + self.delta_e_sr
 
 
-def compute_shift(system, kernel, a, cfg=None, method="kk", workspaces=None):
+def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     """ShiftResult for level index ``a``.
 
     method "kk" uses the dispersion path, "direct" the time-domain path,
     "both" reports kk values plus the cross-path residual in detail.
     The cutoff sensitivity err_cutoff is |dE(2 wc) - dE(wc)| summed over
-    mechanisms.  ``workspaces`` may map "rf" and "sr" to prebuilt
-    ShiftWorkspaces of this system, kernel and cfg.
+    mechanisms.  ``workspace`` may supply a prebuilt "both"
+    ShiftWorkspace of this system, kernel and cfg.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
-    poles = [spec.omega_ab(i, j) for i, j in spec.active_pairs]
-    wc = _require_cutoff(cfg, max((abs(p) for p in poles), default=0.0))
-    values = {}
-    errs = {}
-    cut = {}
+    poles = _poles(spec)
+    wc = _require_cutoff(cfg, poles)
     detail = {}
     if method in ("kk", "both"):
-        ws_pair = workspaces or {
-            mech: ShiftWorkspace(kernel, spec.g, cfg, mech, poles)
-            for mech in ("rf", "sr")
-        }
-        for mech in ("rf", "sr"):
-            res = _kk_at_cutoff(spec, a, ws_pair[mech], wc, cfg) \
-                if spec.g != 0.0 else IntegralResult(0.0, 0.0)
-            res2 = _kk_at_cutoff(spec, a, ws_pair[mech], 2.0 * wc, cfg) \
-                if spec.g != 0.0 else IntegralResult(0.0, 0.0)
-            values[mech] = res.value
-            errs[mech] = res.error_estimate
-            cut[mech] = abs(res2.value - res.value)
+        ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both", poles)
+        at_wc = _kk_at_cutoff(spec, a, ws, wc, cfg)
+        at_2wc = _kk_at_cutoff(spec, a, ws, 2.0 * wc, cfg)
     if method in ("direct", "both"):
-        dvals = shift_direct(spec, kernel, a, "both", cfg)
+        direct = shift_direct(spec, kernel, a, "both", cfg)
         if method == "direct":
-            dvals2 = shift_direct(spec, kernel, a, "both", cfg,
+            at_wc = direct
+            at_2wc = shift_direct(spec, kernel, a, "both", cfg,
                                   omega_c=2.0 * wc) \
-                if kernel.band_limited(wc) is not None else dvals
-            for mech in ("rf", "sr"):
-                values[mech] = dvals[mech].value
-                errs[mech] = dvals[mech].error_estimate
-                cut[mech] = abs(dvals2[mech].value - dvals[mech].value)
+                if kernel.band_limited(wc) is not None else direct
         else:
             detail["kk_vs_direct_residual"] = max(
-                abs(values[m] - dvals[m].value) for m in ("rf", "sr")
+                abs(at_wc[m].value - direct[m].value) for m in _MECHANISMS
             )
-            detail["direct_rf"] = dvals["rf"].value
-            detail["direct_sr"] = dvals["sr"].value
+    rf, sr = at_wc["rf"], at_wc["sr"]
     return ShiftResult(
         a=a, label=spec.labels[a],
-        delta_e_rf=values["rf"], delta_e_sr=values["sr"], omega_c=wc,
-        err_quad=errs["rf"] + errs["sr"],
-        err_cutoff=cut["rf"] + cut["sr"],
+        delta_e_rf=rf.value, delta_e_sr=sr.value, omega_c=wc,
+        err_quad=rf.error_estimate + sr.error_estimate,
+        err_cutoff=(abs(at_2wc["rf"].value - rf.value)
+                    + abs(at_2wc["sr"].value - sr.value)),
         method=method, detail=detail,
     )
+
+
+def _splitting(spec, kernel, mechanism, cfg, method="kk", workspace=None):
+    """dE_upper - dE_lower of one mechanism of a two-level system.
+
+    The level shifts come from two dispersion passes on one workspace
+    (method "kk"), or from two direct passes; the error estimate is the
+    sum of theirs.
+    """
+    if spec.n_levels != 2:
+        raise ValueError("the level splitting needs a two-level system")
+    if method == "kk":
+        ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, mechanism,
+                                         _poles(spec))
+        hi, lo = (_kk_at_cutoff(spec, a, ws, ws.omega_c, cfg)[mechanism]
+                  for a in (1, 0))
+    else:
+        hi, lo = (shift_direct(spec, kernel, a, mechanism, cfg)
+                  for a in (1, 0))
+    return IntegralResult(hi.value - lo.value,
+                          hi.error_estimate + lo.error_estimate)
 
 
 def delta_sr_relative(system, kernel, cfg=None, method="kk", workspace=None):
@@ -403,74 +422,24 @@ def delta_sr_relative(system, kernel, cfg=None, method="kk", workspace=None):
 
     This vanishes identically (the sr shift moves both levels equally);
     the returned IntegralResult carries the numerical residual and its
-    combined error estimate.  ``workspace`` may supply the prebuilt sr
-    ShiftWorkspace of this system, kernel and cfg for the kk method.
+    combined error estimate.  ``workspace`` may supply a prebuilt
+    ShiftWorkspace holding sr, of this system, kernel and cfg, for the
+    kk method.
     """
-    spec = ensure_validated(system)
-    cfg = cfg or QuadratureConfig()
-    if spec.n_levels != 2:
-        raise ValueError("relative sr shift is defined for two-level systems")
-    if method == "kk":
-        ws = workspace
-        if ws is None and spec.g != 0.0:
-            poles = [spec.omega_ab(i, j) for i, j in spec.active_pairs]
-            ws = ShiftWorkspace(kernel, spec.g, cfg, "sr", poles)
-        hi = shift_kk(spec, kernel, 1, "sr", cfg, workspace=ws)
-        lo = shift_kk(spec, kernel, 0, "sr", cfg, workspace=ws)
-    else:
-        hi = shift_direct(spec, kernel, 1, "sr", cfg)
-        lo = shift_direct(spec, kernel, 0, "sr", cfg)
-    return IntegralResult(hi.value - lo.value,
-                          hi.error_estimate + lo.error_estimate)
+    return _splitting(ensure_validated(system), kernel, "sr",
+                      cfg or QuadratureConfig(), method, workspace)
 
 
-# ---------------------------------------------------------------------------
-# two-level level-splitting shift
+def lamb_shift_two_level(kernel, g, omega_0, cfg=None):
+    """Radiative shift of the two-level splitting, dE_upper - dE_lower.
 
-def lamb_shift_two_level(kernel, g, omega_0, cfg=None, *,
-                         gamma_rf_override=None):
-    """Radiative shift of the two-level splitting.
+    The rf shifts of the two levels come from the dispersion route; the
+    sr parts cancel (see delta_sr_relative).  The difference equals the
+    half-line form
 
-    Evaluates the half-line dispersion form
+        (1/2pi) int_0^wc gamma_rf(w') [1/(w' + w0) - P/(w' - w0)] dw'.
 
-        (1/2pi) int_0^wc gamma_rf(w') [1/(w' + w0) - P/(w' - w0)] dw',
-
-    equal to dE_upper - dE_lower since the sr parts cancel.  A callable
-    ``gamma_rf_override(w_array) -> array`` replaces the kernel-derived
-    coefficient (the kernel may then be None), which keeps toy spectra
-    testable against elementary antiderivatives.
+    omega_0 <= 0 raises ConfigError.
     """
-    cfg = cfg or QuadratureConfig()
-    if omega_0 <= 0:
-        raise CutoffTooSmall("omega_0 must be positive, got %g" % omega_0)
-    wc = _require_cutoff(cfg, omega_0)
-    if gamma_rf_override is not None:
-        def h(w, _f=gamma_rf_override):
-            w = np.asarray(w, dtype=float)
-            return np.broadcast_to(np.asarray(_f(w), dtype=float), w.shape)
-
-        h_err = None
-        base_err = 0.0
-    else:
-        if g == 0.0:
-            return IntegralResult(0.0, 0.0)
-        ws = ShiftWorkspace(kernel, g, cfg, "rf", [omega_0])
-        h = ws.coefficient
-        h_err = ws.coefficient_error
-        base_err = 0.0
-
-    def regular(w):
-        return np.asarray(h(w)) / (w + omega_0)
-
-    bp = np.unique(np.concatenate([
-        np.linspace(0.0, wc, 33),
-        np.geomspace(max(omega_0 / 32.0, wc * 1e-9), wc, 33),
-    ]))
-    reg_val, reg_err, _ = integrate_adaptive(
-        regular, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
-    )
-    pv = pv_integral(h, omega_0, 0.0, wc, cfg, h_error=h_err)
-    two_pi = 2.0 * math.pi
-    value = (reg_val - pv.value) / two_pi
-    err = (reg_err + pv.error_estimate + base_err) / two_pi
-    return IntegralResult(value, err)
+    return _splitting(two_level_system(omega_0, g), kernel, "rf",
+                      cfg or QuadratureConfig())

@@ -88,34 +88,23 @@ class SystemSpec:
         return self.active_pairs is not None
 
 
-@dataclass
-class TwoLevelSpec:
-    """Convenience builder for a two-level system.
+def two_level_system(omega_0, g):
+    """A validated two-level system.
 
     Levels sit at -omega_0/2 and +omega_0/2 (labels "-" and "+") and the
     coupling operator is S_2 = i(S_plus - S_minus)/2, whose only matrix
-    elements are <+|S_2|-> = i/2 and <-|S_2|+> = -i/2.
+    elements are <+|S_2|-> = i/2 and <-|S_2|+> = -i/2.  omega_0 <= 0
+    raises ConfigError.
     """
-
-    omega_0: float
-    g: float
-
-    def __post_init__(self):
-        if not (self.omega_0 > 0):
-            raise ConfigError("omega_0 must be positive, got %r" % (self.omega_0,))
-
-    def to_system(self):
-        s2 = np.array([[0.0, -0.5j], [0.5j, 0.0]])
-        spec = SystemSpec(
-            levels=(("-", -self.omega_0 / 2.0), ("+", +self.omega_0 / 2.0)),
-            coupling_ops=(s2,),
-            g=float(self.g),
-        )
-        return validate_system(spec)
-
-
-def two_level_system(omega_0, g):
-    return TwoLevelSpec(omega_0, g).to_system()
+    if not (omega_0 > 0):
+        raise ConfigError("omega_0 must be positive, got %r" % (omega_0,))
+    s2 = np.array([[0.0, -0.5j], [0.5j, 0.0]])
+    spec = SystemSpec(
+        levels=(("-", -omega_0 / 2.0), ("+", +omega_0 / 2.0)),
+        coupling_ops=(s2,),
+        g=float(g),
+    )
+    return validate_system(spec)
 
 
 def validate_system(spec: SystemSpec) -> SystemSpec:

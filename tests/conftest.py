@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from resrelax import QuadratureConfig, ThermalOhmic, two_level_system
+from resrelax.kernels import ReservoirKernel
 
 
 class TimeDomainOnly:
@@ -43,6 +44,30 @@ class CountingKernel:
     def evaluate(self, u, eps):
         self.calls.append((float(eps), np.array(u, dtype=float)))
         return self._kernel.evaluate(u, eps)
+
+
+class ConstantRates(ReservoirKernel):
+    """A kernel whose closed-form rate coefficients are one constant.
+
+    With gamma_rf frozen, the dispersion integral of the two-level
+    splitting has an elementary antiderivative.
+    """
+
+    name = "constant_rates"
+
+    def __init__(self, gamma):
+        self.gamma = float(gamma)
+
+    def rate_coefficients(self, omega):
+        pair = (np.full(np.shape(omega), self.gamma),
+                np.zeros(np.shape(omega)))
+        return {"rf": pair, "sr": pair}
+
+
+@pytest.fixture
+def constant_rates():
+    """A kernel with constant rate coefficients (see ConstantRates)."""
+    return ConstantRates
 
 
 @pytest.fixture

@@ -219,11 +219,12 @@ class TestShiftCommand:
         data = json.loads(out.read_text())
         assert data["kk_vs_direct_residual"] < 1e-5
 
-    @pytest.mark.parametrize("method, built", [("both", ["rf", "sr"]),
+    @pytest.mark.parametrize("method, built", [("both", ["both"]),
                                                ("direct", [])])
     def test_workspaces_built_once(self, tmp_path, monkeypatch, method,
                                    built):
-        # the shift and delta_sr_relative share one workspace per mechanism
+        # the shift and delta_sr_relative share one workspace that holds
+        # both mechanisms
         from resrelax.shifts import ShiftWorkspace
 
         mechanisms = []

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracles
 from resrelax import (
     AcceleratedVacuum,
+    ConfigError,
     CutoffTooSmall,
     InertialVacuum,
     QuadratureConfig,
@@ -127,17 +129,28 @@ class TestLambShift:
         lo = shift_kk(vac_atom, InertialVacuum(), 0, "rf", vac_cfg)
         assert lamb.value == pytest.approx(hi.value - lo.value, abs=1e-8)
 
-    def test_constant_coefficient_toy_model(self, vac_cfg):
+    def test_constant_coefficient_toy_model(self, vac_cfg, constant_rates):
         # with gamma^rf frozen to a constant the dispersion integral has
         # an elementary antiderivative
         c = 0.37
-        res = lamb_shift_two_level(
-            InertialVacuum(), 1.0, W0, vac_cfg,
-            gamma_rf_override=lambda w: c,
-        )
+        res = lamb_shift_two_level(constant_rates(c), 1.0, W0, vac_cfg)
         assert res.value == pytest.approx(
             oracles.const_gamma_lamb(c, W0, WC), rel=1e-10
         )
+
+    def test_time_domain_route_matches_closed_form(self, time_domain):
+        # the splitting from a sampled workspace agrees with the one from
+        # the exact coefficients within their combined estimates
+        cfg = QuadratureConfig(omega_cutoff=4.0)
+        source = ThermalOhmic(eta=0.4, omega_j=5.0, temperature=0.8)
+        closed = lamb_shift_two_level(source, 0.7, W0, cfg)
+        sampled = lamb_shift_two_level(time_domain(source), 0.7, W0, cfg)
+        assert abs(sampled.value - closed.value) \
+            <= sampled.error_estimate + closed.error_estimate
+
+    def test_nonpositive_splitting_is_config_error(self, vac_cfg):
+        with pytest.raises(ConfigError):
+            lamb_shift_two_level(InertialVacuum(), 1.0, 0.0, vac_cfg)
 
 
 class TestWorkspace:
@@ -172,6 +185,49 @@ class TestWorkspace:
                  if r.getMessage().startswith("sr workspace")]
         assert len(lines) == 1
         assert "%d kernel points" % ws.stats["kernel_points"] in lines[0]
+
+    def test_kk_shift_builds_one_sampled_workspace(self, monkeypatch, caplog,
+                                                   vac_atom, counting,
+                                                   time_domain):
+        # compute_shift builds one workspace of both mechanisms; each of
+        # its passes samples a node once per eps for rf and sr together
+        built = []
+        init = ShiftWorkspace.__init__
+
+        def recording_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ShiftWorkspace, "__init__", recording_init)
+        source = ThermalOhmic(eta=0.4, omega_j=5.0, temperature=0.8)
+        kernel = counting(time_domain(source))
+        cfg = QuadratureConfig(omega_cutoff=4.0)
+        with caplog.at_level("DEBUG", logger="resrelax.shifts"):
+            res = compute_shift(vac_atom, kernel, 1, cfg, method="kk")
+        assert len(built) == 1
+        ws = built[0]
+        assert ws.mechanisms == ("rf", "sr")
+        points = sum(u.size for _, u in kernel.calls)
+        assert ws.stats["kernel_points"] == points
+        lines = [r.getMessage() for r in caplog.records
+                 if "workspace" in r.getMessage()]
+        assert len(lines) == 1 and lines[0].startswith("rf+sr workspace")
+        assert "%d kernel points" % points in lines[0]
+        # the calls come in runs of one node set at every eps of a pass,
+        # and each (frequency, eps) carries both mechanisms: twice the
+        # components of an rf workspace
+        n_eps = len(cfg.epsilon_schedule)
+        assert len(kernel.calls) % n_eps == 0
+        for k in range(0, len(kernel.calls), n_eps):
+            run = kernel.calls[k:k + n_eps]
+            assert len({eps for eps, _ in run}) == n_eps
+            assert all(np.array_equal(run[0][1], u) for _, u in run[1:])
+        rf_only = ShiftWorkspace(time_domain(source), 1.0, cfg, "rf", [W0])
+        assert ws.stats["components"] == 2 * rf_only.stats["components"]
+        closed = compute_shift(vac_atom, source, 1, cfg, method="kk")
+        for mech in ("delta_e_rf", "delta_e_sr"):
+            assert abs(getattr(res, mech) - getattr(closed, mech)) \
+                <= res.err_quad + closed.err_quad
 
     def test_workspace_reuse_is_consistent(self, vac_atom, vac_cfg):
         kernel = InertialVacuum()
