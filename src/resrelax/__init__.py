@@ -13,7 +13,7 @@ Entry points:
 
 * :func:`two_level_system`, :class:`SystemSpec` describe the system.
 * :func:`build_kernel` and the kernel classes describe the reservoir.
-* :func:`gamma_rf` / :func:`gamma_sr` are the rate coefficients;
+* :func:`rate_coefficients` gives both rate coefficients, rf and sr;
   :func:`relaxation_rate` and :func:`einstein_coefficients` build on them.
 * :func:`compute_shift` and :func:`lamb_shift_two_level` give shifts.
 * :func:`evolve_closed_form` / :func:`evolve_ode` integrate the mean
@@ -73,10 +73,7 @@ from .rates import (
     RelaxationRate,
     TransitionRate,
     einstein_coefficients,
-    gamma_batch,
-    gamma_rf,
-    gamma_sr,
-    gamma_sr_signed,
+    rate_coefficients,
     rate_table,
     relaxation_rate,
     transition_rates,
@@ -148,15 +145,12 @@ __all__ = [
     "evolve_ode",
     "excitation_fraction",
     "fit_decay_rate",
-    "gamma_batch",
-    "gamma_rf",
-    "gamma_sr",
-    "gamma_sr_signed",
     "kk_real_from_imag",
     "lamb_shift_two_level",
     "limit_check_accelerated",
     "parse_config",
     "pv_integral",
+    "rate_coefficients",
     "rate_table",
     "relaxation_rate",
     "shift_direct",

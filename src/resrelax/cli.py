@@ -30,7 +30,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import SWEEPABLE_KEYS, RunConfig, parse_config
+from .config import (
+    SWEEPABLE_KEYS,
+    RunConfig,
+    _number,
+    _positive_int,
+    parse_config,
+)
 from .dynamics import (
     StepConfig,
     equilibrium_energy,
@@ -47,8 +53,7 @@ from .errors import (
 from .quadrature import kk_real_from_imag, QuadratureConfig
 from .rates import (
     einstein_coefficients,
-    gamma_rf,
-    gamma_sr,
+    rate_coefficients,
     rate_table,
     relaxation_rate,
 )
@@ -201,11 +206,12 @@ def cmd_evolve(cfg: RunConfig, args):
     if spec.n_levels != 2:
         raise ConfigError("evolve requires a two-level system")
     omega_0 = spec.omega_ab(1, 0)
-    grf = gamma_rf(kernel, omega_0, spec.g, qcfg)
-    gsr = gamma_sr(kernel, omega_0, spec.g, qcfg)
+    rates = rate_coefficients(kernel, omega_0, spec.g, qcfg)
+    grf, gsr = rates["rf"], rates["sr"]
     ein = einstein_coefficients(grf, gsr)
-    h0 = cfg.get("evolve", "h0", default=0.5 * omega_0)
-    tau_end = cfg.get("evolve", "tau_end")
+    sec = cfg.section("evolve")
+    h0 = _number("evolve", "h0", sec.get("h0", 0.5 * omega_0))
+    tau_end = sec.get("tau_end")
     if tau_end is None:
         if grf.value <= 0.0:
             raise ZeroRelaxationRate(
@@ -213,10 +219,13 @@ def cmd_evolve(cfg: RunConfig, args):
                 "explicitly"
             )
         tau_end = 5.0 / grf.value
-    n_samples = cfg.get("evolve", "n_samples", default=101)
-    step = cfg.get("evolve", "step")
+    tau_end = _number("evolve", "tau_end", tau_end)
+    n_samples = _positive_int("evolve", "n_samples", sec.get("n_samples", 101))
+    step = sec.get("step")
+    if step is not None:
+        step = _number("evolve", "step", step)
     traj = evolve_ode(grf.value, gsr.value, omega_0, h0, tau_end,
-                      StepConfig(step=step, n_samples=int(n_samples)))
+                      StepConfig(step=step, n_samples=n_samples))
     h_eq = equilibrium_energy(grf.value, gsr.value, omega_0)
     rows = []
     for state in traj:
@@ -262,7 +271,7 @@ def _lorentzian_pair(eta):
 
 def cmd_kk_check(cfg, args):
     sec = cfg.section("kk_check") if cfg is not None else {}
-    eta = float(sec.get("eta", 0.1))
+    eta = _number("kk_check", "eta", sec.get("eta", 0.1))
     if eta <= 0:
         raise ConfigError("kk_check.eta must be positive")
     wc = 250.0 * eta
@@ -350,39 +359,28 @@ def _sweep_point(base_cfg, names, values, quantity):
     spec = cfg.system()
     kernel = cfg.kernel()
     qcfg = cfg.quadrature()
-    if quantity in ("gamma_rf", "gamma_sr", "a_up", "a_down",
-                    "einstein_ratio"):
-        if spec.n_levels != 2:
-            raise ConfigError("sweep quantity %r needs a two-level system"
-                              % quantity)
-        w0 = spec.omega_ab(1, 0)
-        grf = gamma_rf(kernel, w0, spec.g, qcfg)
-        if quantity == "gamma_rf":
-            return grf.value, grf.error_estimate
-        gsr = gamma_sr(kernel, w0, spec.g, qcfg)
-        if quantity == "gamma_sr":
-            return gsr.value, gsr.error_estimate
-        ein = einstein_coefficients(grf, gsr)
-        if quantity == "a_up":
-            return ein.a_up, ein.a_up_error
-        if quantity == "a_down":
-            return ein.a_down, ein.a_down_error
-        value = ein.ratio
-        err = (ein.a_up_error + abs(value) * ein.a_down_error) / ein.a_down
-        return value, err
     if quantity == "relaxation_rate":
         res = relaxation_rate(spec, spec.n_levels - 1, kernel, qcfg)
         return res.value, res.error_estimate
+    if spec.n_levels != 2:
+        raise ConfigError("sweep quantity %r needs a two-level system"
+                          % quantity)
+    w0 = spec.omega_ab(1, 0)
     if quantity == "lamb_shift":
-        if spec.n_levels != 2:
-            raise ConfigError("sweep quantity lamb_shift needs a two-level "
-                              "system")
-        res = lamb_shift_two_level(kernel, spec.g, spec.omega_ab(1, 0), qcfg)
+        res = lamb_shift_two_level(kernel, spec.g, w0, qcfg)
         return res.value, res.error_estimate
-    raise ConfigError(
-        "unknown sweep quantity %r (known: %s)"
-        % (quantity, ", ".join(_SWEEP_QUANTITIES))
-    )
+    rates = rate_coefficients(kernel, w0, spec.g, qcfg)
+    if quantity in ("gamma_rf", "gamma_sr"):
+        res = rates[quantity[len("gamma_"):]]
+        return res.value, res.error_estimate
+    ein = einstein_coefficients(rates["rf"], rates["sr"])
+    if quantity == "a_up":
+        return ein.a_up, ein.a_up_error
+    if quantity == "a_down":
+        return ein.a_down, ein.a_down_error
+    value = ein.ratio
+    err = (ein.a_up_error + abs(value) * ein.a_down_error) / ein.a_down
+    return value, err
 
 
 def cmd_sweep(cfg: RunConfig, args):
@@ -390,6 +388,9 @@ def cmd_sweep(cfg: RunConfig, args):
     quantity = sec.get("quantity")
     if quantity is None:
         raise ConfigError("missing required key sweep.quantity")
+    if quantity not in _SWEEP_QUANTITIES:
+        raise ConfigError("unknown sweep quantity %r (known: %s)"
+                          % (quantity, ", ".join(_SWEEP_QUANTITIES)))
     axes = {}
     for key, value in sec.items():
         if key == "quantity":
@@ -401,7 +402,7 @@ def cmd_sweep(cfg: RunConfig, args):
             )
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError("sweep.%s must be a non-empty list" % key)
-        axes[key] = sorted(float(v) for v in value)
+        axes[key] = sorted(_number("sweep", key, v) for v in value)
     if not axes:
         raise ConfigError("sweep section defines no parameter lists")
     names = sorted(axes)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -152,16 +153,27 @@ def parse_config(path):
 
 
 def _number(section, key, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("%s.%s must be a number, got %r" % (section, key, value))
+    try:  # TypeError: not a number; OverflowError: an int beyond float
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError("%s.%s must be a finite number, got %r"
+                          % (section, key, value))
     return float(value)
+
+
+def _positive_int(section, key, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise ConfigError("%s.%s must be a positive integer, got %r"
+                          % (section, key, value))
+    return value
 
 
 def _build_system(sec):
     if not sec:
         raise ConfigError("missing [system] section")
-    g = sec.get("g", 0.0)
-    _number("system", "g", g)
+    g = _number("system", "g", sec.get("g", 0.0))
     if "omega_0" in sec:
         if "levels" in sec or "coupling_ops" in sec:
             raise ConfigError(
@@ -171,7 +183,7 @@ def _build_system(sec):
         omega_0 = _number("system", "omega_0", sec["omega_0"])
         if omega_0 <= 0:
             raise ConfigError("system.omega_0 must be positive, got %g" % omega_0)
-        return two_level_system(omega_0, float(g))
+        return two_level_system(omega_0, g)
     if "levels" not in sec or "coupling_ops" not in sec:
         raise ConfigError(
             "system section needs either omega_0 or both levels and coupling_ops"
@@ -188,7 +200,7 @@ def _build_system(sec):
     except (TypeError, ValueError) as exc:
         raise ConfigError("malformed system.levels or system.coupling_ops: %s"
                           % exc) from exc
-    spec = SystemSpec(levels=parsed_levels, coupling_ops=matrices, g=float(g))
+    spec = SystemSpec(levels=parsed_levels, coupling_ops=matrices, g=g)
     return validate_system(spec)
 
 
@@ -214,20 +226,16 @@ def _build_quadrature(sec):
         if key in sec:
             kwargs[key] = _number("quadrature", key, sec[key])
     if "max_subdivisions" in sec:
-        v = sec["max_subdivisions"]
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            raise ConfigError(
-                "quadrature.max_subdivisions must be a positive integer, got %r"
-                % (v,)
-            )
-        kwargs["max_subdivisions"] = v
+        kwargs["max_subdivisions"] = _positive_int(
+            "quadrature", "max_subdivisions", sec["max_subdivisions"])
     if "epsilon_schedule" in sec:
         sched = sec["epsilon_schedule"]
         if not isinstance(sched, (list, tuple)):
             raise ConfigError(
                 "quadrature.epsilon_schedule must be a list of decreasing reals"
             )
-        kwargs["epsilon_schedule"] = tuple(float(e) for e in sched)
+        kwargs["epsilon_schedule"] = tuple(
+            _number("quadrature", "epsilon_schedule", e) for e in sched)
     try:
         return QuadratureConfig(**kwargs)
     except Exception as exc:

@@ -159,7 +159,6 @@ class IntegralResult:
 
     value: float
     error_estimate: float
-    eps_extrapolated: bool = False
     detail: dict = field(default_factory=dict, repr=False)
 
     def __float__(self):
@@ -514,7 +513,7 @@ def halfline_transform(f, omega, cfg, kind, *, u_max, u_scale, envelope=None,
             d["samples"] = [(eps, shaped(raw[:, i, j]))
                             for i, eps in enumerate(sched)]
         out.append(IntegralResult(shaped(value[:, j]), shaped(err[:, j]),
-                                  eps_extrapolated=n_eps > 1, detail=d))
+                                  detail=d))
     return out[0] if isinstance(kind, str) else tuple(out)
 
 
@@ -548,7 +547,9 @@ def pv_integral(h, pole, lo, hi, cfg, *, h_error=None, extra_breakpoints=()):
     bound on h, shaped like it, which is propagated through the quotient
     with the pole distance floored at the guard window.
     ``extra_breakpoints`` seeds panel boundaries at known kinks of h.
-    The IntegralResult holds floats, or arrays of shape (m,) for a stack.
+    The IntegralResult holds floats, or arrays of shape (m,) for a stack;
+    its detail holds the pass's work: components, splits, panels and
+    kernel_points (the samples of h, the three at the pole included).
     """
     lo, hi, pole = float(lo), float(hi), float(pole)
     span = hi - lo
@@ -571,9 +572,11 @@ def pv_integral(h, pole, lo, hi, cfg, *, h_error=None, extra_breakpoints=()):
         return np.where(near, dh, out)
 
     bp = _pv_breakpoints(lo, hi, pole, guard, extra_breakpoints)
-    value, err, _ = integrate_adaptive(
+    value, err, splits = integrate_adaptive(
         subtracted, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
     )
+    work = _work_counts(bp.size - 1, splits, 1, hp.size)
+    work["kernel_points"] += 3
     value = value + hp[..., 0] * math.log((hi - pole) / (pole - lo))
     if h_error is not None:
         def quotient_err(w):
@@ -584,8 +587,8 @@ def pv_integral(h, pole, lo, hi, cfg, *, h_error=None, extra_breakpoints=()):
         evals, _ = _eval_panels(quotient_err, ebp[:-1], ebp[1:])
         err = err + np.sum(np.abs(evals), axis=-1)
     if at_pole.ndim == 1:
-        return IntegralResult(float(value), float(err))
-    return IntegralResult(value, err)
+        return IntegralResult(float(value), float(err), work)
+    return IntegralResult(value, err, work)
 
 
 def kk_real_from_imag(f_imag, omega, cfg):

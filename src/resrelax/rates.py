@@ -12,12 +12,13 @@ Two mechanisms contribute to the relaxation of a level:
 
       gamma_sr(w) = -g^2 int_0^inf Ca(u) sin(w u) du,
 
-  odd in w.  ``gamma_rf`` and ``gamma_sr`` return the value at |w|;
-  ``gamma_sr_signed`` restores the odd parity.
+  odd in w.
 
-Kernels with a closed form (``ReservoirKernel.rate_coefficients``) give
-both coefficients exactly, with a floating-point error bound; only the
-others go through the time-domain transforms and the eps -> 0 limit.
+``rate_coefficients`` returns both, the even gamma_rf(|w|) and the
+signed gamma_sr(w), from one call.  Kernels with a closed form
+(``ReservoirKernel.rate_coefficients``) give them exactly, with a
+floating-point error bound; only the others go through the time-domain
+transforms and the eps -> 0 limit, one pass for both mechanisms.
 
 A transition a -> b with frequency w_ab = E_a - E_b and strength
 m_ab = sum_i |<a|S_i|b>|^2 contributes
@@ -48,27 +49,26 @@ from .quadrature import IntegralResult, QuadratureConfig, halfline_transform
 from .system import ensure_validated, transition_elements
 
 _BAND_FLOOR = 1.0 / 64.0
+MECHANISMS = ("rf", "sr")
 
 
-def _kernel_transform(kernel, omegas, cfg, parts, kinds):
-    """Half-line transforms of kernel parts in one pass.
+def _kernel_transform(kernel, omegas, cfg, kinds):
+    """Half-line transforms of the kernel pair (Cs, Ca) in one pass.
 
-    ``parts`` index the pair (Cs, Ca) that ``kernel.evaluate`` returns,
-    ``kinds`` give each part's "cos" or "sin", and ``omegas`` is one
-    frequency or an array of them.  This is the one regulator policy:
+    ``kinds`` give the "cos" or "sin" of Cs and of Ca, and ``omegas`` is
+    one frequency or an array of them.  This is the one regulator policy:
     cfg's schedule is divided by max(1, the largest |omega|, the
     kernel's spectral scale), so eps * omega stays small at every
     frequency the call and the kernel spectrum reach.  Truncation
-    follows the kernel at the smallest |omega|.  Returns one
-    IntegralResult per part (see halfline_transform).
+    follows the kernel at the smallest |omega|.  Returns the
+    IntegralResults of Cs and of Ca (see halfline_transform).
     """
     om = np.abs(np.asarray(omegas, dtype=float))
     scale = max(1.0, float(np.max(om)), kernel.spectral_scale())
     sched = tuple(e / scale for e in cfg.epsilon_schedule)
 
     def f(u, eps):
-        cs_ca = kernel.evaluate(u, eps)
-        return np.stack([cs_ca[p] for p in parts])
+        return np.stack(kernel.evaluate(u, eps))
 
     return halfline_transform(
         f, omegas, cfg, kinds,
@@ -80,87 +80,61 @@ def _kernel_transform(kernel, omegas, cfg, parts, kinds):
     )
 
 
-def _time_domain(kernel, om, cfg, kinds, stats):
+def _time_domain(kernel, om, cfg):
     """Time-domain coefficients at the frequencies ``om`` (all >= 0).
 
     One pass per octave band, in which rf (Cs cos) and sr (Ca sin) share
-    every kernel sample.  Returns {kind: (values, errors)} per unit g^2,
-    arrays shaped like ``om``.
+    every kernel sample.  Returns ({kind: (values, errors)} per unit g^2,
+    arrays shaped like ``om``; the passes' summed work counts).
     """
-    out = {kind: (np.zeros(om.shape), np.zeros(om.shape)) for kind in kinds}
+    out = {kind: (np.zeros(om.shape), np.zeros(om.shape))
+           for kind in MECHANISMS}
+    work = {}
     bands = {}
     for i, w in enumerate(om.flat):
         band = None if w < _BAND_FLOOR else math.floor(math.log2(w))
         bands.setdefault(band, []).append(i)
     for idx in bands.values():
-        res = _kernel_transform(
-            kernel, om.flat[idx], cfg, [0 if k == "rf" else 1 for k in kinds],
-            ["cos" if k == "rf" else "sin" for k in kinds])
-        for kind, r in zip(kinds, res):
-            out[kind][0].flat[idx] = r.value if kind == "rf" else -r.value
+        res = _kernel_transform(kernel, om.flat[idx], cfg, ["cos", "sin"])
+        for kind, r, sign in zip(MECHANISMS, res, (1.0, -1.0)):
+            out[kind][0].flat[idx] = sign * r.value
             out[kind][1].flat[idx] = r.error_estimate
-        if stats is not None:
-            for key in ("components", "splits", "panels", "kernel_points"):
-                stats[key] = stats.get(key, 0) + res[0].detail[key]
-    return out
+        for key in ("components", "splits", "panels", "kernel_points"):
+            work[key] = work.get(key, 0) + res[0].detail[key]
+    return out, work
 
 
-def _coefficients(kernel, omegas, g, cfg, kinds=("rf", "sr"), stats=None):
-    """Rate coefficients on a frequency grid: {kind: IntegralResult}.
+def rate_coefficients(kernel, omega, g, cfg=None):
+    """Both rate coefficients at ``omega``: {"rf": ..., "sr": ...}.
 
-    Each IntegralResult holds arrays shaped like ``omegas``: gamma_rf(|w|)
-    for "rf" and the signed odd extension gamma_sr_signed(w) for "sr".
-    A closed-form kernel gives them exactly; any other goes through
-    _time_domain, with ``stats`` accumulating its work counts.
+    ``omega`` is one frequency or an array of them.  Each IntegralResult
+    holds gamma_rf(|w|) for "rf" and the odd extension sign(w)
+    gamma_sr(|w|) for "sr": floats for a scalar ``omega``, arrays shaped
+    like it otherwise.  A closed-form kernel gives them exactly, with an
+    error that bounds the rounding; any other goes through _time_domain,
+    and the error combines quadrature, truncation and regulator-
+    extrapolation contributions.  Each ``detail`` then carries the
+    passes' summed work counts: components, splits, panels and
+    kernel_points.
     """
-    om = np.asarray(omegas, dtype=float)
-    if g == 0.0 or om.size == 0:
-        return {kind: IntegralResult(np.zeros(om.shape), np.zeros(om.shape))
-                for kind in kinds}
-    coeffs = kernel.rate_coefficients(np.abs(om))
-    extrapolated = coeffs is None and kernel.epsilon_sensitive
-    if coeffs is None:
-        coeffs = _time_domain(kernel, np.abs(om), cfg, kinds, stats)
+    om = np.asarray(omega, dtype=float)
+    zeros = (np.zeros(om.shape), np.zeros(om.shape))
+    coeffs, work = dict.fromkeys(MECHANISMS, zeros), {}
+    if g != 0.0 and om.size:
+        coeffs = kernel.rate_coefficients(np.abs(om))
+        if coeffs is None:
+            coeffs, work = _time_domain(kernel, np.abs(om),
+                                        cfg or QuadratureConfig())
     g2 = g * g
+    shaped = float if om.ndim == 0 else np.asarray
     out = {}
-    for kind in kinds:
+    for kind in MECHANISMS:
         values, errors = coeffs[kind]
         if kind == "sr":
             values = np.sign(om) * values
-        out[kind] = IntegralResult(g2 * values, g2 * errors, extrapolated)
+        out[kind] = IntegralResult(shaped(g2 * values), shaped(g2 * errors),
+                                   detail=dict(work))
     return out
-
-
-def _gamma(kernel, omega, g, cfg, kind):
-    res = _coefficients(kernel, abs(omega), g, cfg or QuadratureConfig(),
-                        (kind,))[kind]
-    return IntegralResult(float(res.value), float(res.error_estimate),
-                          res.eps_extrapolated)
-
-
-def gamma_rf(kernel, omega, g, cfg=None):
-    """Fluctuation-type rate coefficient at |omega|.
-
-    Returns an IntegralResult.  For a closed-form kernel its error bounds
-    the rounding; otherwise it combines quadrature, truncation and
-    regulator-extrapolation contributions.
-    """
-    return _gamma(kernel, omega, g, cfg, "rf")
-
-
-def gamma_sr(kernel, omega, g, cfg=None):
-    """Back-reaction-type rate coefficient at |omega| (>= 0 for |omega| > 0)."""
-    if omega == 0.0:
-        return IntegralResult(0.0, 0.0)
-    return _gamma(kernel, omega, g, cfg, "sr")
-
-
-def gamma_sr_signed(kernel, omega, g, cfg=None):
-    """Odd-parity extension sign(omega) * gamma_sr(|omega|)."""
-    res = gamma_sr(kernel, omega, g, cfg)
-    if omega < 0:
-        return IntegralResult(-res.value, res.error_estimate, res.eps_extrapolated)
-    return res
 
 
 @dataclass
@@ -229,7 +203,7 @@ def _transition_rows(spec, kernel, cfg, elements):
     rows).
     """
     freqs = sorted({round(abs(el.omega_ab), 15) for el in elements})
-    coeffs = _coefficients(kernel, freqs, spec.g, cfg)
+    coeffs = rate_coefficients(kernel, freqs, spec.g, cfg)
     at = {w: i for i, w in enumerate(freqs)}
     grf, gsr = coeffs["rf"], coeffs["sr"]
     rows = []
@@ -296,23 +270,3 @@ def rate_table(spec, kernel, cfg=None):
             gamma_rows.append((kind, w, float(res.value[i]),
                                float(res.error_estimate[i])))
     return gamma_rows, transition_rows
-
-
-# ---------------------------------------------------------------------------
-# frequency grids (used by the shift integrals)
-
-def gamma_batch(kernel, omegas, g, cfg=None, kind="rf", stats=None):
-    """Rate coefficient on a frequency grid, sharing kernel samples.
-
-    kind "rf" returns gamma_rf(|w|) per entry; kind "sr" returns the
-    signed odd extension gamma_sr_signed(w).  A closed-form kernel
-    returns its exact coefficients; any other takes the time-domain
-    route of gamma_rf and gamma_sr, one pass per octave band.
-    ``stats``, a dict, accumulates the work counts of those passes:
-    components, splits, panels and kernel_points.
-
-    Returns (values, errors) numpy arrays aligned with ``omegas``.
-    """
-    res = _coefficients(kernel, omegas, g, cfg or QuadratureConfig(), (kind,),
-                        stats)[kind]
-    return res.value, res.error_estimate

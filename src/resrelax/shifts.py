@@ -61,16 +61,20 @@ from .quadrature import (
     integrate_adaptive,
     pv_integral,
 )
-from .rates import _coefficients, _kernel_transform
+from .rates import MECHANISMS, _kernel_transform, rate_coefficients
 from .system import ensure_validated, transition_elements, two_level_system
 
 _RING_SPAN = 2.0  # length of the numerically integrated ring segment
 
-_MECHANISMS = ("rf", "sr")
-# the mechanisms that a "mechanism" argument asks for
-_ASKED = {"rf": ("rf",), "sr": ("sr",), "both": _MECHANISMS}
-
 log = logging.getLogger(__name__)
+
+
+def _log_pass(what, work, start):
+    """One debug line: the work counts of a pass and its time."""
+    log.debug("%s: %d components, %d panels, %d kernel points, %d splits, "
+              "%.3f s", what, work["components"], work["panels"],
+              work["kernel_points"], work["splits"],
+              time.perf_counter() - start)
 
 
 def _poles(spec):
@@ -115,30 +119,32 @@ def _coefficient_grid(w_top, poles):
 
 
 class ShiftWorkspace:
-    """Rate coefficients of one or both mechanisms over [0, 2 wc].
+    """Rate coefficients of both mechanisms over [0, 2 wc].
 
-    ``mechanism`` is "rf", "sr" or "both"; ``mechanisms`` holds the
-    order in which ``coefficient`` and ``coefficient_error`` stack them.
+    ``mechanism`` must be "both"; ``coefficient`` and
+    ``coefficient_error`` stack the mechanisms in the order of MECHANISMS.
     A kernel with closed-form rate coefficients is evaluated exactly
     wherever the dispersion integral asks.  Any other kernel is sampled
-    once on a frequency grid, every mechanism from the same kernel
-    samples, and interpolated by a cubic spline.  One workspace serves
+    once on a frequency grid, both mechanisms from the same kernel
+    samples, and interpolated by a cubic spline; ``stats`` holds the
+    work counts of that sampling.  One workspace serves
     every level, both cutoffs of the sensitivity difference, and all
     principal-value poles of a system: the scalar-kernel coefficient
     gamma(w') does not depend on the level pair.
     """
 
     def __init__(self, kernel, g, cfg, mechanism, poles):
+        if mechanism != "both":
+            raise ValueError("a ShiftWorkspace holds both mechanisms, got %r"
+                             % (mechanism,))
         wc = _require_cutoff(cfg, poles)
         self.omega_c = wc
-        self.mechanisms = _ASKED[mechanism]
         self.stats = {}
-        self.interp_error = np.zeros(len(self.mechanisms))
+        self.interp_error = np.zeros(len(MECHANISMS))
         self._kernel, self._g, self._cfg = kernel, g, cfg
         self._spline = None
-        label = "+".join(self.mechanisms)
         if kernel.rate_coefficients(0.0) is not None:
-            log.debug("%s workspace: exact rate coefficients, no grid", label)
+            log.debug("rf+sr workspace: exact rate coefficients, no grid")
             return
         from scipy.interpolate import CubicSpline
 
@@ -148,39 +154,33 @@ class ShiftWorkspace:
         # with the grid
         mids = np.sqrt(grid[1:] * np.maximum(grid[:-1], 1e-12))
         probes = mids[:: max(1, mids.size // 8)][:9]
-        vals, errs = self._stack(_coefficients(
-            kernel, np.concatenate([grid, probes]), g, cfg, self.mechanisms,
-            self.stats))
+        coeffs = rate_coefficients(kernel, np.concatenate([grid, probes]),
+                                   g, cfg)
+        self.stats = coeffs["rf"].detail
+        vals, errs = self._stack(coeffs)
         n = grid.size
         self._spline = CubicSpline(grid, vals[:, :n], axis=1)
         self._err_spline = CubicSpline(grid, errs[:, :n], axis=1)
         self.interp_error = np.max(
             np.abs(vals[:, n:] - self._spline(probes)), axis=1)
-        log.debug(
-            "%s workspace: %d grid points, %d components, %d panels, %d "
-            "kernel points, %d splits, %.3f s", label, n,
-            self.stats.get("components", 0), self.stats.get("panels", 0),
-            self.stats.get("kernel_points", 0), self.stats.get("splits", 0),
-            time.perf_counter() - start,
-        )
+        _log_pass("rf+sr workspace, %d grid points" % n, self.stats, start)
 
     def _stack(self, coeffs):
         """(values, errors) of {mechanism: IntegralResult}, stacked."""
-        return (np.stack([coeffs[m].value for m in self.mechanisms]),
-                np.stack([coeffs[m].error_estimate for m in self.mechanisms]))
+        return (np.stack([coeffs[m].value for m in MECHANISMS]),
+                np.stack([coeffs[m].error_estimate for m in MECHANISMS]))
 
     def _exact(self, omega):
-        return self._stack(_coefficients(self._kernel, omega, self._g,
-                                         self._cfg, self.mechanisms))
+        return self._stack(rate_coefficients(self._kernel, omega, self._g,
+                                             self._cfg))
 
     def coefficient(self, omega):
         """gamma of each mechanism on the real line: even rf, odd sr."""
         omega = np.asarray(omega, dtype=float)
         if self._spline is None:
             return self._exact(omega)[0]
-        val = self._spline(np.abs(omega))
-        return np.stack([np.sign(omega) * v if m == "sr" else v
-                         for m, v in zip(self.mechanisms, val)])
+        rf, sr = self._spline(np.abs(omega))
+        return np.stack([rf, np.sign(omega) * sr])
 
     def coefficient_error(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -193,29 +193,28 @@ class ShiftWorkspace:
 # ---------------------------------------------------------------------------
 # dispersion-integral path
 
-def shift_kk(system, kernel, a, mechanism, cfg=None, workspace=None):
-    """Energy shift of level ``a`` from the dispersion integral.
+def shift_kk(system, kernel, a, cfg=None, workspace=None):
+    """Energy shifts of level ``a`` from the dispersion integral.
 
-    ``mechanism`` "rf" or "sr" returns that shift as an IntegralResult;
-    "both" returns {"rf": ..., "sr": ...} from one PV pass per partner
-    level.  A prebuilt ShiftWorkspace holding the mechanism lends its
-    coefficients to every level and cutoff.
+    Returns {"rf": ..., "sr": ...}, both from one PV pass per partner
+    level.  A prebuilt
+    ShiftWorkspace lends its coefficients to every level and cutoff;
+    without one, a workspace of both mechanisms is built.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
-    ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, mechanism,
+    ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both",
                                      _poles(spec))
-    res = _kk_at_cutoff(spec, a, ws, ws.omega_c, cfg)
-    return res if mechanism == "both" else res[mechanism]
+    return _kk_at_cutoff(spec, a, ws, ws.omega_c, cfg)
 
 
 def _kk_at_cutoff(spec, a, ws, wc, cfg):
     """{mechanism: IntegralResult} of level ``a`` at cutoff ``wc``.
 
-    Every mechanism of the workspace comes from one PV pass per partner
-    level, on the stack of their integrands.
+    Both mechanisms come from one PV pass per partner level, on the
+    stack of their integrands.
     """
-    total, err = np.zeros((2, len(ws.mechanisms)))
+    total, err = np.zeros((2, len(MECHANISMS)))
     for el in transition_elements(spec, a):
         m = el.strength
         if m == 0.0 or spec.g == 0.0:
@@ -227,32 +226,34 @@ def _kk_at_cutoff(spec, a, ws, wc, cfg):
         def h_err(w, _m=m):
             return 2.0 * _m * ws.coefficient_error(w)
 
+        start = time.perf_counter()
         res = pv_integral(h, el.omega_ab, -wc, wc, cfg, h_error=h_err,
                           extra_breakpoints=(0.0,))
+        _log_pass("pv pass at pole %.6g, cutoff %.6g" % (el.omega_ab, wc),
+                  res.detail, start)
         total += res.value
         err += res.error_estimate
     two_pi = 2.0 * math.pi
     return {mech: IntegralResult(float(total[j] / two_pi),
                                  float(err[j] / two_pi))
-            for j, mech in enumerate(ws.mechanisms)}
+            for j, mech in enumerate(MECHANISMS)}
 
 
 # ---------------------------------------------------------------------------
 # time-domain path
 
-def _direct_windowed(window, omega_ab, mechanisms, cfg):
+def _direct_windowed(window, omega_ab, cfg):
     """Band-limited vacuum transforms: short ring segment + analytic tail.
 
-    The ring segment of every requested mechanism comes from one
-    adaptive pass.  Returns ({mechanism: (value, error)}, work counts).
+    The ring segment of both mechanisms comes from one adaptive pass.
+    Returns ({mechanism: (value, error)}, work counts).
     """
     w = float(omega_ab)
     aw = abs(w)
 
     def ring_f(u):
         cs, ca = window.ring(u)
-        return np.stack([cs * np.sin(w * u) if mech == "rf"
-                         else ca * np.cos(w * u) for mech in mechanisms])
+        return np.stack([cs * np.sin(w * u), ca * np.cos(w * u)])
 
     bp = _halfline_breakpoints(window.omega_c + aw, 1.0 / window.omega_c,
                                _RING_SPAN)
@@ -260,45 +261,35 @@ def _direct_windowed(window, omega_ab, mechanisms, cfg):
         ring_f, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
     )
     image_err = window.image_tail_error(_RING_SPAN, aw)
-    out = {}
-    for j, mech in enumerate(mechanisms):
-        if mech == "rf":
-            tail = math.copysign(1.0, w) * window.ring_tail_sin_cs(
-                _RING_SPAN, aw) if w != 0.0 else 0.0
-        else:
-            tail = window.ring_tail_cos_ca(_RING_SPAN, aw)
-        value = ring_val[j] + tail
-        err = ring_err[j] + image_err
-        # smooth (non-ringing) remainder, present for accelerated trajectories
-        if mech == "rf" and window.acceleration > 0.0:
-            def f_smooth(u, eps):
-                return window.smooth_cs(u)
-
-            res = halfline_transform(
-                f_smooth, w, cfg, "sin",
-                u_max=max(2500.0 / max(aw, 0.1), 50.0),
-                u_scale=2.0 * math.pi / window.acceleration,
-                envelope=window.smooth_envelope(),
-                eps_schedule=cfg.epsilon_schedule[:1],
-            )
-            value += res.value
-            err += res.error_estimate
-        out[mech] = (value, err)
-    return out, _work_counts(bp.size - 1, splits, 1, len(mechanisms))
+    rf_tail = (math.copysign(1.0, w) * window.ring_tail_sin_cs(_RING_SPAN, aw)
+               if w != 0.0 else 0.0)
+    tails = (rf_tail, window.ring_tail_cos_ca(_RING_SPAN, aw))
+    out = {mech: [ring_val[j] + tails[j], ring_err[j] + image_err]
+           for j, mech in enumerate(MECHANISMS)}
+    # smooth (non-ringing) rf remainder, present for accelerated trajectories
+    if window.acceleration > 0.0:
+        res = halfline_transform(
+            lambda u, eps: window.smooth_cs(u), w, cfg, "sin",
+            u_max=max(2500.0 / max(aw, 0.1), 50.0),
+            u_scale=2.0 * math.pi / window.acceleration,
+            envelope=window.smooth_envelope(),
+            eps_schedule=cfg.epsilon_schedule[:1],
+        )
+        out["rf"][0] += res.value
+        out["rf"][1] += res.error_estimate
+    return out, _work_counts(bp.size - 1, splits, 1, len(MECHANISMS))
 
 
-def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
-    """Energy shift of level ``a`` evaluated in the time domain.
+def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
+    """Energy shifts of level ``a`` evaluated in the time domain.
 
-    ``mechanism`` "rf" or "sr" returns that shift as an IntegralResult;
-    "both" returns {"rf": ..., "sr": ...}, with both mechanisms taken
-    from one pass per partner level that shares every kernel sample.
+    Returns {"rf": ..., "sr": ...}, both mechanisms taken from one pass
+    per partner level that shares every kernel sample.
     """
-    mechanisms = _ASKED[mechanism]
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
-    total = dict.fromkeys(mechanisms, 0.0)
-    err = dict.fromkeys(mechanisms, 0.0)
+    total = dict.fromkeys(MECHANISMS, 0.0)
+    err = dict.fromkeys(MECHANISMS, 0.0)
     if spec.g != 0.0:
         wc = (omega_c if omega_c is not None
               else _require_cutoff(cfg, _poles(spec)))
@@ -310,28 +301,19 @@ def shift_direct(system, kernel, a, mechanism, cfg=None, *, omega_c=None):
                 continue
             start = time.perf_counter()
             if window is not None:
-                parts, work = _direct_windowed(window, el.omega_ab,
-                                               mechanisms, cfg)
+                parts, work = _direct_windowed(window, el.omega_ab, cfg)
             else:  # a raw spectrum that decays on its own
-                res = _kernel_transform(
-                    kernel, el.omega_ab, cfg,
-                    [0 if mech == "rf" else 1 for mech in mechanisms],
-                    ["sin" if mech == "rf" else "cos" for mech in mechanisms])
+                res = _kernel_transform(kernel, el.omega_ab, cfg,
+                                        ["sin", "cos"])
                 parts = {mech: (r.value, r.error_estimate)
-                         for mech, r in zip(mechanisms, res)}
+                         for mech, r in zip(MECHANISMS, res)}
                 work = res[0].detail
-            log.debug(
-                "direct pass at omega %.6g: %d components, %d panels, %d "
-                "kernel points, %d splits, %.3f s", el.omega_ab,
-                work["components"], work["panels"], work["kernel_points"],
-                work["splits"], time.perf_counter() - start,
-            )
+            _log_pass("direct pass at omega %.6g" % el.omega_ab, work, start)
             for mech, (v, e) in parts.items():
                 total[mech] += g2 * m * v
                 err[mech] += g2 * m * e
-    results = {mech: IntegralResult(total[mech], err[mech])
-               for mech in mechanisms}
-    return results if mechanism == "both" else results[mechanism]
+    return {mech: IntegralResult(total[mech], err[mech])
+            for mech in MECHANISMS}
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +357,14 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
         at_wc = _kk_at_cutoff(spec, a, ws, wc, cfg)
         at_2wc = _kk_at_cutoff(spec, a, ws, 2.0 * wc, cfg)
     if method in ("direct", "both"):
-        direct = shift_direct(spec, kernel, a, "both", cfg)
+        direct = shift_direct(spec, kernel, a, cfg)
         if method == "direct":
             at_wc = direct
-            at_2wc = shift_direct(spec, kernel, a, "both", cfg,
-                                  omega_c=2.0 * wc) \
+            at_2wc = shift_direct(spec, kernel, a, cfg, omega_c=2.0 * wc) \
                 if kernel.band_limited(wc) is not None else direct
         else:
             detail["kk_vs_direct_residual"] = max(
-                abs(at_wc[m].value - direct[m].value) for m in _MECHANISMS
+                abs(at_wc[m].value - direct[m].value) for m in MECHANISMS
             )
     rf, sr = at_wc["rf"], at_wc["sr"]
     return ShiftResult(
@@ -396,25 +377,24 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     )
 
 
-def _splitting(spec, kernel, mechanism, cfg, method="kk", workspace=None):
-    """dE_upper - dE_lower of one mechanism of a two-level system.
+def _splitting(spec, kernel, cfg, method="kk", workspace=None):
+    """dE_upper - dE_lower of a two-level system, per mechanism.
 
     The level shifts come from two dispersion passes on one workspace
-    (method "kk"), or from two direct passes; the error estimate is the
-    sum of theirs.
+    (method "kk"), or from two direct passes; each error estimate is the
+    sum of theirs.  Returns {mechanism: IntegralResult}.
     """
     if spec.n_levels != 2:
         raise ValueError("the level splitting needs a two-level system")
     if method == "kk":
-        ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, mechanism,
+        ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both",
                                          _poles(spec))
-        hi, lo = (_kk_at_cutoff(spec, a, ws, ws.omega_c, cfg)[mechanism]
-                  for a in (1, 0))
+        hi, lo = (_kk_at_cutoff(spec, a, ws, ws.omega_c, cfg) for a in (1, 0))
     else:
-        hi, lo = (shift_direct(spec, kernel, a, mechanism, cfg)
-                  for a in (1, 0))
-    return IntegralResult(hi.value - lo.value,
-                          hi.error_estimate + lo.error_estimate)
+        hi, lo = (shift_direct(spec, kernel, a, cfg) for a in (1, 0))
+    return {m: IntegralResult(hi[m].value - lo[m].value,
+                              hi[m].error_estimate + lo[m].error_estimate)
+            for m in hi}
 
 
 def delta_sr_relative(system, kernel, cfg=None, method="kk", workspace=None):
@@ -423,11 +403,10 @@ def delta_sr_relative(system, kernel, cfg=None, method="kk", workspace=None):
     This vanishes identically (the sr shift moves both levels equally);
     the returned IntegralResult carries the numerical residual and its
     combined error estimate.  ``workspace`` may supply a prebuilt
-    ShiftWorkspace holding sr, of this system, kernel and cfg, for the
-    kk method.
+    ShiftWorkspace of this system, kernel and cfg, for the kk method.
     """
-    return _splitting(ensure_validated(system), kernel, "sr",
-                      cfg or QuadratureConfig(), method, workspace)
+    return _splitting(ensure_validated(system), kernel,
+                      cfg or QuadratureConfig(), method, workspace)["sr"]
 
 
 def lamb_shift_two_level(kernel, g, omega_0, cfg=None):
@@ -441,5 +420,5 @@ def lamb_shift_two_level(kernel, g, omega_0, cfg=None):
 
     omega_0 <= 0 raises ConfigError.
     """
-    return _splitting(two_level_system(omega_0, g), kernel, "rf",
-                      cfg or QuadratureConfig())
+    return _splitting(two_level_system(omega_0, g), kernel,
+                      cfg or QuadratureConfig())["rf"]

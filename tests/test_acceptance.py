@@ -25,10 +25,9 @@ from resrelax import (
     evolve_closed_form,
     evolve_ode,
     fit_decay_rate,
-    gamma_rf,
-    gamma_sr,
     kk_real_from_imag,
     lamb_shift_two_level,
+    rate_coefficients,
     relaxation_rate,
     shift_direct,
     transition_rates,
@@ -90,8 +89,8 @@ def test_criterion_02_dispersion_vs_direct_shift():
     for spec in systems:
         for a in range(len(spec.levels)):
             kk = compute_shift(spec, kernel, a, cfg, method="kk")
-            drf = shift_direct(spec, kernel, a, "rf", cfg)
-            dsr = shift_direct(spec, kernel, a, "sr", cfg)
+            direct = shift_direct(spec, kernel, a, cfg)
+            drf, dsr = direct["rf"], direct["sr"]
             residual = max(abs(kk.delta_e_rf - drf.value),
                            abs(kk.delta_e_sr - dsr.value))
             combined = (kk.err_quad + kk.err_cutoff
@@ -114,13 +113,13 @@ def test_criterion_03_inertial_rate_balance(rate_routes):
         kernel = route(InertialVacuum())
         for w in (0.1, 1.0, 10.0):
             ref = oracles.inertial_gamma(w)
-            rf = gamma_rf(kernel, w, 1.0, cfg)
-            sr = gamma_sr(kernel, w, 1.0, cfg)
+            rates = rate_coefficients(kernel, w, 1.0, cfg)
+            rf, sr = rates["rf"], rates["sr"]
             dev = max(abs(rf.value - ref), abs(sr.value - ref)) / ref
             worst = max(worst, dev)
             ok = ok and dev <= 1e-4
-        grf = gamma_rf(kernel, 1.0, 1.0, cfg)
-        gsr = gamma_sr(kernel, 1.0, 1.0, cfg)
+        rates = rate_coefficients(kernel, 1.0, 1.0, cfg)
+        grf, gsr = rates["rf"], rates["sr"]
         ein = einstein_coefficients(grf, gsr)
         ok = ok and abs(ein.a_up) <= 10.0 * ein.a_up_error
         ok = ok and abs(ein.a_up) <= 1e-8 * ein.a_down
@@ -138,8 +137,8 @@ def test_criterion_04_acceleration_excitation_ratio(rate_routes):
     for _, route in rate_routes:
         for acc in (1.0, 2.0 * math.pi, 10.0):
             kernel = route(AcceleratedVacuum(acceleration=acc))
-            grf = gamma_rf(kernel, 1.0, 1.0, cfg)
-            gsr = gamma_sr(kernel, 1.0, 1.0, cfg)
+            rates = rate_coefficients(kernel, 1.0, 1.0, cfg)
+            grf, gsr = rates["rf"], rates["sr"]
             ein = einstein_coefficients(grf, gsr)
             ref = oracles.unruh_ratio(1.0, acc)
             dev = abs(ein.ratio - ref) / ref
@@ -158,8 +157,8 @@ def test_criterion_05_thermal_detailed_balance(rate_routes):
         for w0, temp in ((1.0, 0.5), (1.0, 2.0), (2.0, 1.0)):
             kernel = route(ThermalOhmic(eta=0.5, omega_j=5.0,
                                         temperature=temp))
-            grf = gamma_rf(kernel, w0, 1.0, cfg)
-            gsr = gamma_sr(kernel, w0, 1.0, cfg)
+            rates = rate_coefficients(kernel, w0, 1.0, cfg)
+            grf, gsr = rates["rf"], rates["sr"]
             ein = einstein_coefficients(grf, gsr)
             ref = oracles.thermal_ratio(w0, temp)
             sigma = (ein.a_up_error + abs(ein.ratio) * ein.a_down_error) \
@@ -218,8 +217,8 @@ def test_criterion_07_transition_rate_consistency(rate_routes):
     worst_fd = 0.0
     for _, route in rate_routes:
         kernel = route(ThermalOhmic(**THERMAL))
-        grf = gamma_rf(kernel, 1.0, 0.7, cfg)
-        gsr = gamma_sr(kernel, 1.0, 0.7, cfg)
+        rates = rate_coefficients(kernel, 1.0, 0.7, cfg)
+        grf, gsr = rates["rf"], rates["sr"]
         for a, h in ((0, -0.5), (1, 0.5)):
             total = relaxation_rate(atom, a, kernel, cfg)
             closed = oracles.two_level_energy_flux(grf.value, gsr.value,

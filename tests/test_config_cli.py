@@ -170,15 +170,16 @@ class TestRatesCommand:
 
     def test_values_round_trip(self, tmp_path, capsys):
         # the printed gamma is the library's double, bit for bit
-        from resrelax import gamma_rf, gamma_sr
+        from resrelax import rate_coefficients
 
         path = write(tmp_path, THERMAL_INI)
         run_cli(["rates", "--config", path])
         lines = capsys.readouterr().out.strip().splitlines()
         kernel = ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0)
-        for line, gamma in zip(lines[1:3], (gamma_rf, gamma_sr)):
+        rates = rate_coefficients(kernel, 1.0, 1.0)
+        for line, mech in zip(lines[1:3], ("rf", "sr")):
             _, _, _, omega, value, err = line.split(",")
-            res = gamma(kernel, 1.0, 1.0)
+            res = rates[mech]
             assert float(omega) == 1.0
             assert float(value) == res.value
             assert float(err) == res.error_estimate
@@ -328,7 +329,7 @@ class TestSweepCommand:
         assert len(grid) == 6
 
     def test_values_match_direct_call(self, tmp_path):
-        from resrelax import QuadratureConfig, gamma_rf
+        from resrelax import QuadratureConfig, rate_coefficients
 
         text = THERMAL_INI + "\n[sweep]\nquantity = gamma_rf\n" \
                              "temperature = [1.0]\n"
@@ -336,8 +337,9 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         run_cli(["sweep", "--config", path, "--out", str(out)])
         value = float(out.read_text().strip().splitlines()[1].split(",")[2])
-        ref = gamma_rf(ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0),
-                       1.0, 1.0, QuadratureConfig(omega_cutoff=30.0))
+        ref = rate_coefficients(
+            ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0), 1.0, 1.0,
+            QuadratureConfig(omega_cutoff=30.0))["rf"]
         assert value == pytest.approx(ref.value, rel=1e-12)
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
@@ -368,6 +370,33 @@ class TestSweepCommand:
         path = write(tmp_path, text)
         assert run_cli(["sweep", "--config", path]) == 2
         assert "10^6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("evolve", INERTIAL_INI.replace("tau_end = 8.0", "tau_end = abc"),
+     "evolve.tau_end"),
+    ("evolve", INERTIAL_INI + "h0 = [1, 2]\n", "evolve.h0"),
+    ("evolve", INERTIAL_INI + "h0 = 1e999\n", "evolve.h0"),
+    ("evolve", INERTIAL_INI + "h0 = 1%s\n" % ("0" * 400), "evolve.h0"),
+    ("evolve", INERTIAL_INI + 'step = "x"\n', "evolve.step"),
+    ("evolve", INERTIAL_INI + 'n_samples = "many"\n', "evolve.n_samples"),
+    ("kk-check", INERTIAL_INI + "\n[kk_check]\neta = abc\n",
+     "kk_check.eta"),
+    ("sweep", THERMAL_INI + '\n[sweep]\nquantity = gamma_rf\n'
+     'temperature = [0.5, "hot"]\n', "sweep.temperature"),
+    ("rates", INERTIAL_INI.replace(
+        "omega_cutoff = 40.0", "epsilon_schedule = [0.01, \"x\"]"),
+     "quadrature.epsilon_schedule"),
+], ids=["tau_end", "h0", "h0-inf", "h0-huge-int", "step", "n_samples", "eta",
+        "sweep-temperature", "epsilon_schedule"])
+def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
+    # a value of the wrong type is a config error that names its key,
+    # not a traceback
+    path = write(tmp_path, text)
+    assert run_cli([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
 
 
 def test_no_partial_output_on_failure(tmp_path):

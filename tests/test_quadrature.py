@@ -145,11 +145,11 @@ class TestFailureModes:
         # extrapolated; the engine must refuse rather than guess (the
         # closed-form rates take no schedule, so the time-domain route
         # is the one under test)
-        from resrelax import InertialVacuum, gamma_rf
+        from resrelax import InertialVacuum, rate_coefficients
 
         cfg = QuadratureConfig(epsilon_schedule=(0.9, 0.45, 0.225))
         with pytest.raises(NonConvergent):
-            gamma_rf(time_domain(InertialVacuum()), 9.0, 1.0, cfg)
+            rate_coefficients(time_domain(InertialVacuum()), 9.0, 1.0, cfg)
 
 
 class TestPrincipalValue:
@@ -197,6 +197,24 @@ class TestPrincipalValue:
             assert err <= 2.0 * cfg.rel_tol * abs(value)
             ref, _ = oracles.quad_pv(lambda x: float(h(x)), 0.5, -3.0, 3.0)
             assert value == pytest.approx(ref, rel=1e-9)
+
+    def test_reports_its_work(self):
+        # the points in detail are the samples h really saw, and a stack
+        # of m functions counts m components
+        seen = []
+
+        def h(x):
+            x = np.asarray(x)
+            seen.append(x.size)
+            return np.stack([1.0 / (x * x + 1.0), np.exp(-0.3 * x)])
+
+        res = pv_integral(h, 0.5, -3.0, 3.0, QuadratureConfig())
+        assert set(res.detail) == {"components", "splits", "panels",
+                                   "kernel_points"}
+        assert res.detail["kernel_points"] == sum(seen)
+        assert res.detail["components"] == 2
+        assert res.detail["panels"] == (res.detail["kernel_points"] - 3) \
+            // NODES_PER_PANEL - res.detail["splits"]
 
     def test_smooth_through_pole(self):
         # h vanishing at the pole: PV integral equals the ordinary one

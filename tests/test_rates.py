@@ -14,10 +14,7 @@ from resrelax import (
     QuadratureConfig,
     ThermalOhmic,
     einstein_coefficients,
-    gamma_batch,
-    gamma_rf,
-    gamma_sr,
-    gamma_sr_signed,
+    rate_coefficients,
     rate_table,
     relaxation_rate,
     transition_rates,
@@ -30,29 +27,29 @@ def test_inertial_rates_match_oracle(rate_routes):
         k = route(InertialVacuum())
         for w in (0.1, 1.0, 10.0):
             exact = oracles.inertial_gamma(w, g=1.0)
-            grf = gamma_rf(k, w, 1.0, QuadratureConfig())
-            gsr = gamma_sr(k, w, 1.0, QuadratureConfig())
+            rates = rate_coefficients(k, w, 1.0, QuadratureConfig())
+            grf, gsr = rates["rf"], rates["sr"]
             assert grf.value == pytest.approx(exact, rel=1e-4)
             assert gsr.value == pytest.approx(exact, rel=1e-4)
 
 
 def test_rates_scale_as_g_squared():
     k = InertialVacuum()
-    one = gamma_rf(k, 1.0, 1.0)
-    two = gamma_rf(k, 1.0, 2.0)
+    one = rate_coefficients(k, 1.0, 1.0)["rf"]
+    two = rate_coefficients(k, 1.0, 2.0)["rf"]
     assert two.value == pytest.approx(4.0 * one.value, rel=1e-12)
 
 
 def test_zero_shortcuts():
     k = InertialVacuum()
-    assert gamma_rf(k, 1.0, 0.0).value == 0.0
-    assert gamma_sr(k, 0.0, 1.0).value == 0.0
+    assert rate_coefficients(k, 1.0, 0.0)["rf"].value == 0.0
+    assert rate_coefficients(k, 0.0, 1.0)["sr"].value == 0.0
 
 
 def test_sr_signed_is_odd():
     k = ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0)
-    plus = gamma_sr_signed(k, 1.3, 1.0)
-    minus = gamma_sr_signed(k, -1.3, 1.0)
+    plus = rate_coefficients(k, 1.3, 1.0)["sr"]
+    minus = rate_coefficients(k, -1.3, 1.0)["sr"]
     assert minus.value == -plus.value
     assert minus.error_estimate == plus.error_estimate
 
@@ -61,7 +58,7 @@ def test_accelerated_rf_matches_coth_oracle(rate_routes):
     for _, route in rate_routes:
         for a in (1.0, 2.0 * math.pi):
             k = route(AcceleratedVacuum(acceleration=a))
-            got = gamma_rf(k, 1.0, 1.0)
+            got = rate_coefficients(k, 1.0, 1.0)["rf"]
             assert got.value == pytest.approx(
                 oracles.accelerated_gamma_rf(1.0, a), rel=1e-6
             )
@@ -72,8 +69,8 @@ def test_accelerated_sr_independent_of_acceleration(rate_routes):
     for _, route in rate_routes:
         for a in (0.5, 2.0, 8.0):
             k = route(AcceleratedVacuum(acceleration=a))
-            assert gamma_sr(k, 1.0, 1.0).value == pytest.approx(inert,
-                                                                rel=1e-6)
+            assert rate_coefficients(k, 1.0, 1.0)["sr"].value \
+                == pytest.approx(inert, rel=1e-6)
 
 
 def test_thermal_rates_match_closed_forms(rate_routes):
@@ -81,8 +78,8 @@ def test_thermal_rates_match_closed_forms(rate_routes):
     for _, route in rate_routes:
         k = route(ThermalOhmic(eta=eta, omega_j=omega_j, temperature=temp))
         for w in (0.5, 1.0, 2.0):
-            grf = gamma_rf(k, w, 1.0)
-            gsr = gamma_sr(k, w, 1.0)
+            rates = rate_coefficients(k, w, 1.0)
+            grf, gsr = rates["rf"], rates["sr"]
             assert grf.value == pytest.approx(
                 oracles.thermal_gamma_rf(w, eta, omega_j, temp), rel=1e-6
             )
@@ -94,8 +91,8 @@ def test_thermal_rates_match_closed_forms(rate_routes):
 def test_thermal_rf_over_sr_is_coth(rate_routes):
     for _, route in rate_routes:
         k = route(ThermalOhmic(eta=0.3, omega_j=8.0, temperature=2.0))
-        grf = gamma_rf(k, 1.0, 1.0)
-        gsr = gamma_sr(k, 1.0, 1.0)
+        rates = rate_coefficients(k, 1.0, 1.0)
+        grf, gsr = rates["rf"], rates["sr"]
         assert grf.value / gsr.value == pytest.approx(
             1.0 / math.tanh(0.25), rel=1e-7
         )
@@ -132,8 +129,8 @@ class TestEinstein:
 class TestTransitionRates:
     def test_two_level_closed_form(self, atom, thermal_kernel):
         cfg = QuadratureConfig()
-        grf = gamma_rf(thermal_kernel, 1.0, 1.0, cfg).value
-        gsr = gamma_sr(thermal_kernel, 1.0, 1.0, cfg).value
+        rates = rate_coefficients(thermal_kernel, 1.0, 1.0, cfg)
+        grf, gsr = rates["rf"].value, rates["sr"].value
         up = relaxation_rate(atom, 1, thermal_kernel, cfg)
         lo = relaxation_rate(atom, 0, thermal_kernel, cfg)
         assert up.value == pytest.approx(
@@ -193,9 +190,10 @@ class TestBatch:
         for _, route in rate_routes:
             k = route(ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0))
             omegas = np.array([0.25, 0.8, 1.7, 3.1, 6.5])
-            vals, errs = gamma_batch(k, omegas, 1.0, kind="rf")
+            res = rate_coefficients(k, omegas, 1.0)["rf"]
+            vals, errs = res.value, res.error_estimate
             for w, v, e in zip(omegas, vals, errs):
-                ref = gamma_rf(k, float(w), 1.0)
+                ref = rate_coefficients(k, float(w), 1.0)["rf"]
                 exact = oracles.thermal_gamma_rf(float(w), 0.5, 5.0, 1.0)
                 assert v == pytest.approx(exact, rel=1e-6)
                 assert abs(v - ref.value) <= 3.0 * (e + ref.error_estimate)
@@ -205,22 +203,34 @@ class TestBatch:
         for _, route in rate_routes:
             k = route(ThermalOhmic(eta=0.5, omega_j=5.0, temperature=0.0))
             omegas = np.array([-1.0, 1.0])
-            vals, _ = gamma_batch(k, omegas, 1.0, kind="sr")
+            vals = rate_coefficients(k, omegas, 1.0)["sr"].value
             assert vals[0] == pytest.approx(-vals[1], rel=1e-12)
 
     def test_nonconvergent_regulator_raises(self, time_domain):
-        # the grid route refuses the limit that gamma_rf refuses, rather
-        # than passing it on to a shift workspace
+        # a grid refuses the limit that a single frequency refuses,
+        # rather than passing it on to a shift workspace
         cfg = QuadratureConfig(epsilon_schedule=(0.9, 0.45, 0.225))
         with pytest.raises(NonConvergent):
-            gamma_batch(time_domain(InertialVacuum()),
-                        np.array([0.5, 8.5, 9.0, 9.5]), 1.0, cfg)
+            rate_coefficients(time_domain(InertialVacuum()),
+                              np.array([0.5, 8.5, 9.0, 9.5]), 1.0, cfg)
+
+    def test_reports_work_of_both_mechanisms(self, counting, time_domain):
+        # rf and sr share every pass: each (frequency, eps) is two
+        # components, and the points are those the kernel really saw
+        k = counting(time_domain(ThermalOhmic(eta=0.5, omega_j=5.0,
+                                              temperature=1.0)))
+        omegas = np.array([0.25, 0.8, 1.7])
+        n_eps = len(QuadratureConfig().epsilon_schedule)
+        for res in rate_coefficients(k, omegas, 1.0).values():
+            assert res.detail["components"] == 2 * n_eps * omegas.size
+            assert res.detail["kernel_points"] == sum(
+                u.size for _, u in k.calls)
 
     def test_accelerated_batch(self, rate_routes):
         for _, route in rate_routes:
             k = route(AcceleratedVacuum(acceleration=2.0))
             omegas = np.array([0.5, 1.0, 2.0])
-            vals, _ = gamma_batch(k, omegas, 1.0, kind="rf")
+            vals = rate_coefficients(k, omegas, 1.0)["rf"].value
             for w, v in zip(omegas, vals):
                 assert v == pytest.approx(
                     oracles.accelerated_gamma_rf(float(w), 2.0), rel=1e-5
@@ -241,7 +251,7 @@ class TestBatch:
 ], ids=["inertial-rf-omega100", "accelerated1e3-sr-omega1e-3",
         "accelerated1-rf-omega50"])
 def test_regime_edges(kernel, omega, which, exact):
-    res = (gamma_rf if which == "rf" else gamma_sr)(kernel, omega, 1.0)
+    res = rate_coefficients(kernel, omega, 1.0)[which]
     assert abs(res.value - exact) <= res.error_estimate
     assert res.error_estimate <= 1e-14 * exact
 
@@ -261,9 +271,10 @@ def test_closed_forms_match_time_domain(time_domain):
     # frequency (unscaled, the error there is about 2e-5)
     for kernel in _grid_kernels():
         for w in (0.3, 2.5, 10.0):
-            for gamma in (gamma_rf, gamma_sr):
-                exact = gamma(kernel, w, 1.0)
-                timed = gamma(time_domain(kernel), w, 1.0)
+            closed = rate_coefficients(kernel, w, 1.0)
+            sampled = rate_coefficients(time_domain(kernel), w, 1.0)
+            for mech in ("rf", "sr"):
+                exact, timed = closed[mech], sampled[mech]
                 err = abs(exact.value - timed.value)
                 assert err <= timed.error_estimate, (kernel.describe(), w)
                 assert err <= 1e-6 * exact.value, (kernel.describe(), w)
@@ -285,8 +296,8 @@ def test_closed_form_error_bound_covers_mpmath():
                   if k in ("acceleration", "eta", "omega_j", "temperature")}
         for w in omegas:
             ref_rf, ref_sr = oracles.mp_gammas(kernel.name, w, g, **params)
-            for res, ref in ((gamma_rf(kernel, w, g), ref_rf),
-                             (gamma_sr(kernel, w, g), ref_sr)):
+            rates = rate_coefficients(kernel, w, g)
+            for res, ref in ((rates["rf"], ref_rf), (rates["sr"], ref_sr)):
                 err = abs(mpmath.mpf(res.value) - ref)
                 assert err <= res.error_estimate, (kernel.describe(), w)
                 assert res.error_estimate <= 1e-10 * abs(res.value) + 1e-290

@@ -37,13 +37,13 @@ def vac_cfg():
 
 class TestVacuumClosedForms:
     def test_kk_rf_upper_level(self, vac_atom, vac_cfg):
-        res = shift_kk(vac_atom, InertialVacuum(), 1, "rf", vac_cfg)
+        res = shift_kk(vac_atom, InertialVacuum(), 1, vac_cfg)["rf"]
         exact = oracles.inertial_shift_rf_upper(W0, WC)
         assert res.value == pytest.approx(exact, rel=1e-6)
         assert abs(res.value - exact) <= 10.0 * res.error_estimate
 
     def test_direct_rf_upper_level(self, vac_atom, vac_cfg):
-        res = shift_direct(vac_atom, InertialVacuum(), 1, "rf", vac_cfg)
+        res = shift_direct(vac_atom, InertialVacuum(), 1, vac_cfg)["rf"]
         assert res.value == pytest.approx(
             oracles.inertial_shift_rf_upper(W0, WC), rel=1e-9
         )
@@ -51,8 +51,8 @@ class TestVacuumClosedForms:
     def test_direct_sr_both_levels(self, vac_atom, vac_cfg):
         exact = oracles.inertial_shift_sr(W0, WC)
         for level in (0, 1):
-            res = shift_direct(vac_atom, InertialVacuum(), level, "sr",
-                               vac_cfg)
+            res = shift_direct(vac_atom, InertialVacuum(), level,
+                               vac_cfg)["sr"]
             assert res.value == pytest.approx(exact, rel=1e-7)
             assert abs(res.value - exact) <= 10.0 * res.error_estimate
 
@@ -62,12 +62,12 @@ class TestVacuumClosedForms:
         # short-distance series is exact to rounding
         atom = two_level_system(omega_0, 1.0)
         cfg = QuadratureConfig(omega_cutoff=40.0)
-        rf = shift_direct(atom, InertialVacuum(), 1, "rf", cfg)
+        rf = shift_direct(atom, InertialVacuum(), 1, cfg)["rf"]
         assert rf.value == pytest.approx(
             oracles.inertial_shift_rf_upper(omega_0, 40.0), abs=1e-14)
         exact_sr = oracles.inertial_shift_sr(omega_0, 40.0)
         for level in (0, 1):
-            sr = shift_direct(atom, InertialVacuum(), level, "sr", cfg)
+            sr = shift_direct(atom, InertialVacuum(), level, cfg)["sr"]
             assert sr.value == pytest.approx(exact_sr, abs=1e-14)
 
     def test_sr_shift_cancels_in_splitting(self, vac_atom, vac_cfg):
@@ -125,8 +125,8 @@ class TestLambShift:
 
     def test_equals_level_difference(self, vac_atom, vac_cfg):
         lamb = lamb_shift_two_level(InertialVacuum(), 1.0, W0, vac_cfg)
-        hi = shift_kk(vac_atom, InertialVacuum(), 1, "rf", vac_cfg)
-        lo = shift_kk(vac_atom, InertialVacuum(), 0, "rf", vac_cfg)
+        hi = shift_kk(vac_atom, InertialVacuum(), 1, vac_cfg)["rf"]
+        lo = shift_kk(vac_atom, InertialVacuum(), 0, vac_cfg)["rf"]
         assert lamb.value == pytest.approx(hi.value - lo.value, abs=1e-8)
 
     def test_constant_coefficient_toy_model(self, vac_cfg, constant_rates):
@@ -156,18 +156,24 @@ class TestLambShift:
 class TestWorkspace:
     def test_coefficient_matches_pointwise(self, vac_cfg, rate_routes):
         # closed form: exact coefficients; time domain: the spline
-        from resrelax import gamma_rf
+        from resrelax import rate_coefficients
 
         cfg = QuadratureConfig(omega_cutoff=25.0)
         for _, route in rate_routes:
             kernel = route(ThermalOhmic(eta=0.4, omega_j=5.0,
                                         temperature=0.8))
-            ws = ShiftWorkspace(kernel, 1.0, cfg, "rf", poles=[W0])
+            ws = ShiftWorkspace(kernel, 1.0, cfg, "both", poles=[W0])
             for w in (0.6, 1.0, 7.3):
-                direct = gamma_rf(kernel, w, 1.0, cfg)
-                tol = 10.0 * (ws.coefficient_error(w)
-                              + direct.error_estimate)
-                assert abs(ws.coefficient(w) - direct.value) <= tol
+                direct = rate_coefficients(kernel, w, 1.0, cfg)
+                for j, mech in enumerate(("rf", "sr")):
+                    tol = 10.0 * (ws.coefficient_error(w)[j]
+                                  + direct[mech].error_estimate)
+                    assert abs(ws.coefficient(w)[j] - direct[mech].value) \
+                        <= tol
+
+    def test_holds_both_mechanisms_only(self, vac_cfg):
+        with pytest.raises(ValueError):
+            ShiftWorkspace(InertialVacuum(), 1.0, vac_cfg, "rf", poles=[W0])
 
     def test_sampled_workspace_reports_its_work(self, caplog, counting,
                                                 time_domain):
@@ -176,13 +182,13 @@ class TestWorkspace:
         kernel = counting(time_domain(InertialVacuum()))
         cfg = QuadratureConfig(omega_cutoff=10.0)
         with caplog.at_level("DEBUG", logger="resrelax.shifts"):
-            ws = ShiftWorkspace(kernel, 1.0, cfg, "sr", poles=[W0])
+            ws = ShiftWorkspace(kernel, 1.0, cfg, "both", poles=[W0])
         assert set(ws.stats) == {"components", "splits", "panels",
                                  "kernel_points"}
         points = sum(u.size for _, u in kernel.calls)
         assert ws.stats["kernel_points"] == points
         lines = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("sr workspace")]
+                 if r.getMessage().startswith("rf+sr workspace")]
         assert len(lines) == 1
         assert "%d kernel points" % ws.stats["kernel_points"] in lines[0]
 
@@ -206,24 +212,19 @@ class TestWorkspace:
             res = compute_shift(vac_atom, kernel, 1, cfg, method="kk")
         assert len(built) == 1
         ws = built[0]
-        assert ws.mechanisms == ("rf", "sr")
         points = sum(u.size for _, u in kernel.calls)
         assert ws.stats["kernel_points"] == points
         lines = [r.getMessage() for r in caplog.records
                  if "workspace" in r.getMessage()]
         assert len(lines) == 1 and lines[0].startswith("rf+sr workspace")
         assert "%d kernel points" % points in lines[0]
-        # the calls come in runs of one node set at every eps of a pass,
-        # and each (frequency, eps) carries both mechanisms: twice the
-        # components of an rf workspace
+        # the calls come in runs of one node set at every eps of a pass
         n_eps = len(cfg.epsilon_schedule)
         assert len(kernel.calls) % n_eps == 0
         for k in range(0, len(kernel.calls), n_eps):
             run = kernel.calls[k:k + n_eps]
             assert len({eps for eps, _ in run}) == n_eps
             assert all(np.array_equal(run[0][1], u) for _, u in run[1:])
-        rf_only = ShiftWorkspace(time_domain(source), 1.0, cfg, "rf", [W0])
-        assert ws.stats["components"] == 2 * rf_only.stats["components"]
         closed = compute_shift(vac_atom, source, 1, cfg, method="kk")
         for mech in ("delta_e_rf", "delta_e_sr"):
             assert abs(getattr(res, mech) - getattr(closed, mech)) \
@@ -231,16 +232,18 @@ class TestWorkspace:
 
     def test_workspace_reuse_is_consistent(self, vac_atom, vac_cfg):
         kernel = InertialVacuum()
-        ws = ShiftWorkspace(kernel, 1.0, vac_cfg, "rf", poles=[W0])
-        with_ws = shift_kk(vac_atom, kernel, 1, "rf", vac_cfg, workspace=ws)
-        fresh = shift_kk(vac_atom, kernel, 1, "rf", vac_cfg)
-        assert with_ws.value == pytest.approx(fresh.value, rel=1e-12)
+        ws = ShiftWorkspace(kernel, 1.0, vac_cfg, "both", poles=[W0])
+        with_ws = shift_kk(vac_atom, kernel, 1, vac_cfg, workspace=ws)
+        fresh = shift_kk(vac_atom, kernel, 1, vac_cfg)
+        for mech in ("rf", "sr"):
+            assert with_ws[mech].value == pytest.approx(fresh[mech].value,
+                                                        rel=1e-12)
 
     def test_delta_sr_relative_reuses_workspace(self, vac_atom):
         kernel = InertialVacuum()
         cfg = QuadratureConfig(omega_cutoff=10.0)
         poles = [vac_atom.omega_ab(i, j) for i, j in vac_atom.active_pairs]
-        ws = ShiftWorkspace(kernel, 1.0, cfg, "sr", poles)
+        ws = ShiftWorkspace(kernel, 1.0, cfg, "both", poles)
         given = delta_sr_relative(vac_atom, kernel, cfg, workspace=ws)
         own = delta_sr_relative(vac_atom, kernel, cfg)
         assert given.value == own.value
@@ -289,7 +292,7 @@ def test_direct_pass_shares_each_kernel_sample(counting):
     spec = _ladder3()
     cfg = QuadratureConfig(omega_cutoff=25.0)
     both = counting(_ladder_kernel())
-    res = compute_shift(spec, both, 1, cfg, method="direct")
+    compute_shift(spec, both, 1, cfg, method="direct")
     points = sum(u.size for _, u in both.calls)
     assert points * 2 <= 1_688_028
     assert max(u.size for _, u in both.calls) \
@@ -301,12 +304,6 @@ def test_direct_pass_shares_each_kernel_sample(counting):
     assert len(per_eps) == len(cfg.epsilon_schedule)
     nodes = [np.concatenate(us) for us in per_eps.values()]
     assert all(np.array_equal(nodes[0], n) for n in nodes[1:])
-    # one mechanism alone samples just as many points as both together
-    for mech, value in (("rf", res.delta_e_rf), ("sr", res.delta_e_sr)):
-        one = counting(_ladder_kernel())
-        alone = shift_direct(spec, one, 1, mech, cfg)
-        assert sum(u.size for _, u in one.calls) == points
-        assert alone.value == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
 def test_direct_pass_logged(caplog):
@@ -314,7 +311,7 @@ def test_direct_pass_logged(caplog):
     spec = _ladder3()
     cfg = QuadratureConfig(omega_cutoff=25.0)
     with caplog.at_level("DEBUG", logger="resrelax.shifts"):
-        shift_direct(spec, _ladder_kernel(), 1, "both", cfg)
+        shift_direct(spec, _ladder_kernel(), 1, cfg)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("direct pass")]
     assert len(lines) == 2
@@ -322,10 +319,25 @@ def test_direct_pass_logged(caplog):
                for line in lines)
 
 
+def test_pv_passes_logged(caplog):
+    # one debug line per partner level and cutoff, with its work counts
+    spec = _ladder3()
+    cfg = QuadratureConfig(omega_cutoff=25.0)
+    with caplog.at_level("DEBUG", logger="resrelax.shifts"):
+        compute_shift(spec, _ladder_kernel(), 1, cfg, method="kk")
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("pv pass")]
+    assert sorted(line.split(":")[0] for line in lines) == sorted(
+        "pv pass at pole %g, cutoff %g" % (pole, wc)
+        for pole in (1.0, -1.3) for wc in (25.0, 50.0))
+    assert all("2 components" in line and "kernel points" in line
+               for line in lines)
+
+
 def test_accelerated_kk_vs_direct(vac_atom):
     cfg = QuadratureConfig(omega_cutoff=25.0)
     kernel = AcceleratedVacuum(acceleration=2.0)
-    kk = shift_kk(vac_atom, kernel, 1, "rf", cfg)
-    direct = shift_direct(vac_atom, kernel, 1, "rf", cfg)
+    kk = shift_kk(vac_atom, kernel, 1, cfg)["rf"]
+    direct = shift_direct(vac_atom, kernel, 1, cfg)["rf"]
     tol = 10.0 * (kk.error_estimate + direct.error_estimate)
     assert abs(kk.value - direct.value) <= tol
