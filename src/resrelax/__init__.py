@@ -21,144 +21,74 @@ Entry points:
 * ``resrelax`` (console script) drives everything from INI configs.
 
 Units: hbar = c = k_B = 1 throughout.
+
+``import resrelax`` is lazy: each public name imports its submodule (and
+numpy) on first access, and importing the package changes no
+environment variable.
 """
 
-from .errors import (
-    ConfigError,
-    CutoffTooSmall,
-    DegenerateTransition,
-    DimensionMismatch,
-    InsufficientSamples,
-    NegativeExcitationRate,
-    NonConvergent,
-    NonFiniteEnergy,
-    NonHermitianCoupling,
-    NumericalError,
-    OutOfRange,
-    PoleOnBoundary,
-    ResRelaxError,
-    SingularEvaluation,
-    StepTooLarge,
-    SubdivisionLimit,
-    ZeroRelaxationRate,
-)
-from .system import (
-    SystemSpec,
-    TransitionElement,
-    system_spectral_functions,
-    transition_element,
-    transition_elements,
-    two_level_system,
-    validate_system,
-)
-from .kernels import (
-    AcceleratedVacuum,
-    InertialVacuum,
-    ReservoirKernel,
-    TabulatedKernel,
-    ThermalOhmic,
-    build_kernel,
-    limit_check_accelerated,
-    trigamma_complex,
-)
-from .quadrature import (
-    Envelope,
-    IntegralResult,
-    QuadratureConfig,
-    kk_real_from_imag,
-    pv_integral,
-)
-from .rates import (
-    EinsteinCoefficients,
-    RelaxationRate,
-    TransitionRate,
-    einstein_coefficients,
-    rate_coefficients,
-    rate_table,
-    relaxation_rate,
-    transition_rates,
-)
-from .shifts import (
-    ShiftResult,
-    ShiftWorkspace,
-    compute_shift,
-    delta_sr_relative,
-    lamb_shift_two_level,
-    shift_direct,
-    shift_kk,
-)
-from .dynamics import (
-    PopulationState,
-    StepConfig,
-    equilibrium_energy,
-    evolve_closed_form,
-    evolve_ode,
-    excitation_fraction,
-    fit_decay_rate,
-)
-from .config import RunConfig, parse_config
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceleratedVacuum",
-    "ConfigError",
-    "CutoffTooSmall",
-    "DegenerateTransition",
-    "DimensionMismatch",
-    "EinsteinCoefficients",
-    "Envelope",
-    "InertialVacuum",
-    "InsufficientSamples",
-    "IntegralResult",
-    "NegativeExcitationRate",
-    "NonConvergent",
-    "NonFiniteEnergy",
-    "NonHermitianCoupling",
-    "NumericalError",
-    "OutOfRange",
-    "PoleOnBoundary",
-    "PopulationState",
-    "QuadratureConfig",
-    "RelaxationRate",
-    "ResRelaxError",
-    "ReservoirKernel",
-    "RunConfig",
-    "ShiftResult",
-    "ShiftWorkspace",
-    "SingularEvaluation",
-    "StepConfig",
-    "StepTooLarge",
-    "SubdivisionLimit",
-    "SystemSpec",
-    "TabulatedKernel",
-    "ThermalOhmic",
-    "TransitionElement",
-    "TransitionRate",
-    "ZeroRelaxationRate",
-    "build_kernel",
-    "compute_shift",
-    "delta_sr_relative",
-    "einstein_coefficients",
-    "equilibrium_energy",
-    "evolve_closed_form",
-    "evolve_ode",
-    "excitation_fraction",
-    "fit_decay_rate",
-    "kk_real_from_imag",
-    "lamb_shift_two_level",
-    "limit_check_accelerated",
-    "parse_config",
-    "pv_integral",
-    "rate_coefficients",
-    "rate_table",
-    "relaxation_rate",
-    "shift_direct",
-    "shift_kk",
-    "system_spectral_functions",
-    "transition_element",
-    "transition_elements",
-    "transition_rates",
-    "two_level_system",
-    "validate_system",
-]
+# public name -> defining submodule, grouped by submodule; submodules are
+# imported on first access, so importing the package loads no numpy
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "CutoffTooSmall", "DegenerateTransition",
+        "DimensionMismatch", "InsufficientSamples", "NegativeExcitationRate",
+        "NonConvergent", "NonFiniteEnergy", "NonHermitianCoupling",
+        "NumericalError", "OutOfRange", "PoleOnBoundary", "ResRelaxError",
+        "SingularEvaluation", "StepTooLarge", "SubdivisionLimit",
+        "ZeroRelaxationRate",
+    ),
+    "system": (
+        "SystemSpec", "TransitionElement", "system_spectral_functions",
+        "transition_element", "transition_elements", "two_level_system",
+        "validate_system",
+    ),
+    "kernels": (
+        "AcceleratedVacuum", "InertialVacuum", "ReservoirKernel",
+        "TabulatedKernel", "ThermalOhmic", "build_kernel",
+        "limit_check_accelerated",
+    ),
+    "quadrature": (
+        "Envelope", "IntegralResult", "QuadratureConfig", "kk_real_from_imag",
+        "pv_integral",
+    ),
+    "rates": (
+        "EinsteinCoefficients", "RelaxationRate", "TransitionRate",
+        "einstein_coefficients", "rate_coefficients", "rate_table",
+        "relaxation_rate", "transition_rates",
+    ),
+    "shifts": (
+        "ShiftResult", "ShiftWorkspace", "compute_shift", "delta_sr_relative",
+        "lamb_shift_two_level", "shift_direct", "shift_kk",
+    ),
+    "dynamics": (
+        "PopulationState", "StepConfig", "equilibrium_energy",
+        "evolve_closed_form", "evolve_ode", "excitation_fraction",
+        "fit_decay_rate",
+    ),
+    "config": ("RunConfig", "parse_config"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_SUBMODULE)
+# importable by name, as it always was, but never part of __all__
+_SUBMODULE["trigamma_complex"] = "kernels"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name not in _SUBMODULE:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    module = importlib.import_module("." + _SUBMODULE[name], __name__)
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULE})

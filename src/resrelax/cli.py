@@ -14,6 +14,10 @@ identical configs produce byte-identical files.  Files are written to a
 temporary name and renamed into place only on success.  Exit codes:
 0 success, 2 configuration or usage error, 3 numerical failure.
 Set RESRELAX_LOG=debug|info|warning for diagnostics on stderr.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise: the
+CLI's matrix products are too small to gain from threads.  Importing
+this module sets that default; ``import resrelax`` alone does not.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+
+# before numpy loads: an idle OpenBLAS worker spins ~0.1 s CPU per process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -272,8 +278,9 @@ def _lorentzian_pair(eta):
 def cmd_kk_check(cfg, args):
     sec = cfg.section("kk_check") if cfg is not None else {}
     eta = _number("kk_check", "eta", sec.get("eta", 0.1))
-    if eta <= 0:
-        raise ConfigError("kk_check.eta must be positive")
+    if not 0 < eta <= 1e150:  # beyond, the squares of 20 eta overflow
+        raise ConfigError("kk_check.eta must be positive and at most 1e150, "
+                          "got %g" % eta)
     wc = 250.0 * eta
     qcfg = QuadratureConfig(omega_cutoff=wc)
     f_imag, f_real = _lorentzian_pair(eta)
@@ -418,6 +425,8 @@ def cmd_sweep(cfg: RunConfig, args):
         results = [_sweep_point(cfg, names, values, quantity)
                    for values in grid]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_sweep_point, cfg, names, values, quantity)
                        for values in grid]

@@ -22,10 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, StepTooLarge, ZeroRelaxationRate
+from .errors import (
+    NumericalError,
+    OutOfRange,
+    StepTooLarge,
+    ZeroRelaxationRate,
+)
 
 # RK4 applied to y' = -g y is stable for g*step below this constant
 RK4_STABILITY = 2.785
+# cost bound on output samples and on RK4 substeps, as on the sweep grid
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -91,13 +98,18 @@ def evolve_ode(gamma_rf, gamma_sr, omega_0, h0, tau_end, step_cfg=None):
     """Fixed-step RK4 trajectory sampled at evenly spaced output times.
 
     Each output interval is integrated with equal substeps no larger
-    than the configured step.  Returns a list of PopulationState.
+    than the configured step.  More than MAX_STEPS output samples or
+    substeps raise OutOfRange before any work.  Returns a list of
+    PopulationState.
     """
     if tau_end <= 0.0:
         raise OutOfRange("tau_end must be positive, got %g" % tau_end)
     cfg = step_cfg or StepConfig()
     if cfg.n_samples < 2:
         raise OutOfRange("need at least 2 output samples")
+    if cfg.n_samples > MAX_STEPS:
+        raise OutOfRange("evolve.n_samples = %s exceeds the limit of 10^6"
+                         % cfg.n_samples)
     if cfg.step is not None:
         step = float(cfg.step)
         if step <= 0.0:
@@ -111,6 +123,14 @@ def evolve_ode(gamma_rf, gamma_sr, omega_0, h0, tau_end, step_cfg=None):
         step = tau_end / 100.0
         if gamma_rf > 0.0:
             step = min(step, 0.01 / gamma_rf)
+    intervals = cfg.n_samples - 1
+    # step is 0 only when tau_end / 100 underflows
+    substeps = (intervals * max(1.0, tau_end / intervals / step)
+                if step > 0.0 else math.inf)
+    if not substeps <= MAX_STEPS:  # also refuses a NaN tau_end or step
+        raise OutOfRange(
+            "%.3g RK4 substeps of evolve.step = %g up to evolve.tau_end = %g "
+            "exceed the limit of 10^6" % (substeps, step, tau_end))
     times = np.linspace(0.0, float(tau_end), cfg.n_samples)
     out = [PopulationState(0.0, float(h0))]
     h = float(h0)
@@ -143,5 +163,11 @@ def fit_decay_rate(trajectory, equilibrium):
     keep = np.abs(devs) > 1e-10 * d0
     if np.count_nonzero(keep) < 2:
         return 0.0
+    if not 0.0 < np.dot(taus[keep], taus[keep]) < math.inf:
+        # polyfit scales by this norm; at 0 or inf its lstsq gets NaNs
+        raise NumericalError(
+            "decay fit ill-conditioned: sample times up to %g square to "
+            "0 or overflow; choose evolve.tau_end between 1e-150 and 1e150"
+            % taus[-1])
     coeffs = np.polyfit(taus[keep], np.log(np.abs(devs[keep])), 1)
     return float(-coeffs[0])

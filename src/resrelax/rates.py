@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeExcitationRate
+from .errors import NegativeExcitationRate, ZeroRelaxationRate
 from .quadrature import IntegralResult, QuadratureConfig, halfline_transform
 from .system import ensure_validated, transition_elements
 
@@ -149,6 +149,10 @@ class EinsteinCoefficients:
     @property
     def ratio(self):
         """a_up / a_down; the detailed-balance diagnostic."""
+        if self.a_down == 0.0:
+            raise ZeroRelaxationRate(
+                "a_up / a_down undefined: a_down = 0 (zero coupling g, or "
+                "rates that underflow at this frequency)")
         return self.a_up / self.a_down
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -397,6 +398,25 @@ def test_malformed_value_names_key(tmp_path, capsys, command, text, key):
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("step = 1e-300", "evolve.step"),
+    ("n_samples = 100000000", "evolve.n_samples"),
+    ("tau_end = 1e300", "evolve.tau_end"),
+], ids=["step", "n_samples", "tau_end"])
+def test_oversized_evolve_rejected(tmp_path, capsys, line, key):
+    # refused before the trajectory is allocated or integrated, as an
+    # oversized sweep grid is
+    text = INERTIAL_INI.replace("tau_end = 8.0", "") + line + "\n"
+    path = write(tmp_path, text)
+    start = time.perf_counter()
+    assert run_cli(["evolve", "--config", path,
+                    "--out", str(tmp_path / "out.csv")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert key in err and "10^6" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_no_partial_output_on_failure(tmp_path):

@@ -1,18 +1,24 @@
-"""Cold start: a CLI run on a closed-form kernel never imports scipy.
+"""Cold start: what importing the package and running the CLI load.
 
 scipy.interpolate takes most of the start-up time of a process, and
 only the tabulated kernel, the spline workspace of a kernel without
-closed-form rates and ``kk_check.table`` use it.  Each case runs in a
-fresh interpreter so that no other test's imports leak into
-``sys.modules``.
+closed-form rates and ``kk_check.table`` use it, so a CLI run on a
+closed-form kernel never imports scipy.  ``import resrelax`` loads no
+submodule and no numpy and leaves the environment alone;
+``import resrelax.cli`` pins OpenBLAS to one thread unless the caller
+chose a thread count.  Each case runs in a fresh interpreter so that
+no other test's imports leak into ``sys.modules``.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+import resrelax
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -94,8 +100,11 @@ CASES = [
 ]
 
 
-def _python(args, cwd):
+def _python(args, cwd, **env_vars):
     env = dict(os.environ)
+    # this process may have imported resrelax.cli, which sets a default
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
@@ -122,3 +131,83 @@ def test_closed_form_commands_load_no_scipy(tmp_path, model, ini, command):
     report = json.loads(_python(["-c", _RUN, *argv], tmp_path))
     assert report == {"rc": 0, "scipy": []}
     assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_package_import_is_lazy(tmp_path):
+    out = _python(["-c", "import json, os, sys\n"
+                         "before = dict(os.environ)\n"
+                         "import resrelax\n"
+                         "print(json.dumps({'numpy': sorted(\n"
+                         "    m for m in sys.modules\n"
+                         "    if m.split('.')[0] == 'numpy'),\n"
+                         "    'env_unchanged': dict(os.environ) == before}))"],
+                  tmp_path)
+    assert json.loads(out) == {"numpy": [], "env_unchanged": True}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc to count threads")
+def test_cli_import_starts_no_blas_worker(tmp_path):
+    out = _python(["-c", "import os, resrelax.cli\n"
+                         "print(os.environ['OPENBLAS_NUM_THREADS'],\n"
+                         "      len(os.listdir('/proc/self/task')))"],
+                  tmp_path)
+    assert out.split() == ["1", "1"]
+
+
+def test_cli_import_keeps_explicit_blas_threads(tmp_path):
+    out = _python(["-c", "import os, resrelax.cli\n"
+                         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                  tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert out.strip() == "2"
+
+
+# the public namespace: name -> the submodule that defines it
+PUBLIC = {
+    **dict.fromkeys((
+        "ConfigError", "CutoffTooSmall", "DegenerateTransition",
+        "DimensionMismatch", "InsufficientSamples", "NegativeExcitationRate",
+        "NonConvergent", "NonFiniteEnergy", "NonHermitianCoupling",
+        "NumericalError", "OutOfRange", "PoleOnBoundary", "ResRelaxError",
+        "SingularEvaluation", "StepTooLarge", "SubdivisionLimit",
+        "ZeroRelaxationRate"), "errors"),
+    **dict.fromkeys((
+        "SystemSpec", "TransitionElement", "system_spectral_functions",
+        "transition_element", "transition_elements", "two_level_system",
+        "validate_system"), "system"),
+    **dict.fromkeys((
+        "AcceleratedVacuum", "InertialVacuum", "ReservoirKernel",
+        "TabulatedKernel", "ThermalOhmic", "build_kernel",
+        "limit_check_accelerated"), "kernels"),
+    **dict.fromkeys((
+        "Envelope", "IntegralResult", "QuadratureConfig", "kk_real_from_imag",
+        "pv_integral"), "quadrature"),
+    **dict.fromkeys((
+        "EinsteinCoefficients", "RelaxationRate", "TransitionRate",
+        "einstein_coefficients", "rate_coefficients", "rate_table",
+        "relaxation_rate", "transition_rates"), "rates"),
+    **dict.fromkeys((
+        "ShiftResult", "ShiftWorkspace", "compute_shift", "delta_sr_relative",
+        "lamb_shift_two_level", "shift_direct", "shift_kk"), "shifts"),
+    **dict.fromkeys((
+        "PopulationState", "StepConfig", "equilibrium_energy",
+        "evolve_closed_form", "evolve_ode", "excitation_fraction",
+        "fit_decay_rate"), "dynamics"),
+    **dict.fromkeys(("RunConfig", "parse_config"), "config"),
+}
+
+
+def test_public_namespace_is_pinned():
+    assert len(PUBLIC) == 60
+    assert set(resrelax.__all__) == set(PUBLIC)
+    for name, module in PUBLIC.items():
+        defining = importlib.import_module("resrelax." + module)
+        assert getattr(resrelax, name) is getattr(defining, name), name
+    # importable by name, though never listed in __all__
+    assert resrelax.trigamma_complex is importlib.import_module(
+        "resrelax.kernels").trigamma_complex
+    star = {}
+    exec("from resrelax import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        resrelax.no_such_name
