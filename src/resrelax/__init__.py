@@ -50,7 +50,6 @@ _EXPORTS = {
     "kernels": (
         "AcceleratedVacuum", "InertialVacuum", "ReservoirKernel",
         "TabulatedKernel", "ThermalOhmic", "build_kernel",
-        "limit_check_accelerated",
     ),
     "quadrature": (
         "Envelope", "IntegralResult", "QuadratureConfig", "kk_real_from_imag",

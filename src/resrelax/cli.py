@@ -185,10 +185,9 @@ def cmd_shift(cfg: RunConfig, args):
         "err_cutoff": res.err_cutoff,
         "method": args.method,
     }
-    if spec.n_levels == 2:
-        dsr_method = "direct" if args.method == "direct" else "kk"
-        dsr = delta_sr_relative(spec, kernel, qcfg, method=dsr_method,
-                                workspace=workspace)
+    # the direct route's level splitting of sr is 0 by construction
+    if spec.n_levels == 2 and args.method != "direct":
+        dsr = delta_sr_relative(spec, kernel, qcfg, workspace=workspace)
         obj["delta_sr_relative"] = dsr.value
         obj["delta_sr_error"] = dsr.error_estimate
     if args.method == "both":
@@ -278,9 +277,11 @@ def _lorentzian_pair(eta):
 def cmd_kk_check(cfg, args):
     sec = cfg.section("kk_check") if cfg is not None else {}
     eta = _number("kk_check", "eta", sec.get("eta", 0.1))
-    if not 0 < eta <= 1e150:  # beyond, the squares of 20 eta overflow
-        raise ConfigError("kk_check.eta must be positive and at most 1e150, "
-                          "got %g" % eta)
+    # above, the squares of 20 eta overflow; below, eta^2 nears the
+    # subnormals and the Lorentzian pair turns NaN
+    if not 1e-150 <= eta <= 1e150:
+        raise ConfigError("kk_check.eta must lie in [1e-150, 1e150], got %g"
+                          % eta)
     wc = 250.0 * eta
     qcfg = QuadratureConfig(omega_cutoff=wc)
     f_imag, f_real = _lorentzian_pair(eta)

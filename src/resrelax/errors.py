@@ -43,7 +43,7 @@ class NumericalError(ResRelaxError):
 
 
 class SingularEvaluation(NumericalError):
-    """Kernel evaluated at a point where it is singular (u = 0, eps = 0)."""
+    """Kernel or integrand evaluated where it is singular or not finite."""
 
 
 class NonConvergent(NumericalError):

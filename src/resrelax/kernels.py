@@ -474,25 +474,6 @@ class TabulatedKernel(ReservoirKernel):
                 "u_end": float(self.u_grid[-1])}
 
 
-def limit_check_accelerated(acceleration, u, eps):
-    """Deviation of the accelerated kernel from the inertial one.
-
-    For a -> 0 the difference in Cs approaches the constant a^2/(48 pi^2)
-    while the difference in Ca is higher order.  Returns a dict with the
-    measured maxima and that predicted constant, for convergence checks.
-    """
-    acc = AcceleratedVacuum(acceleration)
-    inert = InertialVacuum()
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    cs_a, ca_a = acc.evaluate(u, eps)
-    cs_i, ca_i = inert.evaluate(u, eps)
-    return {
-        "max_cs_deviation": float(np.max(np.abs(cs_a - cs_i))),
-        "max_ca_deviation": float(np.max(np.abs(ca_a - ca_i))),
-        "predicted_cs_deviation": acceleration ** 2 / (48.0 * math.pi ** 2),
-    }
-
-
 # ---------------------------------------------------------------------------
 # band-limited vacuum kernels (eps = 0, sharp window |w| < omega_c)
 

@@ -70,6 +70,7 @@ from .errors import (
     InsufficientSamples,
     NonConvergent,
     PoleOnBoundary,
+    SingularEvaluation,
     SubdivisionLimit,
 )
 
@@ -307,7 +308,9 @@ def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
     Batches of the worst panels are split until every component's summed
     panel error meets its own
     max(abs_tol, rel_tol * |value|) or the split budget is exhausted
-    (SubdivisionLimit).  A batch takes up to 64 panels, ranked by their
+    (SubdivisionLimit).  A non-finite panel value or error, or a sum
+    that overflows, raises SingularEvaluation at once, before any more
+    splits.  A batch takes up to 64 panels, ranked by their
     error relative to the tolerance of the components still open, among
     those at or above a quarter of such a component's mean panel error.
     Once converged, each component's error gains the rounding floor
@@ -325,6 +328,13 @@ def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
     while True:
         total = vals.sum(axis=1)
         err = errs.sum(axis=1)
+        if not np.all(np.isfinite(total) & np.isfinite(err)):
+            bad = ~np.all(np.isfinite(vals) & np.isfinite(errs), axis=0)
+            i = np.argmax(bad)
+            raise SingularEvaluation(
+                "integrand is not finite on the panel [%.6g, %.6g]"
+                % (lo[i], hi[i]) if bad[i] else
+                "the integral over [%.6g, %.6g] overflows" % (bp[0], bp[-1]))
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         unmet = ~(err <= tol)
         if not unmet.any():
@@ -339,10 +349,7 @@ def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
         score = np.max(e_open / tol[unmet, None], axis=0)
         floor = 0.25 * err[unmet, None] / lo.size
         cand = np.flatnonzero(np.any(e_open >= floor, axis=0))
-        if cand.size:
-            batch = cand[np.lexsort((cand, -score[cand]))][:64]
-        else:  # a NaN error leaves no candidate; split towards the budget
-            batch = np.array([np.argmax(score)])
+        batch = cand[np.lexsort((cand, -score[cand]))][:64]
         mid = 0.5 * (lo[batch] + hi[batch])
         right = hi[batch]
         nvals, nerrs = _eval_panels(fw, np.concatenate([lo[batch], mid]),

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeExcitationRate, ZeroRelaxationRate
+from .errors import NegativeExcitationRate, NumericalError, ZeroRelaxationRate
 from .quadrature import IntegralResult, QuadratureConfig, halfline_transform
 from .system import ensure_validated, transition_elements
 
@@ -104,6 +104,15 @@ def _time_domain(kernel, om, cfg):
     return out, work
 
 
+def _require_finite(results, g, what):
+    """``results``, {mechanism: IntegralResult}, if all of it is finite."""
+    if not all(np.all(np.isfinite([r.value, r.error_estimate]))
+               for r in results.values()):
+        raise NumericalError("%s are not finite at g = %g; reduce system.g "
+                             "or the [reservoir] parameters" % (what, g))
+    return results
+
+
 def rate_coefficients(kernel, omega, g, cfg=None):
     """Both rate coefficients at ``omega``: {"rf": ..., "sr": ...}.
 
@@ -115,7 +124,8 @@ def rate_coefficients(kernel, omega, g, cfg=None):
     and the error combines quadrature, truncation and regulator-
     extrapolation contributions.  Each ``detail`` then carries the
     passes' summed work counts: components, splits, panels and
-    kernel_points.
+    kernel_points.  A value or error that is not finite, such as g^2
+    overflowing, raises NumericalError.
     """
     om = np.asarray(omega, dtype=float)
     zeros = (np.zeros(om.shape), np.zeros(om.shape))
@@ -134,7 +144,7 @@ def rate_coefficients(kernel, omega, g, cfg=None):
             values = np.sign(om) * values
         out[kind] = IntegralResult(shaped(g2 * values), shaped(g2 * errors),
                                    detail=dict(work))
-    return out
+    return _require_finite(out, g, "rate coefficients")
 
 
 @dataclass

@@ -20,11 +20,12 @@ domain,
 
 which makes the sr identity manifest: the cosine is even in w_ab, so
 the sr shift of every level of a two-level system is identical and the
-relative shift vanishes.  Each route takes one pass per partner level
-b (and, on the dispersion route, per cutoff) in which every sample
-serves both mechanisms: a PV pass on the stacked rf and sr integrands
-of one ShiftWorkspace, or an adaptive pass that samples Cs and Ca
-together at each node and eps.
+relative shift vanishes by construction.  The dispersion route reaches
+it only numerically, so delta_sr_relative checks it there.  Each route
+takes one pass per partner level b (and, on the dispersion route, per
+cutoff) in which every sample serves both mechanisms: a PV pass on the
+stacked rf and sr integrands of one ShiftWorkspace, or an adaptive pass
+that samples Cs and Ca together at each node and eps.
 
 Cutoff semantics: the frequency cutoff wc of QuadratureConfig bounds
 the dispersion integral.  So that both paths regularize identically,
@@ -61,7 +62,8 @@ from .quadrature import (
     integrate_adaptive,
     pv_integral,
 )
-from .rates import MECHANISMS, _kernel_transform, rate_coefficients
+from .rates import (MECHANISMS, _kernel_transform, _require_finite,
+                    rate_coefficients)
 from .system import ensure_validated, transition_elements, two_level_system
 
 _RING_SPAN = 2.0  # length of the numerically integrated ring segment
@@ -193,11 +195,12 @@ class ShiftWorkspace:
 # ---------------------------------------------------------------------------
 # dispersion-integral path
 
-def shift_kk(system, kernel, a, cfg=None, workspace=None):
+def shift_kk(system, kernel, a, cfg=None, workspace=None, *, omega_c=None):
     """Energy shifts of level ``a`` from the dispersion integral.
 
     Returns {"rf": ..., "sr": ...}, both from one PV pass per partner
-    level.  A prebuilt
+    level on the stack of their integrands, at the cutoff ``omega_c``
+    (default cfg's; the workspace covers up to twice that).  A prebuilt
     ShiftWorkspace lends its coefficients to every level and cutoff;
     without one, a workspace of both mechanisms is built.
     """
@@ -205,15 +208,7 @@ def shift_kk(system, kernel, a, cfg=None, workspace=None):
     cfg = cfg or QuadratureConfig()
     ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both",
                                      _poles(spec))
-    return _kk_at_cutoff(spec, a, ws, ws.omega_c, cfg)
-
-
-def _kk_at_cutoff(spec, a, ws, wc, cfg):
-    """{mechanism: IntegralResult} of level ``a`` at cutoff ``wc``.
-
-    Both mechanisms come from one PV pass per partner level, on the
-    stack of their integrands.
-    """
+    wc = omega_c if omega_c is not None else ws.omega_c
     total, err = np.zeros((2, len(MECHANISMS)))
     for el in transition_elements(spec, a):
         m = el.strength
@@ -294,7 +289,7 @@ def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
         wc = (omega_c if omega_c is not None
               else _require_cutoff(cfg, _poles(spec)))
         window = kernel.band_limited(wc)
-        g2 = spec.g ** 2
+        g2 = spec.g * spec.g
         for el in transition_elements(spec, a):
             m = el.strength
             if m == 0.0:
@@ -312,8 +307,8 @@ def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
             for mech, (v, e) in parts.items():
                 total[mech] += g2 * m * v
                 err[mech] += g2 * m * e
-    return {mech: IntegralResult(total[mech], err[mech])
-            for mech in MECHANISMS}
+    return _require_finite({mech: IntegralResult(total[mech], err[mech])
+                            for mech in MECHANISMS}, spec.g, "direct shifts")
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +349,8 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     detail = {}
     if method in ("kk", "both"):
         ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both", poles)
-        at_wc = _kk_at_cutoff(spec, a, ws, wc, cfg)
-        at_2wc = _kk_at_cutoff(spec, a, ws, 2.0 * wc, cfg)
+        at_wc = shift_kk(spec, kernel, a, cfg, ws, omega_c=wc)
+        at_2wc = shift_kk(spec, kernel, a, cfg, ws, omega_c=2.0 * wc)
     if method in ("direct", "both"):
         direct = shift_direct(spec, kernel, a, cfg)
         if method == "direct":
@@ -377,36 +372,35 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     )
 
 
-def _splitting(spec, kernel, cfg, method="kk", workspace=None):
+def _splitting(spec, kernel, cfg, workspace=None):
     """dE_upper - dE_lower of a two-level system, per mechanism.
 
-    The level shifts come from two dispersion passes on one workspace
-    (method "kk"), or from two direct passes; each error estimate is the
-    sum of theirs.  Returns {mechanism: IntegralResult}.
+    The level shifts come from two dispersion passes on one workspace;
+    each error estimate is the sum of theirs.  Returns {mechanism:
+    IntegralResult}.
     """
     if spec.n_levels != 2:
         raise ValueError("the level splitting needs a two-level system")
-    if method == "kk":
-        ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both",
-                                         _poles(spec))
-        hi, lo = (_kk_at_cutoff(spec, a, ws, ws.omega_c, cfg) for a in (1, 0))
-    else:
-        hi, lo = (shift_direct(spec, kernel, a, cfg) for a in (1, 0))
+    ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both",
+                                     _poles(spec))
+    hi, lo = (shift_kk(spec, kernel, a, cfg, ws) for a in (1, 0))
     return {m: IntegralResult(hi[m].value - lo[m].value,
                               hi[m].error_estimate + lo[m].error_estimate)
             for m in hi}
 
 
-def delta_sr_relative(system, kernel, cfg=None, method="kk", workspace=None):
+def delta_sr_relative(system, kernel, cfg=None, workspace=None):
     """Two-level sr shift difference dE_upper^sr - dE_lower^sr.
 
     This vanishes identically (the sr shift moves both levels equally);
-    the returned IntegralResult carries the numerical residual and its
-    combined error estimate.  ``workspace`` may supply a prebuilt
-    ShiftWorkspace of this system, kernel and cfg, for the kk method.
+    the returned IntegralResult carries the numerical residual of the
+    dispersion route and its combined error estimate.  The direct route
+    needs no such check, as its sr integrand is even in w_ab.
+    ``workspace`` may supply a prebuilt ShiftWorkspace of this system,
+    kernel and cfg.
     """
     return _splitting(ensure_validated(system), kernel,
-                      cfg or QuadratureConfig(), method, workspace)["sr"]
+                      cfg or QuadratureConfig(), workspace)["sr"]
 
 
 def lamb_shift_two_level(kernel, g, omega_0, cfg=None):

@@ -243,7 +243,39 @@ class TestShiftCommand:
         assert run_cli(["shift", "--config", path, "--method", method,
                         "--out", str(out)]) == 0
         assert sorted(mechanisms) == built
-        assert "delta_sr_relative" in json.loads(out.read_text())
+        # the direct route's splitting check cannot fail, so it is left out
+        assert ("delta_sr_relative" in json.loads(out.read_text())) \
+            == (method != "direct")
+
+    def test_direct_route_leaves_out_the_splitting(self, tmp_path, caplog):
+        # the direct route's sr splitting is 0 by construction: the run
+        # builds no workspace, takes one direct pass for the one partner
+        # level and reports no delta_sr_* keys
+        path = write(tmp_path, THERMAL_INI.replace("g = 1.0", "g = 0.7"))
+        out = tmp_path / "shift.json"
+        with caplog.at_level("DEBUG", logger="resrelax"):
+            assert run_cli(["shift", "--config", path, "--method", "direct",
+                            "--out", str(out)]) == 0
+        debug = [r.getMessage() for r in caplog.records]
+        assert not [line for line in debug if "workspace" in line]
+        assert len([line for line in debug
+                    if line.startswith("direct pass")]) == 1
+        assert not [k for k in json.loads(out.read_text())
+                    if k.startswith("delta_sr")]
+
+
+@pytest.mark.parametrize("command", [
+    ["rates"], ["shift", "--method", "both"], ["shift", "--method", "direct"],
+], ids=["rates", "shift-both", "shift-direct"])
+def test_overflowing_coupling_fails_fast(tmp_path, capsys, command):
+    # g^2 overflows at g = 1e160: the run exits 3 at once and names the
+    # knobs, instead of printing inf or spending the split budget on NaN
+    path = write(tmp_path, INERTIAL_INI.replace("g = 1.0", "g = 1e160"))
+    start = time.perf_counter()
+    assert run_cli([*command, "--config", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "system.g" in err and "[reservoir]" in err
 
 
 class TestEvolveCommand:
@@ -304,6 +336,11 @@ class TestKkCheckCommand:
         assert data["passed"] is True
         assert data["max_rel_err"] < 1e-4
         assert abs(data["zero_point"]) < 1e-10
+
+    def test_eta_whose_square_underflows_names_key(self, tmp_path, capsys):
+        path = write(tmp_path, INERTIAL_INI + "\n[kk_check]\neta = 1e-160\n")
+        assert run_cli(["kk-check", "--config", path]) == 2
+        assert "kk_check.eta" in capsys.readouterr().err
 
     def test_user_table_with_nan_rejected(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

@@ -16,6 +16,7 @@ from resrelax import (
     NonConvergent,
     PoleOnBoundary,
     QuadratureConfig,
+    SingularEvaluation,
     SubdivisionLimit,
     ThermalOhmic,
     kk_real_from_imag,
@@ -433,6 +434,17 @@ class TestAdaptiveStack:
 
         with pytest.raises(SubdivisionLimit):
             integrate_adaptive(stack, self.BP, 1e-30, 1e-14, 100)
+
+    def test_nan_integrand_fails_before_any_split(self):
+        calls = []
+
+        def nan_inside(u):
+            calls.append(u.size)
+            return np.where(u > 0.5, np.nan, 1.0)
+
+        with pytest.raises(SingularEvaluation, match=r"\[0\.5, 1\]"):
+            integrate_adaptive(nan_inside, [0.0, 0.5, 1.0], 1e-10, 1e-8, 2000)
+        assert calls == [2 * NODES_PER_PANEL]  # the first panels only
 
     def test_blocks_bound_each_call(self):
         sizes = []
