@@ -495,7 +495,8 @@ def main(argv=None):
     needs_config = args.command != "kk-check"
     try:
         if args.config is not None:
-            cfg = parse_config(args.config)
+            # kk-check reads only [kk_check]
+            cfg = parse_config(args.config, validate=needs_config)
         elif needs_config:
             raise ConfigError("--config is required for %r" % args.command)
         else:

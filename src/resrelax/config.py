@@ -132,8 +132,13 @@ class RunConfig:
         return self
 
 
-def parse_config(path):
-    """Read, type and validate a config file."""
+def parse_config(path, validate=True):
+    """Read, type and validate a config file.
+
+    ``validate=False`` reads and types it only, for a command that reads
+    its own section and builds no system, reservoir or quadrature
+    (kk-check).
+    """
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
     parser = configparser.ConfigParser(interpolation=None,
@@ -149,7 +154,8 @@ def parse_config(path):
                for key in parser.options(name)}
         for name in parser.sections()
     }
-    return RunConfig(os.path.abspath(path), sections).validate()
+    cfg = RunConfig(os.path.abspath(path), sections)
+    return cfg.validate() if validate else cfg
 
 
 def _number(section, key, value):

@@ -9,7 +9,8 @@ evaluated at proper-time separation u with a short-distance regulator
 eps > 0 (the familiar u -> u - i eps prescription).  Cs is even in u and
 feeds dissipation of the first kind; Ca is odd and feeds the second.
 Physical results are obtained in the limit eps -> 0, handled upstream by
-the regulator extrapolation in quadrature.py.
+the regulator extrapolation in quadrature.py; a kernel that is regular
+at eps = 0 (``epsilon_sensitive = False``) is evaluated there instead.
 
 Implemented models:
 
@@ -137,7 +138,13 @@ def _as_array(u):
 
 
 class ReservoirKernel:
-    """Base class; subclasses implement ``evaluate``."""
+    """Base class; subclasses implement ``evaluate``.
+
+    ``epsilon_sensitive`` False declares the kernel regular at eps = 0,
+    so that the eps -> 0 limit is its value there: time-domain transforms
+    then sample it once, at eps = 0, with no extrapolation.  True, the
+    default, samples the regulator schedule and extrapolates.
+    """
 
     name = "reservoir"
     epsilon_sensitive = True
@@ -159,14 +166,6 @@ class ReservoirKernel:
     def origin_scale(self, eps):
         """Smallest structure scale near u = 0 the quadrature must resolve."""
         return max(eps, 1e-12)
-
-    def spectral_scale(self):
-        """Frequency extent of the kernel spectrum (1 for scale-free ones).
-
-        Every time-domain transform divides its regulator schedule by at
-        least this, keeping eps * omega small across the spectrum.
-        """
-        return 1.0
 
     def envelope(self, eps):
         """Decreasing large-u bound on max(|Cs|, |Ca|), or None."""
@@ -310,10 +309,12 @@ class ThermalOhmic(ReservoirKernel):
         Ca(u) = -eta Im[1/z^2] = -2 eta s u / (s^2 + u^2)^2,
 
     the T = 0 branch dropping the trigamma term.  The antisymmetric part
-    carries no temperature dependence.
+    carries no temperature dependence.  The regulator only shifts s, which
+    stays positive, so the kernel is regular at eps = 0.
     """
 
     name = "thermal_ohmic"
+    epsilon_sensitive = False
 
     def __init__(self, eta, omega_j, temperature=0.0):
         self.eta = _require_positive(eta, "eta")
@@ -363,9 +364,6 @@ class ThermalOhmic(ReservoirKernel):
 
     def origin_scale(self, eps):
         return max(eps, 0.25 / self.omega_j)
-
-    def spectral_scale(self):
-        return max(1.0, self.omega_j)
 
     def envelope(self, eps):
         s = 1.0 / self.omega_j + eps

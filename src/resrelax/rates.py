@@ -57,15 +57,17 @@ def _kernel_transform(kernel, omegas, cfg, kinds):
 
     ``kinds`` give the "cos" or "sin" of Cs and of Ca, and ``omegas`` is
     one frequency or an array of them.  This is the one regulator policy:
-    cfg's schedule is divided by max(1, the largest |omega|, the
-    kernel's spectral scale), so eps * omega stays small at every
-    frequency the call and the kernel spectrum reach.  Truncation
-    follows the kernel at the smallest |omega|.  Returns the
-    IntegralResults of Cs and of Ca (see halfline_transform).
+    a kernel regular at eps = 0 (not ``epsilon_sensitive``) is sampled
+    there, once; any other samples cfg's schedule divided by max(1, the
+    largest |omega|), so eps * omega stays small at every frequency of
+    the call.  Truncation follows the kernel at the smallest |omega|.
+    Returns the IntegralResults of Cs and of Ca (see halfline_transform).
     """
     om = np.abs(np.asarray(omegas, dtype=float))
-    scale = max(1.0, float(np.max(om)), kernel.spectral_scale())
-    sched = tuple(e / scale for e in cfg.epsilon_schedule)
+    sched = (0.0,)
+    if kernel.epsilon_sensitive:
+        scale = max(1.0, float(np.max(om)))
+        sched = tuple(e / scale for e in cfg.epsilon_schedule)
 
     def f(u, eps):
         return np.stack(kernel.evaluate(u, eps))
@@ -76,7 +78,7 @@ def _kernel_transform(kernel, omegas, cfg, kinds):
         kernel.u_max_hint(float(np.min(om)), sched[0]),
         u_scale=kernel.origin_scale(sched[0]),
         envelope=kernel.envelope(sched[0]),
-        eps_schedule=sched if kernel.epsilon_sensitive else sched[:1],
+        eps_schedule=sched,
     )
 
 

@@ -39,8 +39,12 @@ windowing choice is the largest interpretation decision in the package
 and is what makes "KK equals direct" hold at finite cutoff.
 
 Every shift carries two error fields: err_quad (quadrature, regulator
-and interpolation) and err_cutoff (finite difference of the result
-between wc and 2 wc).
+and interpolation) and err_cutoff, summed over the mechanisms.  Per
+mechanism, err_cutoff is the sensitivity |dE(2 wc) - dE(wc)|, which is
+all of it for a vacuum kernel, whose direct path applies the same
+window.  For a decaying spectrum with closed-form rate coefficients it
+is raised to at least |R| + err(R), where R is the part of the
+dispersion integral beyond wc that the direct path includes.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffTooSmall
+from .errors import (CutoffTooSmall, NonConvergent, SingularEvaluation,
+                     SubdivisionLimit)
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
@@ -275,6 +280,25 @@ def _direct_windowed(window, omega_ab, cfg):
     return out, _work_counts(bp.size - 1, splits, 1, len(MECHANISMS))
 
 
+def _direct_raw(kernel, omega_ab, cfg, g):
+    """Transforms of a raw spectrum that decays on its own, in one pass.
+
+    A kernel sample or panel sum that is not finite fails the pass at
+    once, without numpy's overflow warnings, with a SingularEvaluation
+    that names the knobs.  Returns ({mechanism: (value, error)}, work
+    counts).
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = _kernel_transform(kernel, omega_ab, cfg, ["sin", "cos"])
+    except SingularEvaluation as exc:
+        raise SingularEvaluation(
+            "direct shifts are not finite at g = %g (%s); reduce system.g "
+            "or the [reservoir] parameters" % (g, exc)) from None
+    return ({mech: (r.value, r.error_estimate)
+             for mech, r in zip(MECHANISMS, res)}, res[0].detail)
+
+
 def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
     """Energy shifts of level ``a`` evaluated in the time domain.
 
@@ -297,18 +321,64 @@ def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
             start = time.perf_counter()
             if window is not None:
                 parts, work = _direct_windowed(window, el.omega_ab, cfg)
-            else:  # a raw spectrum that decays on its own
-                res = _kernel_transform(kernel, el.omega_ab, cfg,
-                                        ["sin", "cos"])
-                parts = {mech: (r.value, r.error_estimate)
-                         for mech, r in zip(MECHANISMS, res)}
-                work = res[0].detail
+            else:
+                parts, work = _direct_raw(kernel, el.omega_ab, cfg, spec.g)
             _log_pass("direct pass at omega %.6g" % el.omega_ab, work, start)
             for mech, (v, e) in parts.items():
                 total[mech] += g2 * m * v
                 err[mech] += g2 * m * e
     return _require_finite({mech: IntegralResult(total[mech], err[mech])
                             for mech in MECHANISMS}, spec.g, "direct shifts")
+
+
+# ---------------------------------------------------------------------------
+# cutoff remainder of a decaying closed-form spectrum
+
+def _cutoff_remainder(spec, kernel, a, wc, cfg):
+    """The part of level ``a``'s dispersion integral beyond |w'| = wc.
+
+    For a kernel whose spectrum decays on its own, the dispersion route
+    at the cutoff wc misses, per mechanism,
+
+        R = (1/2pi) sum_b int_{|w'| > wc} h_b(w') / (w' - w_ab) dw'.
+
+    Folding w' < -wc onto w' > wc through the even rf and odd sr
+    extensions leaves gamma_rf(w) 2 w_ab / (w^2 - w_ab^2) and gamma_sr(w)
+    2 w / (w^2 - w_ab^2), with no pole as |w_ab| < wc.  One adaptive pass
+    on w = wc / t, t in (0, 1], integrates both from the closed-form
+    coefficients, and their pointwise error bounds alongside.  Returns
+    {mechanism: IntegralResult}; coefficients that do not decay, so that
+    R diverges, raise NonConvergent.
+    """
+    els = transition_elements(spec, a)
+    m = np.array([el.strength for el in els])[:, None]
+    q = np.array([el.omega_ab for el in els])[:, None]
+
+    def f(t):
+        w = wc / t
+        c = rate_coefficients(kernel, w, spec.g, cfg)
+        # -2 m_b / (2 pi (w^2 - w_ab^2)) per partner, times dw/dt = wc/t^2
+        k = -2.0 * m / (w * w - q * q) * (wc / (2.0 * math.pi * t * t))
+        k = np.stack([2.0 * q * k, 2.0 * w * k])
+        return np.concatenate([
+            np.sum(k, axis=1) * [c["rf"].value, c["sr"].value],
+            np.sum(np.abs(k), axis=1)
+            * [c["rf"].error_estimate, c["sr"].error_estimate]])
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value, err, _ = integrate_adaptive(
+                f, np.linspace(0.0, 1.0, 17), cfg.abs_tol, cfg.rel_tol,
+                cfg.max_subdivisions)
+    except (SingularEvaluation, SubdivisionLimit) as exc:
+        raise NonConvergent(
+            "the dispersion integral beyond omega_cutoff %g does not "
+            "converge (%s); a kernel without a band-limited variant needs "
+            "rate coefficients that decay" % (wc, exc)) from None
+    n = len(MECHANISMS)
+    return {mech: IntegralResult(float(value[j]),
+                                 float(err[j] + value[n + j]))
+            for j, mech in enumerate(MECHANISMS)}
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +408,13 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
 
     method "kk" uses the dispersion path, "direct" the time-domain path,
     "both" reports kk values plus the cross-path residual in detail.
-    The cutoff sensitivity err_cutoff is |dE(2 wc) - dE(wc)| summed over
-    mechanisms.  ``workspace`` may supply a prebuilt "both"
-    ShiftWorkspace of this system, kernel and cfg.
+    err_cutoff sums detail["err_cutoff"], the cutoff error of each
+    mechanism: the sensitivity |dE(2 wc) - dE(wc)|, and on the
+    dispersion path of a closed-form kernel without a band-limited
+    variant at least |R| + err(R), where R, the part of the integral
+    beyond wc, is in detail["cutoff_remainder"] (see _cutoff_remainder).
+    ``workspace`` may supply a prebuilt "both" ShiftWorkspace of this
+    system, kernel and cfg.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
@@ -361,13 +435,20 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
             detail["kk_vs_direct_residual"] = max(
                 abs(at_wc[m].value - direct[m].value) for m in MECHANISMS
             )
+    cutoff = {m: abs(at_2wc[m].value - at_wc[m].value) for m in MECHANISMS}
+    if (method != "direct" and kernel.band_limited(wc) is None
+            and kernel.rate_coefficients(0.0) is not None):
+        rem = _cutoff_remainder(spec, kernel, a, wc, cfg)
+        detail["cutoff_remainder"] = rem
+        cutoff = {m: max(cutoff[m], abs(rem[m].value) + rem[m].error_estimate)
+                  for m in MECHANISMS}
+    detail["err_cutoff"] = cutoff
     rf, sr = at_wc["rf"], at_wc["sr"]
     return ShiftResult(
         a=a, label=spec.labels[a],
         delta_e_rf=rf.value, delta_e_sr=sr.value, omega_c=wc,
         err_quad=rf.error_estimate + sr.error_estimate,
-        err_cutoff=(abs(at_2wc["rf"].value - rf.value)
-                    + abs(at_2wc["sr"].value - sr.value)),
+        err_cutoff=cutoff["rf"] + cutoff["sr"],
         method=method, detail=detail,
     )
 

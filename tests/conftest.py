@@ -46,6 +46,23 @@ class CountingKernel:
         return self._kernel.evaluate(u, eps)
 
 
+class EpsilonSensitive:
+    """A kernel whose transforms sample the whole regulator schedule.
+
+    Marks a kernel that is regular at eps = 0 as eps-sensitive, so its
+    transforms extrapolate eps -> 0 like those of a kernel that is not.
+    Delegates everything else to the wrapped kernel, like TimeDomainOnly.
+    """
+
+    epsilon_sensitive = True
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+
 class ConstantRates(ReservoirKernel):
     """A kernel whose closed-form rate coefficients are one constant.
 
@@ -74,6 +91,12 @@ def constant_rates():
 def counting():
     """Wraps a kernel so that its evaluate calls are recorded."""
     return CountingKernel
+
+
+@pytest.fixture
+def eps_sensitive():
+    """Wraps a kernel so that its transforms sample every eps."""
+    return EpsilonSensitive
 
 
 @pytest.fixture

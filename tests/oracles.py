@@ -51,6 +51,26 @@ def thermal_gamma_sr(omega, eta, omega_j, g=1.0, eps=0.0):
     return 0.5 * math.pi * g * g * eta * w * math.exp(-w / omega_j - eps * w)
 
 
+def thermal_sr_beyond_cutoff(pole, eta, omega_j, omega_c, g=1.0):
+    """int_{|w| > omega_c} gamma_sr(w) / (w - pole) dw, odd gamma_sr.
+
+    Folding w < -omega_c onto w > omega_c gives gamma_sr(w) [1/(w - p) +
+    1/(w + p)], and with the ohmic spectrum
+    int_wc^inf w e^{-w/wj} / (w - p) dw = wj e^{-wc/wj}
+    + p e^{-p/wj} E1((wc - p) / wj) for |p| < wc (50-digit mpmath).
+    """
+    with mpmath.workdps(50):
+        wj, wc = mpmath.mpf(omega_j), mpmath.mpf(omega_c)
+
+        def piece(p):
+            p = mpmath.mpf(p)
+            return (wj * mpmath.exp(-wc / wj)
+                    + p * mpmath.exp(-p / wj) * mpmath.e1((wc - p) / wj))
+
+        return float(g * g * mpmath.pi / 2 * eta
+                     * (piece(pole) + piece(-pole)))
+
+
 def thermal_ratio(omega_0, temperature):
     """Detailed-balance ratio e^{-omega_0 / T}."""
     return math.exp(-omega_0 / temperature)

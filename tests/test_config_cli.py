@@ -278,6 +278,15 @@ def test_overflowing_coupling_fails_fast(tmp_path, capsys, command):
     assert "system.g" in err and "[reservoir]" in err
 
 
+def test_overflowing_kernel_fails_fast_on_direct_route(tmp_path, capsys):
+    # the kernel samples of eta = 1e307 overflow: the direct pass exits 3
+    # at once, with no numpy warning, and names the knobs
+    path = write(tmp_path, THERMAL_INI.replace("eta = 0.5", "eta = 1e307"))
+    assert run_cli(["shift", "--config", path, "--method", "direct"]) == 3
+    err = capsys.readouterr().err
+    assert "system.g" in err and "[reservoir]" in err
+
+
 class TestEvolveCommand:
     def test_fast_acceleration_small_gap(self, tmp_path):
         # a * eps = 10 on the default regulator schedule, where the eps -> 0
@@ -348,6 +357,7 @@ class TestKkCheckCommand:
         cfg_text = "[kk_check]\ntable = table.csv\n"
         path = write(tmp_path, cfg_text)
         assert run_cli(["kk-check", "--config", path]) == 2
+        assert "kk_check.table" in capsys.readouterr().err
 
 
 class TestSweepCommand:

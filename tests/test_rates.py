@@ -160,8 +160,7 @@ class TestTransitionRates:
                                                   time_domain):
         # gamma_rf and gamma_sr at the atom's frequency come from one
         # pass: each node is sampled once per eps, for both coefficients
-        kernel = counting(time_domain(ThermalOhmic(eta=0.5, omega_j=5.0,
-                                                   temperature=1.0)))
+        kernel = counting(time_domain(AcceleratedVacuum(acceleration=2.0)))
         gamma_rows, _ = rate_table(atom, kernel)
         per_eps = {}
         for eps, u in kernel.calls:
@@ -171,7 +170,7 @@ class TestTransitionRates:
             nodes = np.concatenate(nodes)
             assert np.unique(nodes).size == nodes.size
         closed = dict(((m, w), v) for m, w, v, _ in rate_table(
-            atom, ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0))[0])
+            atom, AcceleratedVacuum(acceleration=2.0))[0])
         for m, w, v, e in gamma_rows:
             assert abs(v - closed[(m, w)]) <= e
 
@@ -217,14 +216,40 @@ class TestBatch:
     def test_reports_work_of_both_mechanisms(self, counting, time_domain):
         # rf and sr share every pass: each (frequency, eps) is two
         # components, and the points are those the kernel really saw
-        k = counting(time_domain(ThermalOhmic(eta=0.5, omega_j=5.0,
-                                              temperature=1.0)))
+        k = counting(time_domain(AcceleratedVacuum(acceleration=2.0)))
         omegas = np.array([0.25, 0.8, 1.7])
         n_eps = len(QuadratureConfig().epsilon_schedule)
         for res in rate_coefficients(k, omegas, 1.0).values():
             assert res.detail["components"] == 2 * n_eps * omegas.size
             assert res.detail["kernel_points"] == sum(
                 u.size for _, u in k.calls)
+
+    def test_regular_kernel_sampled_at_eps_zero_only(self, atom, counting,
+                                                     time_domain):
+        # ThermalOhmic is regular at eps = 0, so its limit is its value
+        # there: a time-domain pass samples that one eps
+        kernel = counting(time_domain(ThermalOhmic(eta=0.5, omega_j=5.0,
+                                                   temperature=1.0)))
+        res = rate_coefficients(kernel, np.array([0.25, 0.8, 1.7]), 1.0)
+        assert kernel.calls
+        assert {eps for eps, _ in kernel.calls} == {0.0}
+        assert res["rf"].detail["components"] == 2 * 3
+        assert "samples" not in res["rf"].detail
+
+    def test_time_domain_on_workspace_grid_within_estimates(self,
+                                                            time_domain):
+        # the frequencies of a wc = 50 shift workspace, one pass per octave
+        # band at eps = 0, against the closed forms
+        from resrelax.shifts import _coefficient_grid
+
+        source = ThermalOhmic(eta=0.5, omega_j=5.0, temperature=1.0)
+        omegas = _coefficient_grid(100.0, [1.0, -1.0])
+        sampled = rate_coefficients(time_domain(source), omegas, 1.0)
+        closed = rate_coefficients(source, omegas, 1.0)
+        for mech in ("rf", "sr"):
+            s, c = sampled[mech], closed[mech]
+            assert np.all(np.abs(s.value - c.value)
+                          <= s.error_estimate + c.error_estimate)
 
     def test_accelerated_batch(self, rate_routes):
         for _, route in rate_routes:

@@ -9,6 +9,7 @@ from resrelax import (
     ConfigError,
     CutoffTooSmall,
     InertialVacuum,
+    NonConvergent,
     QuadratureConfig,
     ThermalOhmic,
     compute_shift,
@@ -203,7 +204,7 @@ class TestWorkspace:
             init(self, *args)
 
         monkeypatch.setattr(ShiftWorkspace, "__init__", recording_init)
-        source = ThermalOhmic(eta=0.4, omega_j=5.0, temperature=0.8)
+        source = AcceleratedVacuum(acceleration=2.0)
         kernel = counting(time_domain(source))
         cfg = QuadratureConfig(omega_cutoff=4.0)
         with caplog.at_level("DEBUG", logger="resrelax.shifts"):
@@ -279,7 +280,12 @@ def _ladder_kernel():
     return ThermalOhmic(eta=0.4, omega_j=5.0, temperature=0.8)
 
 
-def test_direct_pass_shares_each_kernel_sample(counting):
+# the regulator values an eps-sensitive copy of _ladder_kernel needs: the
+# default schedule divided by its omega_j
+_LADDER_EPS = (2e-3, 1e-3, 5e-4)
+
+
+def test_direct_pass_shares_each_kernel_sample(counting, eps_sensitive):
     # level b has two partners; each gets one pass in which the three
     # eps values and both mechanisms share every kernel sample.  Kernel
     # points, endpoints included: 1,688,028 with one pass per (mechanism,
@@ -288,28 +294,30 @@ def test_direct_pass_shares_each_kernel_sample(counting):
     import numpy as np
 
     spec = _ladder3()
-    cfg = QuadratureConfig(omega_cutoff=25.0)
-    both = counting(_ladder_kernel())
+    cfg = QuadratureConfig(omega_cutoff=25.0, epsilon_schedule=_LADDER_EPS)
+    both = counting(eps_sensitive(_ladder_kernel()))
     compute_shift(spec, both, 1, cfg, method="direct")
     points = sum(u.size for _, u in both.calls)
     assert points * 2 <= 1_688_028
     assert max(u.size for _, u in both.calls) \
         <= BATCH_BLOCK_PANELS * NODES_PER_PANEL
-    # every eps of the schedule samples the same nodes
-    per_eps = {}
-    for eps, u in both.calls:
-        per_eps.setdefault(eps, []).append(u)
-    assert len(per_eps) == len(cfg.epsilon_schedule)
-    nodes = [np.concatenate(us) for us in per_eps.values()]
-    assert all(np.array_equal(nodes[0], n) for n in nodes[1:])
+    # every eps of a pass samples the same nodes: the calls come in runs
+    # of one node set at every eps of the schedule (the two passes scale
+    # the schedule by their own |omega|, so their eps values differ)
+    n_eps = len(cfg.epsilon_schedule)
+    assert len(both.calls) % n_eps == 0
+    for k in range(0, len(both.calls), n_eps):
+        run = both.calls[k:k + n_eps]
+        assert len({eps for eps, _ in run}) == n_eps
+        assert all(np.array_equal(run[0][1], u) for _, u in run[1:])
 
 
-def test_direct_pass_logged(caplog):
+def test_direct_pass_logged(caplog, eps_sensitive):
     # one debug line per partner pass, with its work counts
     spec = _ladder3()
-    cfg = QuadratureConfig(omega_cutoff=25.0)
+    cfg = QuadratureConfig(omega_cutoff=25.0, epsilon_schedule=_LADDER_EPS)
     with caplog.at_level("DEBUG", logger="resrelax.shifts"):
-        shift_direct(spec, _ladder_kernel(), 1, cfg)
+        shift_direct(spec, eps_sensitive(_ladder_kernel()), 1, cfg)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("direct pass")]
     assert len(lines) == 2
@@ -339,3 +347,81 @@ def test_accelerated_kk_vs_direct(vac_atom):
     direct = shift_direct(vac_atom, kernel, 1, cfg)["rf"]
     tol = 10.0 * (kk.error_estimate + direct.error_estimate)
     assert abs(kk.value - direct.value) <= tol
+
+
+def test_direct_pass_samples_regular_kernel_at_eps_zero(counting):
+    # ThermalOhmic is regular at eps = 0: one pass per partner level
+    # samples it there alone, and the values are its exact transforms
+    spec = _ladder3()
+    cfg = QuadratureConfig(omega_cutoff=25.0)
+    kernel = counting(_ladder_kernel())
+    res = shift_direct(spec, kernel, 1, cfg)
+    assert {eps for eps, _ in kernel.calls} == {0.0}
+    assert all(r.error_estimate < 1e-10 for r in res.values())
+
+
+def test_direct_pass_independent_of_block_size(monkeypatch):
+    # panel values do not depend on the sampling block, so neither do
+    # the pass values: bit-identical at 7 panels per block
+    import resrelax.quadrature as quadrature
+
+    spec = _ladder3()
+    cfg = QuadratureConfig(omega_cutoff=25.0)
+    default = shift_direct(spec, _ladder_kernel(), 1, cfg)
+    monkeypatch.setattr(quadrature, "BATCH_BLOCK_PANELS", 7)
+    small = shift_direct(spec, _ladder_kernel(), 1, cfg)
+    for mech in ("rf", "sr"):
+        assert small[mech].value == default[mech].value
+        assert small[mech].error_estimate == default[mech].error_estimate
+
+
+def test_direct_pass_peak_memory():
+    # a 256-panel block bounds the working set of a pass
+    import tracemalloc
+
+    spec = _ladder3()
+    cfg = QuadratureConfig(omega_cutoff=25.0)
+    shift_direct(spec, _ladder_kernel(), 1, cfg)  # warm the caches
+    tracemalloc.start()
+    try:
+        shift_direct(spec, _ladder_kernel(), 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+
+
+@pytest.mark.parametrize("wc", [4.0, 6.0, 8.0, 12.0, 20.0, 40.0])
+def test_err_cutoff_covers_the_remainder(wc):
+    # a spectrum decaying like e^{-w / omega_j} leaves the dispersion
+    # integral a remainder beyond wc, about 1 / (1 - e^{-wc / omega_j})
+    # times the sensitivity |dE(2 wc) - dE(wc)|.  Per level and
+    # mechanism, kk and direct agree within kk's err_quad and err_cutoff
+    # plus direct's err_quad, and the sr remainder matches its E1 form
+    kernel = ThermalOhmic(eta=0.4, omega_j=4.0, temperature=0.8)
+    atom = two_level_system(1.0, 0.7)
+    cfg = QuadratureConfig(omega_cutoff=wc)
+    for a, pole in ((0, -1.0), (1, 1.0)):
+        res = compute_shift(atom, kernel, a, cfg, method="kk")
+        kk = shift_kk(atom, kernel, a, cfg)
+        direct = shift_direct(atom, kernel, a, cfg)
+        for mech in ("rf", "sr"):
+            residual = abs(kk[mech].value - direct[mech].value)
+            assert residual <= (kk[mech].error_estimate
+                                + res.detail["err_cutoff"][mech]
+                                + direct[mech].error_estimate)
+        assert res.err_cutoff == sum(res.detail["err_cutoff"].values())
+        # -2 m_b / 2 pi times the integral, with m_b = 1/4
+        exact = -0.25 / math.pi * oracles.thermal_sr_beyond_cutoff(
+            pole, 0.4, 4.0, wc, g=0.7)
+        rem = res.detail["cutoff_remainder"]["sr"]
+        assert abs(rem.value - exact) <= rem.error_estimate
+
+
+def test_remainder_of_a_spectrum_that_does_not_decay_refused(constant_rates):
+    # constant coefficients without a band-limited variant leave a sr
+    # remainder beyond the cutoff that diverges like log(w)
+    atom = two_level_system(1.0, 1.0)
+    with pytest.raises(NonConvergent, match="omega_cutoff"):
+        compute_shift(atom, constant_rates(0.1), 1,
+                      QuadratureConfig(omega_cutoff=10.0))
