@@ -12,8 +12,12 @@ All numeric output is formatted %.16e (JSON: shortest round-trip repr),
 which reproduces every double exactly, and emitted in a fixed order, so
 identical configs produce byte-identical files.  Files are written to a
 temporary name and renamed into place only on success.  Exit codes:
-0 success, 2 configuration or usage error, 3 numerical failure.
+0 success, 2 configuration or usage error or a failed write (stdout
+included), 3 numerical failure.
 Set RESRELAX_LOG=debug|info|warning for diagnostics on stderr.
+
+``run``, the process entry, skips interpreter teardown (about 25 ms);
+``main`` called in-process never ends the process.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise: the
 CLI's matrix products are too small to gain from threads.  Importing
@@ -530,5 +534,23 @@ def main(argv=None):
         return 2
 
 
+def run(argv=None):
+    """Process entry: ``main``, then flush stdout and the log and end the
+    process with ``os._exit``, as every output file is closed by then.
+
+    A failed stdout write (a full device, a closed pipe) exits 2; a
+    SystemExit from argparse passes through.
+    """
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write("resrelax: i/o error: %s\n" % exc)
+        code = 2
+    logging.shutdown()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -132,20 +132,24 @@ def rate_coefficients(kernel, omega, g, cfg=None):
     om = np.asarray(omega, dtype=float)
     zeros = (np.zeros(om.shape), np.zeros(om.shape))
     coeffs, work = dict.fromkeys(MECHANISMS, zeros), {}
+    # an overflow shows as a value that is not finite, which
+    # _require_finite refuses naming the knobs, without numpy's warnings
     if g != 0.0 and om.size:
-        coeffs = kernel.rate_coefficients(np.abs(om))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = kernel.rate_coefficients(np.abs(om))
         if coeffs is None:
             coeffs, work = _time_domain(kernel, np.abs(om),
                                         cfg or QuadratureConfig())
     g2 = g * g
     shaped = float if om.ndim == 0 else np.asarray
     out = {}
-    for kind in MECHANISMS:
-        values, errors = coeffs[kind]
-        if kind == "sr":
-            values = np.sign(om) * values
-        out[kind] = IntegralResult(shaped(g2 * values), shaped(g2 * errors),
-                                   detail=dict(work))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in MECHANISMS:
+            values, errors = coeffs[kind]
+            if kind == "sr":
+                values = np.sign(om) * values
+            out[kind] = IntegralResult(shaped(g2 * values),
+                                       shaped(g2 * errors), detail=dict(work))
     return _require_finite(out, g, "rate coefficients")
 
 

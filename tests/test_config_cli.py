@@ -287,6 +287,19 @@ def test_overflowing_kernel_fails_fast_on_direct_route(tmp_path, capsys):
     assert "system.g" in err and "[reservoir]" in err
 
 
+@pytest.mark.parametrize("method", ["kk", "both"])
+def test_overflowing_kernel_fails_fast_on_dispersion_route(tmp_path, capsys,
+                                                           method):
+    # the closed-form rate coefficients of eta = 1e307 overflow on the
+    # workspace grid: exit 3 naming the knobs, with no numpy warning (the
+    # suite turns a RuntimeWarning into an error)
+    path = write(tmp_path, THERMAL_INI.replace("eta = 0.5", "eta = 1e307"))
+    assert run_cli(["shift", "--config", path, "--method", method]) == 3
+    err = capsys.readouterr().err
+    assert "rate coefficients are not finite" in err
+    assert "system.g" in err and "[reservoir]" in err
+
+
 class TestEvolveCommand:
     def test_fast_acceleration_small_gap(self, tmp_path):
         # a * eps = 10 on the default regulator schedule, where the eps -> 0

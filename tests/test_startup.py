@@ -1,4 +1,5 @@
-"""Cold start: what importing the package and running the CLI load.
+"""Cold start and process exit: what the package and the CLI load, and
+how a CLI process ends.
 
 scipy.interpolate takes most of the start-up time of a process, and
 only the tabulated kernel, the spline workspace of a kernel without
@@ -6,8 +7,12 @@ closed-form rates and ``kk_check.table`` use it, so a CLI run on a
 closed-form kernel never imports scipy.  ``import resrelax`` loads no
 submodule and no numpy and leaves the environment alone;
 ``import resrelax.cli`` pins OpenBLAS to one thread unless the caller
-chose a thread count.  Each case runs in a fresh interpreter so that
-no other test's imports leak into ``sys.modules``.
+chose a thread count.  ``python -m resrelax.cli`` ends through
+``run``, which flushes stdout and the log and skips interpreter
+teardown; the process tests check its output, exit codes and failed
+writes with Python's default stdout buffering.  Each case runs in a
+fresh interpreter so that no other test's imports leak into
+``sys.modules``.
 """
 
 import importlib
@@ -100,17 +105,32 @@ CASES = [
 ]
 
 
-def _python(args, cwd, **env_vars):
+def _env(**env_vars):
     env = dict(os.environ)
     # this process may have imported resrelax.cli, which sets a default
     env.pop("OPENBLAS_NUM_THREADS", None)
+    # Python's default buffering: a stdout that is not a terminal holds
+    # what the CLI writes until the process entry flushes it
+    env.pop("PYTHONUNBUFFERED", None)
     env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return env
+
+
+def _python(args, cwd, **env_vars):
+    proc = subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=_env(**env_vars), capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _cli(args, cwd, stdout=subprocess.PIPE, **env_vars):
+    """``python -m resrelax.cli`` in a fresh interpreter; no exit check."""
+    return subprocess.run([sys.executable, "-m", "resrelax.cli", *args],
+                          cwd=cwd, env=_env(**env_vars), stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -160,6 +180,116 @@ def test_cli_import_keeps_explicit_blas_threads(tmp_path):
                          "print(os.environ['OPENBLAS_NUM_THREADS'])"],
                   tmp_path, OPENBLAS_NUM_THREADS="2")
     assert out.strip() == "2"
+
+
+# ---------------------------------------------------------------------------
+# the process entry: run() flushes stdout and the log, then calls os._exit
+
+@pytest.mark.parametrize("ini, command", [
+    (THERMAL_INI, ["rates"]),
+    (INERTIAL_INI, ["shift", "--method", "both"]),
+    (THERMAL_INI, ["sweep"]),
+], ids=["rates", "shift", "sweep"])
+def test_process_stdout_matches_out_file(tmp_path, ini, command):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    to_file = _cli([*command, "--config", str(path), "--out", str(out)],
+                   tmp_path)
+    to_stdout = _cli([*command, "--config", str(path)], tmp_path)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes() != b""
+
+
+def test_process_debug_log_complete(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(INERTIAL_INI)
+    proc = _cli(["shift", "--config", str(path), "--method", "both"],
+                tmp_path, RESRELAX_LOG="debug")
+    assert proc.returncode == 0, proc.stderr
+    err = proc.stderr.decode()
+    assert err.endswith("\n")
+    lines = err.splitlines()
+    assert all(line.startswith("resrelax DEBUG: ") for line in lines), err
+    # one workspace, one direct pass, and a pv pass per cutoff (wc, 2 wc)
+    # for each level: the shift of the upper one and the splitting
+    assert len([x for x in lines if "rf+sr workspace" in x]) == 1
+    assert len([x for x in lines if "direct pass" in x]) == 1
+    assert len([x for x in lines if "pv pass" in x]) == 4
+
+
+@pytest.mark.parametrize("ini, args, code, message", [
+    (INERTIAL_INI, ["rates"], 0, ""),
+    (INERTIAL_INI.replace("g = 1.0", "g = 1.0\nbogus = 2"), ["rates"], 2,
+     "config error"),
+    (INERTIAL_INI, ["rates", "--bogus"], 2, "usage:"),
+    (THERMAL_INI.replace("eta = 0.5", "eta = 1e307"),
+     ["shift", "--method", "kk"], 3, "numerical failure"),
+], ids=["ok", "bad-key", "usage", "overflow"])
+def test_process_exit_codes(tmp_path, ini, args, code, message):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    proc = _cli([*args, "--config", str(path)], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    err = proc.stderr.decode()
+    assert message in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full, a device whose writes fail")
+    return open("/dev/full", "wb")
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "wb")
+
+
+@pytest.mark.parametrize("sink, code", [
+    (lambda: open(os.devnull, "wb"), 0),
+    (_full_device, 2),
+    (_closed_pipe, 2),
+], ids=["devnull", "full-device", "closed-pipe"])
+def test_process_stdout_failure_exits_2(tmp_path, sink, code):
+    # the CLI's stdout is buffered, so a write that fails surfaces at the
+    # flush in run(); Python's own exit would report it as "Exception
+    # ignored" and exit 120
+    path = tmp_path / "run.ini"
+    path.write_text(INERTIAL_INI)
+    with sink() as stdout:
+        proc = _cli(["rates", "--config", str(path)], tmp_path, stdout)
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    if code:
+        assert err.startswith("resrelax: i/o error: "), err
+        assert err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+def test_process_sweep_jobs_do_not_change_bytes(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(THERMAL_INI)
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / ("jobs-%s.csv" % jobs)
+        proc = _cli(["sweep", "--config", str(path), "--jobs", jobs,
+                     "--out", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] != b""
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"),
+              "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"] == {"resrelax": "resrelax.cli:run"}
 
 
 # the public namespace: name -> the submodule that defines it
