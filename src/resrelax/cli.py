@@ -13,15 +13,18 @@ which reproduces every double exactly, and emitted in a fixed order, so
 identical configs produce byte-identical files.  Files are written to a
 temporary name and renamed into place only on success.  Exit codes:
 0 success, 2 configuration or usage error or a failed write (stdout
-included), 3 numerical failure.
+included), 3 numerical failure; a stderr that cannot be written changes
+none of them.
 Set RESRELAX_LOG=debug|info|warning for diagnostics on stderr.
 
 ``run``, the process entry, skips interpreter teardown (about 25 ms);
 ``main`` called in-process never ends the process.
 
-BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise: the
-CLI's matrix products are too small to gain from threads.  Importing
-this module sets that default; ``import resrelax`` alone does not.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise:
+OpenBLAS starts its workers when numpy loads, and the CLI's matrix
+products are too small to gain from them (on a built-in kernel it makes
+no LAPACK call).  Importing this module sets that default; ``import
+resrelax`` alone does not.
 """
 
 from __future__ import annotations
@@ -515,40 +518,53 @@ def main(argv=None):
         return dispatch[args.command](cfg, args)
     except CutoffTooSmall as exc:
         log.debug("cutoff failure", exc_info=True)
-        sys.stderr.write(
-            "resrelax: numerical failure: %s\n"
-            "  (increase quadrature.omega_cutoff above every transition "
-            "frequency)\n" % exc
-        )
+        _report("numerical failure: %s\n"
+                "  (increase quadrature.omega_cutoff above every transition "
+                "frequency)" % exc)
         return 3
     except NumericalError as exc:
         log.debug("numerical failure", exc_info=True)
-        sys.stderr.write("resrelax: numerical failure: %s\n" % exc)
+        _report("numerical failure: %s" % exc)
         return 3
     except ConfigError as exc:
         log.debug("config failure", exc_info=True)
-        sys.stderr.write("resrelax: config error: %s\n" % exc)
+        _report("config error: %s" % exc)
         return 2
     except OSError as exc:
-        sys.stderr.write("resrelax: i/o error: %s\n" % exc)
+        _report("i/o error: %s" % exc)
         return 2
+
+
+def _report(message):
+    """Write an error line to stderr; a lost line changes no exit code."""
+    try:
+        sys.stderr.write("resrelax: %s\n" % message)
+    except OSError:
+        pass
 
 
 def run(argv=None):
     """Process entry: ``main``, then flush stdout and the log and end the
     process with ``os._exit``, as every output file is closed by then.
 
-    A failed stdout write (a full device, a closed pipe) exits 2; a
-    SystemExit from argparse passes through.
+    A failed stdout write (a full device, a closed pipe) exits 2.  A
+    stderr that cannot be written changes no exit code: that of ``main``,
+    or argparse's (0 for --help, 2 for a usage error).
     """
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:
-        sys.stderr.write("resrelax: i/o error: %s\n" % exc)
+        _report("i/o error: %s" % exc)
         code = 2
     logging.shutdown()
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

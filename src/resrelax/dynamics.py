@@ -149,7 +149,7 @@ def evolve_ode(gamma_rf, gamma_sr, omega_0, h0, tau_end, step_cfg=None):
 
 
 def fit_decay_rate(trajectory, equilibrium):
-    """Decay exponent from a log-linear fit of |<H> - H_eq|.
+    """Decay exponent: the least-squares slope of log|<H> - H_eq| in tau.
 
     Samples whose distance to equilibrium has shrunk below 1e-10 of the
     initial distance are excluded to keep the logarithm well
@@ -163,11 +163,13 @@ def fit_decay_rate(trajectory, equilibrium):
     keep = np.abs(devs) > 1e-10 * d0
     if np.count_nonzero(keep) < 2:
         return 0.0
-    if not 0.0 < np.dot(taus[keep], taus[keep]) < math.inf:
-        # polyfit scales by this norm; at 0 or inf its lstsq gets NaNs
+    x, y = taus[keep], np.log(np.abs(devs[keep]))
+    dx = x - x.mean()
+    sxx = np.dot(dx, dx)
+    if not 0.0 < sxx < math.inf:
+        # the least-squares slope divides by this; at 0 or inf it is NaN
         raise NumericalError(
             "decay fit ill-conditioned: sample times up to %g square to "
             "0 or overflow; choose evolve.tau_end between 1e-150 and 1e150"
             % taus[-1])
-    coeffs = np.polyfit(taus[keep], np.log(np.abs(devs[keep])), 1)
-    return float(-coeffs[0])
+    return float(-np.dot(dx, y - y.mean()) / sxx)

@@ -578,9 +578,8 @@ class BandLimitedVacuum:
         # series in th for the short-distance window (polyval is Horner)
         t2 = ths * ths
         pref = self.omega_c ** 2 / FOUR_PI_SQ
-        cs_ser = pref * np.polynomial.polynomial.polyval(t2, _RING_CS_SERIES)
-        ca_ser = pref * ths * np.polynomial.polynomial.polyval(
-            t2, _RING_CA_SERIES)
+        cs_ser = pref * np.polyval(_RING_CS_SERIES[::-1], t2)
+        ca_ser = pref * ths * np.polyval(_RING_CA_SERIES[::-1], t2)
         cs = np.where(small, cs_ser, cs)
         ca = np.where(small, ca_ser, ca)
         if self._n_terms:

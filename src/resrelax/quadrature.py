@@ -79,11 +79,11 @@ PANELS_PER_PERIOD = 6
 LADDER_RATIO = 1.7
 PANEL_HARD_CAP = 400_000
 # Panels per kernel-sampling block; it bounds the working set of a pass
-# (5,376 nodes, their kernel samples and oscillation factors).  Panel
+# (1,344 nodes, their kernel samples and oscillation factors).  Panel
 # values do not depend on it.  A 3-level ThermalOhmic `shift --method
-# both` at 1024/512/256/128 panels: peak RSS 36.2/33.9/32.8/32.3 MB, time
-# in-process 25.2/25.0/26.2/24.6 ms (2 vCPU, Python 3.11, numpy 2.4).
-BATCH_BLOCK_PANELS = 256
+# both` at 256/128/64/32 panels: peak RSS 31.0/30.6/30.3/30.2 MB, time
+# in-process 20/19/23/32 ms (2 vCPU, Python 3.11, numpy 2.4).
+BATCH_BLOCK_PANELS = 64
 # GL15 nodes plus the six GL7 nodes off the shared midpoint
 NODES_PER_PANEL = 21
 # Rounding floor of a converged adaptive sum, in units of eps times the
@@ -96,27 +96,42 @@ ROUNDING_FLOOR_ULPS = 8.0
 # curvature left by the default schedule, so a relative floor is added.
 NONCONVERGENT_FLOOR = 0.02
 
-_RULE = []
+# The symmetric GL15/GL7 pair on [-1, 1]: (node, weight) for nodes >= 0,
+# as numpy's leggauss computes them (Golub & Welsch 1969), to the bit.
+_GL15_HALF = (
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.1984314853271116),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699398),
+    (0.7244177313601701, 0.13957067792615444),
+    (0.8482065834104272, 0.10715922046717141),
+    (0.9372733924007058, 0.0703660474881084),
+    (0.9879925180204854, 0.030753241996117203),
+)
+_GL7_HALF = (
+    (0.0, 0.4179591836734693),
+    (0.4058451513773972, 0.3818300505051187),
+    (0.7415311855993945, 0.27970539148927687),
+    (0.9491079123427586, 0.12948496616886973),
+)
 
 
-def _panel_rule():
-    """The GL15/GL7 pair on [-1, 1], sharing the node x = 0.
+def _mirrored(half):
+    """Nodes and weights, ascending, of a symmetric rule."""
+    x, w = np.array(half).T
+    return np.concatenate([-x[:0:-1], x]), np.concatenate([w[:0:-1], w])
 
-    Returns (x, w15, w7, at7, rule): the NODES_PER_PANEL nodes (GL15's
-    15, then GL7's six others), the GL15 weights of the first 15, the
-    GL7 weights with the indices ``at7`` of their nodes in x, and both
-    rules as rows over all nodes: GL15, and GL15 minus GL7.
-    """
-    if not _RULE:
-        x15, w15 = np.polynomial.legendre.leggauss(15)
-        x7, w7 = np.polynomial.legendre.leggauss(7)
-        off = np.flatnonzero(x7 != 0.0)
-        at7 = np.insert(15 + np.arange(off.size), 3, 7)
-        rule = np.zeros((2, NODES_PER_PANEL))
-        rule[:, :15] = w15
-        rule[1, at7] -= w7
-        _RULE.extend((np.concatenate([x15, x7[off]]), w15, w7, at7, rule))
-    return _RULE
+
+_X15, _W15 = _mirrored(_GL15_HALF)
+_X7, _W7 = _mirrored(_GL7_HALF)
+# the NODES_PER_PANEL nodes of a panel: GL15's 15, then GL7's six others;
+# GL7's nodes sit at _AT7 among them
+_NODES = np.concatenate([_X15, _X7[_X7 != 0.0]])
+_AT7 = np.array([15, 16, 17, 7, 18, 19, 20])
+# both rules as rows over all nodes: GL15, and GL15 minus GL7
+_RULE = np.zeros((2, NODES_PER_PANEL))
+_RULE[:, :15] = _W15
+_RULE[1, _AT7] -= _W7
 
 
 @dataclass
@@ -260,14 +275,13 @@ def _eval_panels(fw, lo, hi):
     Returns (values, errors) per panel from the GL15/GL7 pair, shape
     (n_panels,) or (m, n_panels).
     """
-    x, w15, w7, at7, rule = _panel_rule()
     vals, errs = [], []
     for b in range(0, lo.size, BATCH_BLOCK_PANELS):
         blk = slice(b, b + BATCH_BLOCK_PANELS)
         mid = 0.5 * (lo[blk] + hi[blk])
         half = 0.5 * (hi[blk] - lo[blk])
         shape = (mid.size, NODES_PER_PANEL)
-        out = fw((mid[:, None] + half[:, None] * x[None, :]).ravel())
+        out = fw((mid[:, None] + half[:, None] * _NODES[None, :]).ravel())
         if isinstance(out, tuple):
             samples, osc = out
             n_eps, n_parts = samples.shape[:2]
@@ -275,7 +289,7 @@ def _eval_panels(fw, lo, hi):
             osc = osc.reshape((n_parts,) + shape + (-1,))
             # per rule: (part, panel, eps, node) @ (part, panel, node, omega)
             s = np.stack([np.einsum("epkj,j->pkej", samples, r) @ osc
-                          for r in rule])
+                          for r in _RULE])
             # to (rule, omega x eps x part, panel)
             s = s.transpose(0, 4, 3, 1, 2).reshape(2, -1, mid.size)
             # in C order, so that sums over panels run pairwise, not along
@@ -283,8 +297,8 @@ def _eval_panels(fw, lo, hi):
             i15, diff = np.ascontiguousarray(half * s)
         else:
             f = np.asarray(out).reshape(np.shape(out)[:-1] + shape)
-            i15 = np.sum(half[:, None] * w15[None, :] * f[..., :15], axis=-1)
-            diff = i15 - np.sum(half[:, None] * w7[None, :] * f[..., at7],
+            i15 = np.sum(half[:, None] * _W15[None, :] * f[..., :15], axis=-1)
+            diff = i15 - np.sum(half[:, None] * _W7[None, :] * f[..., _AT7],
                                 axis=-1)
         vals.append(i15)
         errs.append(np.abs(diff))

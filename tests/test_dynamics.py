@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from resrelax import (
+    NumericalError,
     OutOfRange,
+    PopulationState,
     StepConfig,
     StepTooLarge,
     ZeroRelaxationRate,
@@ -119,6 +121,22 @@ class TestDecayFit:
         traj = [evolve_closed_form(GRF, GSR, W0, 0.5, t) for t in taus]
         fitted = fit_decay_rate(traj, heq)
         assert fitted == pytest.approx(GRF, rel=1e-9)
+
+    def test_slope_matches_polyfit(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 40, 1000):
+            taus = np.sort(rng.uniform(0.0, 30.0, n))
+            devs = np.exp(-rng.uniform(0.01, 0.5) * taus
+                          + rng.normal(0.0, 0.3, n))
+            traj = [PopulationState(t, d) for t, d in zip(taus, devs)]
+            ref = -np.polyfit(taus, np.log(devs), 1)[0]
+            assert fit_decay_rate(traj, 0.0) == pytest.approx(ref, rel=1e-12)
+
+    def test_refuses_times_whose_squares_underflow(self):
+        traj = [PopulationState(t, math.exp(-1e300 * t))
+                for t in (0.0, 1e-300, 2e-300)]
+        with pytest.raises(NumericalError, match="evolve.tau_end"):
+            fit_decay_rate(traj, 0.0)
 
     def test_flat_trajectory_gives_zero(self):
         heq = equilibrium_energy(GRF, GSR, W0)

@@ -347,6 +347,23 @@ def test_ring_series_matches_mpmath():
         assert abs(c_a - ref_ca) <= 4e-16 * scale * th
 
 
+def test_ring_series_is_the_power_series_horner():
+    # np.polyval on the reversed coefficients runs numpy.polynomial's
+    # Horner recurrence, bit for bit, without loading numpy.polynomial
+    from numpy.polynomial.polynomial import polyval
+
+    from resrelax.kernels import _RING_CA_SERIES, _RING_CS_SERIES
+    wc = 7.0
+    k = BandLimitedVacuum(omega_c=wc)
+    u = np.sqrt(np.linspace(0.0, 0.25, 100_000, endpoint=False)) / wc
+    cs, ca = k.ring(u)
+    th = wc * u
+    pref = wc ** 2 / FOUR_PI_SQ
+    t2 = th * th
+    assert np.array_equal(cs, pref * polyval(t2, _RING_CS_SERIES))
+    assert np.array_equal(ca, pref * th * polyval(t2, _RING_CA_SERIES))
+
+
 def test_windowed_accelerated_matches_quadrature():
     # thermal-window spectral form: the windowed kernel for acceleration a
     # equals the integral of (w/4pi^2) coth(pi w / a) cos(w u) - odd part

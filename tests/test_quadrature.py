@@ -27,6 +27,12 @@ from resrelax.quadrature import (
     DEFAULT_EPS_SCHEDULE,
     NODES_PER_PANEL,
     ROUNDING_FLOOR_ULPS,
+    _AT7,
+    _NODES,
+    _W7,
+    _W15,
+    _X7,
+    _X15,
     _eval_panels,
     extrapolate_regulator,
     halfline_transform,
@@ -445,6 +451,15 @@ class TestAdaptiveStack:
         with pytest.raises(SingularEvaluation, match=r"\[0\.5, 1\]"):
             integrate_adaptive(nan_inside, [0.0, 0.5, 1.0], 1e-10, 1e-8, 2000)
         assert calls == [2 * NODES_PER_PANEL]  # the first panels only
+
+    def test_panel_rule_is_leggauss(self):
+        # the literal GL15/GL7 tables, bit for bit
+        for n, x, w in ((15, _X15, _W15), (7, _X7, _W7)):
+            x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+            assert x.tobytes() == x_ref.tobytes()
+            assert w.tobytes() == w_ref.tobytes()
+        assert np.array_equal(_NODES[:15], _X15)
+        assert np.array_equal(_NODES[_AT7], _X7)
 
     def test_blocks_bound_each_call(self):
         sizes = []

@@ -4,15 +4,16 @@ how a CLI process ends.
 scipy.interpolate takes most of the start-up time of a process, and
 only the tabulated kernel, the spline workspace of a kernel without
 closed-form rates and ``kk_check.table`` use it, so a CLI run on a
-closed-form kernel never imports scipy.  ``import resrelax`` loads no
-submodule and no numpy and leaves the environment alone;
-``import resrelax.cli`` pins OpenBLAS to one thread unless the caller
-chose a thread count.  ``python -m resrelax.cli`` ends through
-``run``, which flushes stdout and the log and skips interpreter
-teardown; the process tests check its output, exit codes and failed
-writes with Python's default stdout buffering.  Each case runs in a
-fresh interpreter so that no other test's imports leak into
-``sys.modules``.
+closed-form kernel never imports scipy; nor does it load
+numpy.polynomial or call LAPACK, whose first use raises the peak RSS by
+1-2 MB.  ``import resrelax`` loads no submodule and no numpy and leaves
+the environment alone; ``import resrelax.cli`` pins OpenBLAS to one
+thread unless the caller chose a thread count.  ``python -m
+resrelax.cli`` ends through ``run``, which flushes stdout and the log
+and skips interpreter teardown; the process tests check its output,
+exit codes, failed writes and peak memory with Python's default stdout
+buffering.  Each case runs in a fresh interpreter so that no other
+test's imports leak into ``sys.modules``.
 """
 
 import importlib
@@ -28,14 +29,27 @@ import resrelax
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-# runs the CLI with the given arguments, then reports the scipy modules
-# loaded by then
+# runs the CLI with the given arguments, then reports the scipy and
+# numpy.polynomial modules loaded by then and the LAPACK routines (and
+# polyfit, whose lstsq numpy binds at import) that were called
 _RUN = """\
 import json, sys
+import numpy
+called = []
+def _record(owner, name):
+    def wrapper(*args, **kwargs):
+        called.append(name)
+        return fn(*args, **kwargs)
+    fn = getattr(owner, name)
+    setattr(owner, name, wrapper)
+for name in ("eigvalsh", "lstsq", "solve", "svd"):
+    _record(numpy.linalg, name)
+_record(numpy, "polyfit")
 from resrelax.cli import main
 rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "scipy": sorted(
-    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"rc": rc, "called": called, "loaded": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy"
+    or m.startswith("numpy.polynomial"))}))
 """
 
 THERMAL_INI = """\
@@ -126,11 +140,12 @@ def _python(args, cwd, **env_vars):
     return proc.stdout
 
 
-def _cli(args, cwd, stdout=subprocess.PIPE, **env_vars):
+def _cli(args, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+         **env_vars):
     """``python -m resrelax.cli`` in a fresh interpreter; no exit check."""
     return subprocess.run([sys.executable, "-m", "resrelax.cli", *args],
                           cwd=cwd, env=_env(**env_vars), stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=120)
+                          stderr=stderr, timeout=120)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -149,7 +164,7 @@ def test_closed_form_commands_load_no_scipy(tmp_path, model, ini, command):
     path.write_text(ini)
     argv = [*command, "--config", str(path), "--out", str(tmp_path / "out")]
     report = json.loads(_python(["-c", _RUN, *argv], tmp_path))
-    assert report == {"rc": 0, "scipy": []}
+    assert report == {"rc": 0, "called": [], "loaded": []}
     assert (tmp_path / "out").stat().st_size > 0
 
 
@@ -219,7 +234,7 @@ def test_process_debug_log_complete(tmp_path):
     assert len([x for x in lines if "pv pass" in x]) == 4
 
 
-@pytest.mark.parametrize("ini, args, code, message", [
+EXIT_CASES = pytest.mark.parametrize("ini, args, code, message", [
     (INERTIAL_INI, ["rates"], 0, ""),
     (INERTIAL_INI.replace("g = 1.0", "g = 1.0\nbogus = 2"), ["rates"], 2,
      "config error"),
@@ -227,6 +242,9 @@ def test_process_debug_log_complete(tmp_path):
     (THERMAL_INI.replace("eta = 0.5", "eta = 1e307"),
      ["shift", "--method", "kk"], 3, "numerical failure"),
 ], ids=["ok", "bad-key", "usage", "overflow"])
+
+
+@EXIT_CASES
 def test_process_exit_codes(tmp_path, ini, args, code, message):
     path = tmp_path / "run.ini"
     path.write_text(ini)
@@ -241,6 +259,19 @@ def _full_device():
     if not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full, a device whose writes fail")
     return open("/dev/full", "wb")
+
+
+@EXIT_CASES
+def test_process_stderr_failure_keeps_exit_code(tmp_path, ini, args, code,
+                                                message):
+    # the message is lost, at its write or at the flush in run(), but the
+    # exit code stays; Python's own exit would make it 1 or 120
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    with _full_device() as stderr:
+        proc = _cli([*args, "--config", str(path)], tmp_path,
+                    subprocess.DEVNULL, stderr)
+    assert proc.returncode == code
 
 
 def _closed_pipe():
@@ -282,6 +313,61 @@ def test_process_sweep_jobs_do_not_change_bytes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] != b""
+
+
+THERMAL3_INI = """\
+[system]
+levels = [("0", -1.41298), ("1", -0.103132), ("2", 1.33007)]
+coupling_ops = [[[0, -0.637512-0.865675j, 0.426208+0.367298j],
+                 [-0.637512+0.865675j, 0, 0.0134874+0.626248j],
+                 [0.426208-0.367298j, 0.0134874-0.626248j, 0]],
+                [[0, -0.0726321-0.0364013j, 0.0840132+0.396023j],
+                 [-0.0726321+0.0364013j, 0, 0.736853-0.427408j],
+                 [0.0840132-0.396023j, 0.736853+0.427408j, 0]]]
+g = 0.6
+
+[reservoir]
+model = thermal_ohmic
+eta = 0.5
+omega_j = 5.0
+temperature = 1.0
+
+[quadrature]
+omega_cutoff = 50.0
+"""
+
+
+def _peak_rss_mb(args, cwd):
+    env = _env()
+    # compiling the package's modules would add its own peak to each child
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
+                            stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in kB, as Linux reports it")
+def test_shift_peak_memory_above_setup(tmp_path):
+    # what a 3-level dispersion-and-direct shift adds to the peak RSS of
+    # an interpreter that has only loaded the CLI and read its INI: the
+    # sampling blocks and what its paths load (about 1.2 MB with 64-panel
+    # blocks; 3.4 MB with 256-panel blocks, numpy.polynomial and LAPACK)
+    path = tmp_path / "thermal3.ini"
+    path.write_text(THERMAL3_INI)
+    setup_args = ["-c", "import sys, resrelax.cli\n"
+                        "from resrelax.config import parse_config\n"
+                        "parse_config(sys.argv[1])", str(path)]
+    _peak_rss_mb(setup_args, tmp_path)  # writes the bytecode
+    setup = _peak_rss_mb(setup_args, tmp_path)
+    shift = _peak_rss_mb(["-m", "resrelax.cli", "shift", "--config",
+                          str(path), "--method", "both", "--out",
+                          str(tmp_path / "shift.json")], tmp_path)
+    assert shift - setup <= 2.5
 
 
 def test_console_script_is_the_process_entry():
