@@ -66,8 +66,7 @@ _EXPORTS = {
     ),
     "dynamics": (
         "PopulationState", "StepConfig", "equilibrium_energy",
-        "evolve_closed_form", "evolve_ode", "excitation_fraction",
-        "fit_decay_rate",
+        "evolve_closed_form", "evolve_ode", "fit_decay_rate",
     ),
     "config": ("RunConfig", "parse_config"),
 }

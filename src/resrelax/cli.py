@@ -427,15 +427,14 @@ def cmd_sweep(cfg: RunConfig, args):
     if size > 10 ** 6:
         raise ConfigError("sweep grid has %d points (limit 10^6)" % size)
     grid = list(itertools.product(*(axes[n] for n in names)))
-    jobs = max(1, args.jobs)
-    log.info("sweep: %d points, %d workers", size, jobs)
-    if jobs == 1:
+    log.info("sweep: %d points, %d workers", size, args.jobs)
+    if args.jobs == 1:
         results = [_sweep_point(cfg, names, values, quantity)
                    for values in grid]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_sweep_point, cfg, names, values, quantity)
                        for values in grid]
             results = [f.result() for f in futures]
@@ -451,8 +450,22 @@ def cmd_sweep(cfg: RunConfig, args):
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops a failed write; let it fail the run like any
+        # other stdout write does
+        (file or sys.stdout).write(self.format_help())
+
+
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % jobs)
+    return jobs
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resrelax",
         description="Relaxation rates, Einstein coefficients and radiative "
                     "shifts of a small system coupled to a stationary "
@@ -479,7 +492,7 @@ def _build_parser():
     common(p, "json")
     p = sub.add_parser("sweep", help="parameter-grid scan")
     common(p, "csv")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="concurrent grid evaluations")
     return parser
 
@@ -498,9 +511,9 @@ def _setup_logging():
 def main(argv=None):
     _setup_logging()
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    needs_config = args.command != "kk-check"
     try:
+        args = parser.parse_args(argv)
+        needs_config = args.command != "kk-check"
         if args.config is not None:
             # kk-check reads only [kk_check]
             cfg = parse_config(args.config, validate=needs_config)

@@ -66,18 +66,6 @@ def equilibrium_energy(gamma_rf, gamma_sr, omega_0):
     return -0.5 * omega_0 + 0.5 * omega_0 * (gamma_rf - gamma_sr) / gamma_rf
 
 
-def excitation_fraction(gamma_rf, gamma_sr):
-    """Equilibrium upper-level population (gamma_rf - gamma_sr)/(2 gamma_rf).
-
-    Algebraically equal to A_up / (A_up + A_down).
-    """
-    if gamma_rf <= 0.0:
-        raise ZeroRelaxationRate(
-            "excitation fraction undefined for gamma_rf = %g <= 0" % gamma_rf
-        )
-    return 0.5 * (gamma_rf - gamma_sr) / gamma_rf
-
-
 def evolve_closed_form(gamma_rf, gamma_sr, omega_0, h0, tau):
     """Exact solution of the relaxation equation at proper time tau."""
     if gamma_rf <= 0.0:
@@ -165,11 +153,14 @@ def fit_decay_rate(trajectory, equilibrium):
         return 0.0
     x, y = taus[keep], np.log(np.abs(devs[keep]))
     dx = x - x.mean()
-    sxx = np.dot(dx, dx)
+    # np.sum, not np.dot, which raised the peak RSS of `evolve` by about
+    # 0.1 MB; an overflow is refused below
+    with np.errstate(over="ignore"):
+        sxx = np.sum(dx * dx)
     if not 0.0 < sxx < math.inf:
         # the least-squares slope divides by this; at 0 or inf it is NaN
         raise NumericalError(
             "decay fit ill-conditioned: sample times up to %g square to "
             "0 or overflow; choose evolve.tau_end between 1e-150 and 1e150"
             % taus[-1])
-    return float(-np.dot(dx, y - y.mean()) / sxx)
+    return float(-np.sum(dx * (y - y.mean())) / sxx)

@@ -15,10 +15,10 @@ All reservoir quantities reduce to three numerical primitives:
     Panel policy: the initial layout puts PANELS_PER_PERIOD panels on
     each period 2 pi / |omega| of the call's largest |omega|, on top of
     a geometric ladder that tracks the short-distance structure of the
-    kernel near u = 0.  Each panel is integrated with a 15-point
-    Gauss-Legendre rule; the difference against the 7-point rule on the
-    same panel serves as the panel error.  The two rules share the
-    panel midpoint, so a panel takes NODES_PER_PANEL = 21 samples.
+    kernel near u = 0.  Each panel is integrated with the 15-point
+    Kronrod rule K15; its difference from the 7-point Gauss rule G7,
+    whose nodes are among K15's, serves as the panel error.  So a panel
+    takes NODES_PER_PANEL = 15 samples.
     The adaptive engine keeps panel bounds, values and errors in arrays
     and splits the worst panels in batches until every component meets
     its tolerance or the split budget is spent (SubdivisionLimit).
@@ -79,59 +79,43 @@ PANELS_PER_PERIOD = 6
 LADDER_RATIO = 1.7
 PANEL_HARD_CAP = 400_000
 # Panels per kernel-sampling block; it bounds the working set of a pass
-# (1,344 nodes, their kernel samples and oscillation factors).  Panel
+# (960 nodes, their kernel samples and oscillation factors).  Panel
 # values do not depend on it.  A 3-level ThermalOhmic `shift --method
-# both` at 256/128/64/32 panels: peak RSS 31.0/30.6/30.3/30.2 MB, time
-# in-process 20/19/23/32 ms (2 vCPU, Python 3.11, numpy 2.4).
+# both` at 256/128/64/32 panels: peak RSS 30.8/30.5/30.2/30.3 MB, time
+# in-process 11/13/17/22 ms (2 vCPU, Python 3.11, numpy 2.4).
 BATCH_BLOCK_PANELS = 64
-# GL15 nodes plus the six GL7 nodes off the shared midpoint
-NODES_PER_PANEL = 21
+# K15's nodes, G7's among them
+NODES_PER_PANEL = 15
 # Rounding floor of a converged adaptive sum, in units of eps times the
 # sum of |panel values|.  On e^{-a u} {cos, sin}(omega u) against mpmath,
 # for a in {0.05, 0.2, 0.8, 3}, a u_max = 60 and omega from 0 to 20 (up
-# to 23,000 panels), the largest true error seen was 4.5 such units.
+# to 23,000 panels), the largest true error seen was 5.9 such units.
 ROUNDING_FLOOR_ULPS = 8.0
 # Calibrated floor for declaring the regulator limit non-convergent; the
 # raw 100 * rel_tol criterion trips on the benign O((omega*eps)^3)
 # curvature left by the default schedule, so a relative floor is added.
 NONCONVERGENT_FLOOR = 0.02
 
-# The symmetric GL15/GL7 pair on [-1, 1]: (node, weight) for nodes >= 0,
-# as numpy's leggauss computes them (Golub & Welsch 1969), to the bit.
-_GL15_HALF = (
-    (0.0, 0.2025782419255613),
-    (0.20119409399743451, 0.1984314853271116),
-    (0.3941513470775634, 0.1861610000155622),
-    (0.5709721726085388, 0.16626920581699398),
-    (0.7244177313601701, 0.13957067792615444),
-    (0.8482065834104272, 0.10715922046717141),
-    (0.9372733924007058, 0.0703660474881084),
-    (0.9879925180204854, 0.030753241996117203),
+# QUADPACK's QK15 on [-1, 1]: the 7-point Gauss rule G7 and its 15-point
+# Kronrod extension K15 (Piessens et al. 1983; Laurie 1997).  Rows are
+# (node, K15 weight, G7 weight or 0) for nodes >= 0, each rounded to the
+# nearest double; every other node is one of G7's.
+_QK15_HALF = (
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
 )
-_GL7_HALF = (
-    (0.0, 0.4179591836734693),
-    (0.4058451513773972, 0.3818300505051187),
-    (0.7415311855993945, 0.27970539148927687),
-    (0.9491079123427586, 0.12948496616886973),
-)
-
-
-def _mirrored(half):
-    """Nodes and weights, ascending, of a symmetric rule."""
-    x, w = np.array(half).T
-    return np.concatenate([-x[:0:-1], x]), np.concatenate([w[:0:-1], w])
-
-
-_X15, _W15 = _mirrored(_GL15_HALF)
-_X7, _W7 = _mirrored(_GL7_HALF)
-# the NODES_PER_PANEL nodes of a panel: GL15's 15, then GL7's six others;
-# GL7's nodes sit at _AT7 among them
-_NODES = np.concatenate([_X15, _X7[_X7 != 0.0]])
-_AT7 = np.array([15, 16, 17, 7, 18, 19, 20])
-# both rules as rows over all nodes: GL15, and GL15 minus GL7
-_RULE = np.zeros((2, NODES_PER_PANEL))
-_RULE[:, :15] = _W15
-_RULE[1, _AT7] -= _W7
+_QK15 = np.array(_QK15_HALF)
+_QK15 = np.concatenate([_QK15[:0:-1] * (-1.0, 1.0, 1.0), _QK15])
+# the NODES_PER_PANEL nodes of a panel, ascending, and the two rules as
+# rows over them: K15, and K15 minus G7
+_NODES = _QK15[:, 0]
+_RULE = np.array([_QK15[:, 1], _QK15[:, 1] - _QK15[:, 2]])
 
 
 @dataclass
@@ -272,7 +256,7 @@ def _eval_panels(fw, lo, hi):
     are contracted against its oscillation factors by matrix products.
     Panels are taken in blocks of BATCH_BLOCK_PANELS, with one ``fw``
     call on the NODES_PER_PANEL nodes of each panel in the block.
-    Returns (values, errors) per panel from the GL15/GL7 pair, shape
+    Returns (values, errors) per panel, K15 and |K15 - G7|, shape
     (n_panels,) or (m, n_panels).
     """
     vals, errs = [], []
@@ -294,13 +278,12 @@ def _eval_panels(fw, lo, hi):
             s = s.transpose(0, 4, 3, 1, 2).reshape(2, -1, mid.size)
             # in C order, so that sums over panels run pairwise, not along
             # a strided axis where their rounding grows with the count
-            i15, diff = np.ascontiguousarray(half * s)
+            value, diff = np.ascontiguousarray(half * s)
         else:
             f = np.asarray(out).reshape(np.shape(out)[:-1] + shape)
-            i15 = np.sum(half[:, None] * _W15[None, :] * f[..., :15], axis=-1)
-            diff = i15 - np.sum(half[:, None] * _W7[None, :] * f[..., _AT7],
-                                axis=-1)
-        vals.append(i15)
+            value, diff = (np.sum(half[:, None] * r * f, axis=-1)
+                           for r in _RULE)
+        vals.append(value)
         errs.append(np.abs(diff))
     return np.concatenate(vals, axis=-1), np.concatenate(errs, axis=-1)
 

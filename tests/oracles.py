@@ -287,6 +287,63 @@ def heisenberg_spectral_functions(energies, ops, state, u):
 
 
 # ---------------------------------------------------------------------------
+# quadrature rules
+
+def kronrod15():
+    """The 7-point Gauss rule and its 15-point Kronrod extension on
+    [-1, 1], in 50-digit mpmath.
+
+    Returns rows (node, Kronrod weight, Gauss weight or 0) for the nodes
+    >= 0, ascending.  The Gauss nodes are the roots of P7, whose
+    coefficients come from Bonnet's recursion.  The eight Kronrod nodes
+    added to them are the roots of the Stieltjes polynomial E8: monic,
+    even, and orthogonal to x^k P7 for k < 8 (Laurie, Math. Comp. 66
+    (1997) 1133).  Each rule's weights solve its even moment equations
+    sum_i w_i x_i^(2j) = 2 / (2j + 1).
+    """
+    with mpmath.workdps(50):
+        def moment(j):  # int_{-1}^1 x^j dx
+            return mpmath.mpf(2) / (j + 1) if j % 2 == 0 else mpmath.mpf(0)
+
+        # P7 in powers of x: (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}
+        prev, p7 = [mpmath.mpf(1)], [mpmath.mpf(0), mpmath.mpf(1)]
+        for n in range(1, 7):
+            nxt = [mpmath.mpf(0)] + [(2 * n + 1) * c for c in p7]
+            for i, c in enumerate(prev):
+                nxt[i] -= n * c
+            prev, p7 = p7, [c / (n + 1) for c in nxt]
+
+        def p7_moment(j):  # int_{-1}^1 x^j P7(x) dx
+            return sum(c * moment(i + j) for i, c in enumerate(p7))
+
+        # E8 = x^8 + sum_m e_m x^(2m); the odd k are the conditions left
+        # once parity has removed the even ones
+        odd = (1, 3, 5, 7)
+        e = mpmath.lu_solve(
+            mpmath.matrix([[p7_moment(k + 2 * m) for m in range(4)]
+                           for k in odd]),
+            mpmath.matrix([-p7_moment(k + 8) for k in odd]))
+
+        def positive_roots(coeffs_in_x2):  # highest power first
+            ys = mpmath.polyroots(coeffs_in_x2, maxsteps=200, extraprec=200)
+            return [mpmath.sqrt(mpmath.re(y)) for y in ys]
+
+        gauss = [mpmath.mpf(0)] + positive_roots(p7[7:0:-2])
+        kronrod = positive_roots([1, e[3], e[2], e[1], e[0]])
+
+        def weights(nodes):  # half-rule weights, node 0 first
+            a = mpmath.matrix([[(1 if x == 0 else 2) * x ** (2 * j)
+                                for x in nodes] for j in range(len(nodes))])
+            b = mpmath.matrix([moment(2 * j) for j in range(len(nodes))])
+            return list(mpmath.lu_solve(a, b))
+
+        w_gauss = dict(zip(gauss, weights(gauss)))
+        nodes = sorted(gauss + kronrod)
+        return [(x, w, w_gauss.get(x, mpmath.mpf(0)))
+                for x, w in zip(nodes, weights(nodes))]
+
+
+# ---------------------------------------------------------------------------
 # special functions
 
 def trigamma(z):

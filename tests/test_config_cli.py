@@ -416,6 +416,19 @@ class TestSweepCommand:
                  str(four)])
         assert one.read_bytes() == four.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        text = THERMAL_INI + "\n[sweep]\nquantity = gamma_sr\n" \
+                             "temperature = [1.0]\n"
+        path = write(tmp_path, text)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--config", path, "--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --jobs: must be at least 1, got %s" % jobs \
+            in captured.err
+        assert captured.out == ""
+
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         text = THERMAL_INI + "\n[sweep]\nquantity = bogus\n" \
                              "temperature = [1.0]\n"

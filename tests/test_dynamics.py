@@ -14,7 +14,6 @@ from resrelax import (
     equilibrium_energy,
     evolve_closed_form,
     evolve_ode,
-    excitation_fraction,
     fit_decay_rate,
 )
 
@@ -51,15 +50,6 @@ def test_thermal_equilibrium_is_tanh():
     grf = 0.3 / math.tanh(0.5 * W0 / temp)
     heq = equilibrium_energy(grf, 0.3, W0)
     assert heq == pytest.approx(-0.5 * W0 * math.tanh(0.5 * W0 / temp))
-
-
-def test_excitation_fraction_consistency():
-    from resrelax import einstein_coefficients
-
-    e = einstein_coefficients(GRF, GSR)
-    assert excitation_fraction(GRF, GSR) == pytest.approx(
-        e.a_up / (e.a_up + e.a_down)
-    )
 
 
 class TestOde:
@@ -135,6 +125,13 @@ class TestDecayFit:
     def test_refuses_times_whose_squares_underflow(self):
         traj = [PopulationState(t, math.exp(-1e300 * t))
                 for t in (0.0, 1e-300, 2e-300)]
+        with pytest.raises(NumericalError, match="evolve.tau_end"):
+            fit_decay_rate(traj, 0.0)
+
+    def test_refuses_times_whose_squares_overflow(self):
+        # refused without an overflow warning (warnings fail the suite)
+        traj = [PopulationState(t, math.exp(-1e-200 * t))
+                for t in (0.0, 1e200, 2e200)]
         with pytest.raises(NumericalError, match="evolve.tau_end"):
             fit_decay_rate(traj, 0.0)
 

@@ -27,12 +27,9 @@ from resrelax.quadrature import (
     DEFAULT_EPS_SCHEDULE,
     NODES_PER_PANEL,
     ROUNDING_FLOOR_ULPS,
-    _AT7,
     _NODES,
-    _W7,
-    _W15,
-    _X7,
-    _X15,
+    _QK15_HALF,
+    _RULE,
     _eval_panels,
     extrapolate_regulator,
     halfline_transform,
@@ -452,14 +449,24 @@ class TestAdaptiveStack:
             integrate_adaptive(nan_inside, [0.0, 0.5, 1.0], 1e-10, 1e-8, 2000)
         assert calls == [2 * NODES_PER_PANEL]  # the first panels only
 
-    def test_panel_rule_is_leggauss(self):
-        # the literal GL15/GL7 tables, bit for bit
-        for n, x, w in ((15, _X15, _W15), (7, _X7, _W7)):
-            x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-            assert x.tobytes() == x_ref.tobytes()
-            assert w.tobytes() == w_ref.tobytes()
-        assert np.array_equal(_NODES[:15], _X15)
-        assert np.array_equal(_NODES[_AT7], _X7)
+    def test_panel_rule_is_qk15(self):
+        # the literal table against an mpmath computation of the pair, to
+        # 1 ulp
+        ref = np.array([[float(v) for v in row] for row in oracles.kronrod15()])
+        assert np.all(np.abs(np.array(_QK15_HALF) - ref) <= np.spacing(ref))
+        # the rules as the panels use them: K15 is exact to degree 23 and
+        # G7 to degree 13 (odd degrees vanish by symmetry), and neither
+        # one degree beyond
+        k15, g7 = _RULE[0], _RULE[0] - _RULE[1]
+        for rule, degree in ((k15, 23), (g7, 13)):
+            for j in range(degree + 2):
+                moment = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+                err = abs(rule @ _NODES ** j - moment)
+                assert (err <= 1e-15) == (j <= degree), (degree, j, err)
+        # ascending nodes, symmetric about 0, with G7's at the odd places
+        assert np.all(np.diff(_NODES) > 0)
+        assert np.array_equal(_NODES, -_NODES[::-1])
+        assert np.flatnonzero(g7).tolist() == [1, 3, 5, 7, 9, 11, 13]
 
     def test_blocks_bound_each_call(self):
         sizes = []

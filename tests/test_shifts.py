@@ -290,7 +290,8 @@ def test_direct_pass_shares_each_kernel_sample(counting, eps_sensitive):
     # eps values and both mechanisms share every kernel sample.  Kernel
     # points, endpoints included: 1,688,028 with one pass per (mechanism,
     # eps) and 844,014 with one per partner, at 22 nodes per panel and 16
-    # panels per period; 304,296 at 21 nodes and 6 panels per period
+    # panels per period; 304,296 at 21 nodes and 6 panels per period, and
+    # 217,356 at 15
     import numpy as np
 
     spec = _ladder3()

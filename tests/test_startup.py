@@ -12,8 +12,9 @@ thread unless the caller chose a thread count.  ``python -m
 resrelax.cli`` ends through ``run``, which flushes stdout and the log
 and skips interpreter teardown; the process tests check its output,
 exit codes, failed writes and peak memory with Python's default stdout
-buffering.  Each case runs in a fresh interpreter so that no other
-test's imports leak into ``sys.modules``.
+buffering, and a failed --help also unbuffered.  Each case runs in a
+fresh interpreter so that no other test's imports leak into
+``sys.modules``.
 """
 
 import importlib
@@ -302,6 +303,28 @@ def test_process_stdout_failure_exits_2(tmp_path, sink, code):
         assert err == ""
 
 
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_process_help_exit_codes_do_not_depend_on_buffering(tmp_path,
+                                                            unbuffered):
+    # a --help that cannot reach stdout fails as any stdout write does:
+    # buffered at the flush in run(), unbuffered at the write itself,
+    # which argparse would otherwise swallow; a lost usage error is 2
+    with open(os.devnull, "wb") as stdout:
+        proc = _cli(["rates", "--help"], tmp_path, stdout, **unbuffered)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    with _full_device() as stdout:
+        proc = _cli(["rates", "--help"], tmp_path, stdout, **unbuffered)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("resrelax: i/o error: ") and err.count("\n") == 1
+    with _full_device() as stderr:
+        proc = _cli(["rates", "--bogus"], tmp_path, subprocess.DEVNULL,
+                    stderr, **unbuffered)
+    assert proc.returncode == 2
+
+
 def test_process_sweep_jobs_do_not_change_bytes(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(THERMAL_INI)
@@ -406,14 +429,13 @@ PUBLIC = {
         "lamb_shift_two_level", "shift_direct", "shift_kk"), "shifts"),
     **dict.fromkeys((
         "PopulationState", "StepConfig", "equilibrium_energy",
-        "evolve_closed_form", "evolve_ode", "excitation_fraction",
-        "fit_decay_rate"), "dynamics"),
+        "evolve_closed_form", "evolve_ode", "fit_decay_rate"), "dynamics"),
     **dict.fromkeys(("RunConfig", "parse_config"), "config"),
 }
 
 
 def test_public_namespace_is_pinned():
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 58
     assert set(resrelax.__all__) == set(PUBLIC)
     for name, module in PUBLIC.items():
         defining = importlib.import_module("resrelax." + module)
