@@ -39,7 +39,6 @@ import ast
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,15 +66,18 @@ def _parse_value(raw):
         return raw
 
 
-@dataclass
 class RunConfig:
     """Parsed and validated configuration."""
 
-    path: str
-    sections: dict
-    _system: SystemSpec = field(default=None, repr=False)
-    _kernel: object = field(default=None, repr=False)
-    _quadrature: QuadratureConfig = field(default=None, repr=False)
+    __slots__ = ("path", "sections", "_system", "_kernel", "_quadrature")
+
+    def __init__(self, path, sections, _system=None, _kernel=None,
+                 _quadrature=None):
+        self.path = path
+        self.sections = sections
+        self._system = _system
+        self._kernel = _kernel
+        self._quadrature = _quadrature
 
     def section(self, name):
         return self.sections.get(name, {})

@@ -18,7 +18,6 @@ produces the linear drift -(omega_0/2) gamma_sr tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +34,21 @@ RK4_STABILITY = 2.785
 MAX_STEPS = 10 ** 6
 
 
-@dataclass(frozen=True)
 class PopulationState:
-    """Mean energy at one proper time."""
+    """Mean energy at one proper time; immutable."""
 
-    tau: float
-    mean_energy: float
+    __slots__ = ("tau", "mean_energy")
+
+    def __init__(self, tau, mean_energy):
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "mean_energy", mean_energy)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PopulationState is immutable")
+
+    __delattr__ = __setattr__
 
 
-@dataclass
 class StepConfig:
     """Controls for the ODE path.
 
@@ -53,8 +58,11 @@ class StepConfig:
     n_samples: number of evenly spaced output times (default 101).
     """
 
-    step: float = None
-    n_samples: int = 101
+    __slots__ = ("step", "n_samples")
+
+    def __init__(self, step=None, n_samples=101):
+        self.step = step
+        self.n_samples = n_samples
 
 
 def equilibrium_energy(gamma_rf, gamma_sr, omega_0):

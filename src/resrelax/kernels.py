@@ -37,7 +37,6 @@ that is finite at eps = 0; the direct shift evaluation is built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -532,7 +531,6 @@ _RING_CA_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1)
                         for k in range(1, 12))
 
 
-@dataclass
 class BandLimitedVacuum:
     """Vacuum kernel with its spectrum cut off sharply at |w| = omega_c.
 
@@ -549,11 +547,11 @@ class BandLimitedVacuum:
     windowed antisymmetric part is trajectory independent.
     """
 
-    omega_c: float
-    acceleration: float = 0.0
+    __slots__ = ("omega_c", "acceleration", "_n_terms")
 
-    def __post_init__(self):
-        self.omega_c = _require_positive(self.omega_c, "omega_c")
+    def __init__(self, omega_c, acceleration=0.0):
+        self.omega_c = _require_positive(omega_c, "omega_c")
+        self.acceleration = acceleration
         if self.acceleration < 0:
             raise OutOfRange("acceleration must be >= 0")
         # image-sum window terms exp(-2 pi n omega_c / a) kept explicitly

@@ -8,16 +8,21 @@ All reservoir quantities reduce to three numerical primitives:
     every kernel part the caller asks for (such as Cs and Ca); its
     components are omega x eps x part, and each is refined until it
     meets its own tolerance.  The kernel is sampled once per node and
-    eps, in blocks of BATCH_BLOCK_PANELS panels, and each panel's
-    samples are contracted against the oscillation factors of every
-    frequency at once.
+    eps, in blocks (see _eval_panels), and each panel's samples serve
+    every frequency at once.
 
-    Panel policy: the initial layout puts PANELS_PER_PERIOD panels on
-    each period 2 pi / |omega| of the call's largest |omega|, on top of
-    a geometric ladder that tracks the short-distance structure of the
-    kernel near u = 0.  Each panel is integrated with the 15-point
-    Kronrod rule K15; its difference from the 7-point Gauss rule G7,
-    whose nodes are among K15's, serves as the panel error.  So a panel
+    Panel policy: a transform's initial layout is a geometric ladder
+    from the short-distance scale of the kernel near u = 0 to u_max,
+    with no grid on the oscillation period.  Each panel is integrated by
+    a Filon-type rule: the polynomial through the kernel samples at the
+    15 nodes of the Kronrod rule K15, times e^{i omega u}, is integrated
+    exactly, so a panel only has to resolve the kernel, at any
+    omega x width.  The same on the 7 nodes of the Gauss rule G7, which
+    are among K15's, gives the panel error |F15 - F7|; at omega -> 0 the
+    two rules are K15 and G7.  A plain integrand, such as a principal-
+    value quotient, is integrated by K15 itself, with |K15 - G7| as the
+    panel error; a ringing one gets PANELS_PER_PERIOD initial panels per
+    period on top of the ladder (see _halfline_breakpoints).  So a panel
     takes NODES_PER_PANEL = 15 samples.
     The adaptive engine keeps panel bounds, values and errors in arrays
     and splits the worst panels in batches until every component meets
@@ -59,8 +64,8 @@ envelope when one is supplied and folded into the error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,18 +83,24 @@ DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 PANELS_PER_PERIOD = 6
 LADDER_RATIO = 1.7
 PANEL_HARD_CAP = 400_000
-# Panels per kernel-sampling block; it bounds the working set of a pass
-# (960 nodes, their kernel samples and oscillation factors).  Panel
-# values do not depend on it.  A 3-level ThermalOhmic `shift --method
-# both` at 256/128/64/32 panels: peak RSS 30.8/30.5/30.2/30.3 MB, time
-# in-process 11/13/17/22 ms (2 vCPU, Python 3.11, numpy 2.4).
+# Panels per sampling block of a plain integrand (960 nodes); a transform
+# at W frequencies takes 960 // W panels, so that a block holds at most
+# 960 (panel, frequency) pairs.  It bounds the working set of a pass;
+# panel values do not depend on it.  At 256/128/64/32: a 3-level
+# ThermalOhmic `shift --method both`, whose direct passes sample at most
+# 128 panels per call, peaks at 30.2-30.3 MB RSS and takes about 6 ms
+# in-process at each; the spline workspace of a 6,001-sample tabulated
+# kernel (about 25 frequencies per pass) peaks at 1.5/1.2/0.85/0.69 MB
+# (tracemalloc) and takes 32/33/34/40 ms (2 vCPU, Python 3.11, numpy 2.4).
 BATCH_BLOCK_PANELS = 64
 # K15's nodes, G7's among them
 NODES_PER_PANEL = 15
 # Rounding floor of a converged adaptive sum, in units of eps times the
-# sum of |panel values|.  On e^{-a u} {cos, sin}(omega u) against mpmath,
-# for a in {0.05, 0.2, 0.8, 3}, a u_max = 60 and omega from 0 to 20 (up
-# to 23,000 panels), the largest true error seen was 5.9 such units.
+# sum of the panels' rounding scales (see _eval_panels).  On e^{-a u}
+# {cos, sin}(omega u) against mpmath, for a in {0.05, 0.2, 0.8, 3},
+# a u_max = 60 and omega from 0 to 20, the largest true error seen was
+# 7.9 such units at the default tolerances, quadrature error included,
+# and 2.5 at rel_tol 1e-13 up to omega u_max = 1e4.
 ROUNDING_FLOOR_ULPS = 8.0
 # Calibrated floor for declaring the regulator limit non-convergent; the
 # raw 100 * rel_tol criterion trips on the benign O((omega*eps)^3)
@@ -118,7 +129,6 @@ _NODES = _QK15[:, 0]
 _RULE = np.array([_QK15[:, 1], _QK15[:, 1] - _QK15[:, 2]])
 
 
-@dataclass
 class QuadratureConfig:
     """Tolerances and truncation controls shared by every computation.
 
@@ -132,15 +142,18 @@ class QuadratureConfig:
         is chosen from the kernel envelope and the requested frequency.
     """
 
-    epsilon_schedule: tuple = DEFAULT_EPS_SCHEDULE
-    omega_cutoff: float = None
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-    u_max: float = None
+    __slots__ = ("epsilon_schedule", "omega_cutoff", "abs_tol", "rel_tol",
+                 "max_subdivisions", "u_max")
 
-    def __post_init__(self):
-        sched = tuple(float(e) for e in self.epsilon_schedule)
+    def __init__(self, epsilon_schedule=DEFAULT_EPS_SCHEDULE,
+                 omega_cutoff=None, abs_tol=1e-10, rel_tol=1e-8,
+                 max_subdivisions=2000, u_max=None):
+        self.omega_cutoff = omega_cutoff
+        self.abs_tol = abs_tol
+        self.rel_tol = rel_tol
+        self.max_subdivisions = max_subdivisions
+        self.u_max = u_max
+        sched = tuple(float(e) for e in epsilon_schedule)
         if not sched:
             raise InsufficientSamples("epsilon schedule is empty")
         if any(e <= 0 for e in sched):
@@ -151,8 +164,11 @@ class QuadratureConfig:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ConfigError("tolerances must be positive")
 
+    def __repr__(self):
+        return "QuadratureConfig(%s)" % ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
 
-@dataclass
+
 class IntegralResult:
     """Value with an error estimate.
 
@@ -161,9 +177,12 @@ class IntegralResult:
     at a vector of frequencies holds arrays aligned with them.
     """
 
-    value: float
-    error_estimate: float
-    detail: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("value", "error_estimate", "detail")
+
+    def __init__(self, value, error_estimate, detail=None):
+        self.value = value
+        self.error_estimate = error_estimate
+        self.detail = {} if detail is None else detail
 
     def __float__(self):
         return float(self.value)
@@ -172,7 +191,6 @@ class IntegralResult:
 # ---------------------------------------------------------------------------
 # envelopes and truncation
 
-@dataclass
 class Envelope:
     """Decreasing bound env(u) on |f| for large u, used for tail bounds.
 
@@ -180,9 +198,12 @@ class Envelope:
     env(u) = amplitude * exp(-rate * u).
     """
 
-    kind: str
-    amplitude: float
-    rate: float = 0.0
+    __slots__ = ("kind", "amplitude", "rate")
+
+    def __init__(self, kind, amplitude, rate=0.0):
+        self.kind = kind
+        self.amplitude = amplitude
+        self.rate = rate
 
     def at(self, u):
         if self.kind == "power":
@@ -219,8 +240,113 @@ def tail_bound(envelope, u_max, omega):
 # ---------------------------------------------------------------------------
 # panel machinery
 
+def _legendre(x, n):
+    """P_0 ... P_{n-1} at the points x, shape (x.size, n) (Bonnet)."""
+    p = np.ones((x.size, n))
+    p[:, 1] = x
+    for k in range(1, n - 1):
+        p[:, k + 1] = ((2 * k + 1) * x * p[:, k] - k * p[:, k - 1]) / (k + 1)
+    return p
+
+
+def _inverse(a):
+    """a^-1 by Gauss-Jordan elimination with partial pivoting (no LAPACK)."""
+    n = len(a)
+    m = np.hstack([a, np.eye(n)])
+    for k in range(n):
+        p = k + np.argmax(np.abs(m[k:, k]))
+        m[[k, p]] = m[[p, k]]
+        m[k] /= m[k, k]
+        col = m[:, k].copy()
+        col[k] = 0.0
+        m -= np.outer(col, m[k])
+    return m[:, n:]
+
+
+@functools.cache
+def _filon_rules():
+    """Panel samples -> scaled Legendre coefficients, shape (2, 15, 15).
+
+    Row l of rule r maps the NODES_PER_PANEL samples of a panel to
+    2 (-1)^(l // 2) c_l, where c_l is the Legendre coefficient of their
+    interpolating polynomial: on all nodes for K15 (r = 0), and that
+    minus G7's, interpolating the odd nodes only, for r = 1.  With the
+    moments int_{-1}^{1} P_l(x) e^{i theta x} dx = 2 i^l j_l(theta), the
+    even rows against j_l give the real part of a panel's transform and
+    the odd rows its imaginary part.  Row 0 is the rule pair itself,
+    which is all that is left at theta = 0.  Built on first use, so
+    that a process without a transform does not pay for it.
+    """
+    n = NODES_PER_PANEL
+    g7 = np.zeros((n, n))
+    g7[:7, 1::2] = _inverse(_legendre(_NODES[1::2], 7))
+    k15 = _inverse(_legendre(_NODES, n))
+    rules = np.stack([k15, k15 - g7])
+    rules *= 2.0 * np.array([1.0, 1.0, -1.0, -1.0] * 4)[:n, None]
+    rules[:, 0] = _RULE
+    return rules
+
+
+# Miller's downward recurrence for the spherical Bessel functions starts
+# here; for 1 <= theta <= 14 it then gives j_0 ... j_14 to about 5 ulps
+# of the largest of them.  _ODD[l] = 2l + 1.
+_MILLER_START = 32
+_ODD = 2.0 * np.arange(_MILLER_START + 1) + 1.0
+# Taylor coefficients of j_l(theta) (2l + 1)!! / theta^l in theta^2, one
+# row per power k: (-1/2)^k / (k! (2l + 3) ... (2l + 2k + 1)); ten powers
+# reach rounding accuracy for theta < 1
+_BESSEL_SERIES = np.cumprod(np.vstack([np.ones(NODES_PER_PANEL)] + [
+    -0.5 / (k * (_ODD[:NODES_PER_PANEL] + 2 * k)) for k in range(1, 10)]),
+    axis=0)
+
+
+def _sph_bessel(theta):
+    """j_0 ... j_14 at theta >= 0, shape (theta.size, 15).
+
+    The power series below theta = 1, Miller's downward recurrence,
+    normalised by sum_l (2l + 1) j_l^2 = 1, up to theta = 14, and the
+    upward recurrence beyond, where it is stable for every order.
+    """
+    n = NODES_PER_PANEL
+    out = np.empty((theta.size, n))
+    small, big = theta < 1.0, theta > 14.0
+    mid = ~(small | big)
+    if small.any():
+        x = theta[small, None]
+        acc = _BESSEL_SERIES[-1] * np.ones_like(x)
+        for row in _BESSEL_SERIES[-2::-1]:
+            acc *= x * x
+            acc += row
+        out[small] = acc * np.cumprod(
+            np.hstack([np.ones_like(x), x / _ODD[1:n]]), axis=1)
+    if big.any():
+        x = theta[big]
+        ratio = np.multiply.outer(1.0 / x, _ODD[:n])  # (2l + 1) / theta
+        prev = np.sin(x) / x
+        cur = (prev - np.cos(x)) / x
+        out[big, 0], out[big, 1] = prev, cur
+        for l in range(1, n - 1):
+            prev, cur = cur, ratio[:, l] * cur - prev
+            out[big, l + 1] = cur
+    if mid.any():
+        x = theta[mid]
+        ratio = np.multiply.outer(1.0 / x, _ODD)
+        seq = np.empty((x.size, _MILLER_START + 1))
+        nxt, cur = 0.0, np.ones_like(x)
+        seq[:, -1] = cur
+        for l in range(_MILLER_START, 0, -1):
+            nxt, cur = cur, ratio[:, l] * cur - nxt
+            seq[:, l - 1] = cur
+        out[mid] = seq[:, :n] / np.sqrt((seq * seq) @ _ODD)[:, None]
+    return out
+
+
 def _halfline_breakpoints(omega_max, u_scale, u_max):
-    """Panel boundaries for [0, u_max]: geometric ladder + periodic grid."""
+    """Panel boundaries for [0, u_max]: geometric ladder + periodic grid.
+
+    The grid puts PANELS_PER_PERIOD panels on each period 2 pi /
+    |omega_max|; omega_max = 0 gives the ladder alone.
+    """
     pts = {0.0, u_max}
     u0 = max(u_scale / 32.0, u_max * 1e-13)
     u = u0
@@ -244,48 +370,87 @@ def _halfline_breakpoints(omega_max, u_scale, u_max):
     return bp[keep]
 
 
+def _filon(samples, omega, sine, mid, half):
+    """Filon-type K15 and K15 - G7 transforms of a block of panels.
+
+    ``samples`` of shape (E, P, n_panels * NODES_PER_PANEL) are the
+    kernel at each panel's nodes; part p is transformed by sin(omega u)
+    where ``sine[p]``, else by cos(omega u), at every frequency of
+    ``omega``.  On a panel of centre c and half-width h, the samples'
+    interpolating polynomial times e^{i omega u} is integrated exactly:
+    h e^{i omega c} sum_l c_l 2 i^l j_l(omega h).  Its rounding grows
+    with the panel's K15 integral of |kernel|, not with the transform,
+    which oscillation makes smaller; that integral is the panel's
+    rounding scale.  Returns the values, the K15 - G7 differences and
+    the rounding scales, shape (3, W * E * P components ordered
+    (w, e, p), panels).
+    """
+    n_eps, n_parts = samples.shape[:2]
+    coef = samples.reshape(-1, NODES_PER_PANEL) @ _filon_rules().reshape(
+        -1, NODES_PER_PANEL).T
+    # (eps, part, panel, rule, l)
+    coef = coef.reshape(n_eps, n_parts, mid.size, 2, NODES_PER_PANEL)
+    bessel = _sph_bessel(np.abs(np.multiply.outer(half, omega)).ravel())
+    bessel = bessel.reshape(mid.size, omega.size, NODES_PER_PANEL)
+    # real and imaginary parts of the transform on [-1, 1], (e, p, k, r, w)
+    re = np.einsum("epkrl,kwl->epkrw", coef[..., 0::2], bessel[..., 0::2])
+    im = np.einsum("epkrl,kwl->epkrw", coef[..., 1::2], bessel[..., 1::2])
+    im *= np.sign(omega)  # j_l is odd in theta for odd l
+    phase = np.multiply.outer(mid, omega)
+    hc = (half[:, None] * np.cos(phase))[:, None]
+    hs = (half[:, None] * np.sin(phase))[:, None]
+    out = np.where(np.asarray(sine)[:, None, None, None],
+                   hs * re + hc * im, hc * re - hs * im)
+    out = out.transpose(3, 4, 0, 1, 2).reshape(2, omega.size, -1, mid.size)
+    scale = half * (np.abs(samples).reshape(-1, mid.size, NODES_PER_PANEL)
+                    @ _RULE[0])
+    return np.concatenate([out, np.broadcast_to(scale, out.shape[1:])[None]]
+                          ).reshape(3, -1, mid.size)
+
+
 def _eval_panels(fw, lo, hi):
     """Integrate a vectorized integrand on each panel [lo_i, hi_i].
 
-    ``fw`` maps nodes, shape (n,), to values of shape (n,), to a stack
-    of m integrand components, shape (m, n), or to a factored stack
-    (samples, osc): kernel samples of shape (E, P, n) and oscillation
-    factors of shape (P, n, W).  The products samples[e, p] *
-    osc[p, :, w] are then the m = W * E * P components, ordered
-    (w, e, p); they are never formed, as each panel's weighted samples
-    are contracted against its oscillation factors by matrix products.
-    Panels are taken in blocks of BATCH_BLOCK_PANELS, with one ``fw``
-    call on the NODES_PER_PANEL nodes of each panel in the block.
-    Returns (values, errors) per panel, K15 and |K15 - G7|, shape
-    (n_panels,) or (m, n_panels).
+    ``fw`` maps nodes, shape (n,), to values of shape (n,) or to a stack
+    of m integrand components, shape (m, n).  It may instead be a
+    half-line transform (sample, omega, sine): ``sample`` maps nodes to
+    kernel samples of shape (E, P, n), which are integrated against
+    sin(omega u) for the parts p with ``sine[p]`` and cos(omega u) for
+    the others, at the W frequencies ``omega``, by Filon-type rules
+    (see _filon).  Its m = W * E * P components are ordered (w, e, p).
+    Panels are taken in blocks, with one call on the NODES_PER_PANEL
+    nodes of each panel in the block: BATCH_BLOCK_PANELS panels of a
+    plain integrand, and for a transform at W frequencies as many panels
+    as make BATCH_BLOCK_PANELS * NODES_PER_PANEL (panel, frequency)
+    pairs, each with its NODES_PER_PANEL Filon moments.  Returns the
+    rows (values, errors, rounding scales) per panel: K15, |K15 - G7|,
+    and |K15| of a plain integrand (see _filon for a transform's), shape
+    (3, n_panels) or (3, m, n_panels).
     """
-    vals, errs = [], []
-    for b in range(0, lo.size, BATCH_BLOCK_PANELS):
-        blk = slice(b, b + BATCH_BLOCK_PANELS)
+    step = BATCH_BLOCK_PANELS
+    if isinstance(fw, tuple):
+        step = max(1, step * NODES_PER_PANEL // np.size(fw[1]))
+    blocks = []
+    for b in range(0, lo.size, step):
+        blk = slice(b, b + step)
         mid = 0.5 * (lo[blk] + hi[blk])
         half = 0.5 * (hi[blk] - lo[blk])
-        shape = (mid.size, NODES_PER_PANEL)
-        out = fw((mid[:, None] + half[:, None] * _NODES[None, :]).ravel())
-        if isinstance(out, tuple):
-            samples, osc = out
-            n_eps, n_parts = samples.shape[:2]
-            samples = samples.reshape((n_eps, n_parts) + shape)
-            osc = osc.reshape((n_parts,) + shape + (-1,))
-            # per rule: (part, panel, eps, node) @ (part, panel, node, omega)
-            s = np.stack([np.einsum("epkj,j->pkej", samples, r) @ osc
-                          for r in _RULE])
-            # to (rule, omega x eps x part, panel)
-            s = s.transpose(0, 4, 3, 1, 2).reshape(2, -1, mid.size)
-            # in C order, so that sums over panels run pairwise, not along
-            # a strided axis where their rounding grows with the count
-            value, diff = np.ascontiguousarray(half * s)
+        nodes = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+        if isinstance(fw, tuple):
+            sample, omega, sine = fw
+            rows = _filon(sample(nodes), omega, sine, mid, half)
         else:
-            f = np.asarray(out).reshape(np.shape(out)[:-1] + shape)
-            value, diff = (np.sum(half[:, None] * r * f, axis=-1)
-                           for r in _RULE)
-        vals.append(value)
-        errs.append(np.abs(diff))
-    return np.concatenate(vals, axis=-1), np.concatenate(errs, axis=-1)
+            out = fw(nodes)
+            f = np.asarray(out).reshape(np.shape(out)[:-1]
+                                        + (mid.size, NODES_PER_PANEL))
+            rows = np.stack([np.sum(half[:, None] * r * f, axis=-1)
+                             for r in _RULE])
+            rows = np.concatenate([rows, rows[:1]])
+        rows[1:] = np.abs(rows[1:])
+        blocks.append(rows)
+    # in C order, so that sums over panels run pairwise, not along a
+    # strided axis where their rounding grows with the count
+    return np.concatenate(blocks, axis=-1)
 
 
 def _work_counts(n_panels, splits, n_samples, components):
@@ -304,69 +469,75 @@ def _work_counts(n_panels, splits, n_samples, components):
 def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
     """Globally adaptive panel integration of a vectorized integrand.
 
-    ``fw`` returns one integrand, shape (n,), a stack of m components,
-    shape (m, n), or a factored stack (see _eval_panels) on n nodes.
-    Batches of the worst panels are split until every component's summed
-    panel error meets its own
+    ``fw`` returns one integrand, shape (n,), or a stack of m
+    components, shape (m, n), on n nodes; or it is a half-line transform
+    (see _eval_panels).  Batches of the worst panels are split until
+    every component's summed panel error meets its own
     max(abs_tol, rel_tol * |value|) or the split budget is exhausted
     (SubdivisionLimit).  A non-finite panel value or error, or a sum
     that overflows, raises SingularEvaluation at once, before any more
     splits.  A batch takes up to 64 panels, ranked by their
     error relative to the tolerance of the components still open, among
     those at or above a quarter of such a component's mean panel error.
-    Once converged, each component's error gains the rounding floor
-    ROUNDING_FLOOR_ULPS * eps * sum |panel values|, which the stopping
-    test does not see.  Returns (value, error, splits_used); value and
-    error are floats for one integrand and arrays of shape (m,) for a
-    stack.
+    Each component's error gains the rounding floor ROUNDING_FLOOR_ULPS
+    * eps * the sum of its panels' rounding scales (see _eval_panels),
+    which the stopping test does not see and no split removes: an unmet
+    tolerance below it raises SubdivisionLimit at once.  Returns (value,
+    error, splits_used); value and error are floats for one integrand
+    and arrays of shape (m,) for a stack.
     """
     bp = np.asarray(breakpoints, dtype=float)
     lo, hi = bp[:-1], bp[1:].copy()
-    vals, errs = _eval_panels(fw, lo, hi)
-    single = vals.ndim == 1
-    vals, errs = np.atleast_2d(vals), np.atleast_2d(errs)
+    # rows: panel values, errors and rounding scales; (3, m, n_panels)
+    rows = _eval_panels(fw, lo, hi)
+    single = rows.ndim == 2
+    rows = rows.reshape(3, -1, lo.size)
     splits = 0
     while True:
-        total = vals.sum(axis=1)
-        err = errs.sum(axis=1)
+        total, err, scale = rows.sum(axis=2)
         if not np.all(np.isfinite(total) & np.isfinite(err)):
-            bad = ~np.all(np.isfinite(vals) & np.isfinite(errs), axis=0)
+            bad = ~np.all(np.isfinite(rows[:2]), axis=(0, 1))
             i = np.argmax(bad)
             raise SingularEvaluation(
                 "integrand is not finite on the panel [%.6g, %.6g]"
                 % (lo[i], hi[i]) if bad[i] else
                 "the integral over [%.6g, %.6g] overflows" % (bp[0], bp[-1]))
+        floor = ROUNDING_FLOOR_ULPS * np.finfo(float).eps * scale
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         unmet = ~(err <= tol)
         if not unmet.any():
             break
+        below = np.flatnonzero(unmet & (tol < floor))
+        if below.size:
+            raise SubdivisionLimit(
+                "adaptive quadrature cannot reach tolerance %.3e below the "
+                "rounding floor %.3e; raise quadrature.abs_tol or "
+                "quadrature.rel_tol" % (tol[below[0]], floor[below[0]]))
         if splits >= max_subdivisions:
             worst = np.argmax(np.where(unmet, err / tol, -np.inf))
             raise SubdivisionLimit(
                 "adaptive quadrature used all %d subdivisions (error %.3e, "
                 "tolerance %.3e)" % (max_subdivisions, err[worst], tol[worst])
             )
-        e_open = errs[unmet]
+        e_open = rows[1, unmet]
         score = np.max(e_open / tol[unmet, None], axis=0)
-        floor = 0.25 * err[unmet, None] / lo.size
-        cand = np.flatnonzero(np.any(e_open >= floor, axis=0))
+        cut = 0.25 * err[unmet, None] / lo.size
+        cand = np.flatnonzero(np.any(e_open >= cut, axis=0))
         batch = cand[np.lexsort((cand, -score[cand]))][:64]
         mid = 0.5 * (lo[batch] + hi[batch])
         right = hi[batch]
-        nvals, nerrs = _eval_panels(fw, np.concatenate([lo[batch], mid]),
-                                    np.concatenate([mid, right]))
-        nvals, nerrs = np.atleast_2d(nvals), np.atleast_2d(nerrs)
+        new = _eval_panels(fw, np.concatenate([lo[batch], mid]),
+                           np.concatenate([mid, right]))
+        new = new.reshape(3, -1, 2 * batch.size)
         n = batch.size
         # the left half keeps the panel's slot, the right half is appended
         hi[batch] = mid
-        vals[:, batch], errs[:, batch] = nvals[:, :n], nerrs[:, :n]
+        rows[:, :, batch] = new[:, :, :n]
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([hi, right])
-        vals = np.concatenate([vals, nvals[:, n:]], axis=1)
-        errs = np.concatenate([errs, nerrs[:, n:]], axis=1)
+        rows = np.concatenate([rows, new[:, :, n:]], axis=2)
         splits += n
-    err = err + (ROUNDING_FLOOR_ULPS * np.finfo(float).eps
-                 * np.sum(np.abs(vals), axis=1))
+    err = err + floor
     if single:
         return float(total[0]), float(err[0]), splits
     return total, err, splits
@@ -472,21 +643,19 @@ def halfline_transform(f, omega, cfg, kind, *, u_max, u_scale, envelope=None,
     u_cap = float(u_max)
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     n_eps, n_parts = len(sched), len(kinds)
-    trig = {"cos": np.cos, "sin": np.sin}
 
     def parts(u, eps):
         return np.reshape(f(u, eps), (n_parts, -1))
 
-    def fw(u):
-        osc = np.empty((n_parts, u.size, om.size))
-        phase = np.multiply.outer(u, om, out=osc[-1])  # overwritten last
-        for p, k in enumerate(kinds):
-            trig[k](phase, out=osc[p])
-        return np.stack([parts(u, eps) for eps in sched]), osc
+    def sample(u):
+        return np.stack([parts(u, eps) for eps in sched])
 
-    bp = _halfline_breakpoints(np.max(np.abs(om)), u_scale, u_cap)
+    # the ladder alone: Filon-type panels carry the oscillation, so they
+    # only have to resolve the kernel
+    bp = _halfline_breakpoints(0.0, u_scale, u_cap)
     raw, qerr, splits = integrate_adaptive(
-        fw, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
+        (sample, om, [k == "sin" for k in kinds]), bp, cfg.abs_tol,
+        cfg.rel_tol, cfg.max_subdivisions
     )
     raw = raw.reshape(om.size, n_eps, n_parts)
     qerr = qerr.reshape(om.size, n_eps, n_parts)
@@ -592,7 +761,7 @@ def pv_integral(h, pole, lo, hi, cfg, *, h_error=None, extra_breakpoints=()):
             return np.asarray(h_error(w)) / d
         ebp = np.array(sorted({lo, hi, pole - guard, pole + guard,
                                *np.linspace(lo, hi, 33)}))
-        evals, _ = _eval_panels(quotient_err, ebp[:-1], ebp[1:])
+        evals = _eval_panels(quotient_err, ebp[:-1], ebp[1:])[0]
         err = err + np.sum(np.abs(evals), axis=-1)
     if at_pole.ndim == 1:
         return IntegralResult(float(value), float(err), work)
@@ -612,9 +781,9 @@ def kk_real_from_imag(f_imag, omega, cfg):
     res = pv_integral(f_imag, omega, -wc, wc, cfg)
     err = res.error_estimate / math.pi
     edge = wc / 16.0
-    vals, _ = _eval_panels(lambda w: np.asarray(f_imag(w)) / (w - omega),
-                           np.array([-wc, wc - edge]),
-                           np.array([edge - wc, wc]))
+    vals = _eval_panels(lambda w: np.asarray(f_imag(w)) / (w - omega),
+                        np.array([-wc, wc - edge]),
+                        np.array([edge - wc, wc]))[0]
     err += float(np.sum(np.abs(vals))) / math.pi
     return IntegralResult(res.value / math.pi, err,
                           detail={"omega_cutoff": wc})

@@ -40,7 +40,6 @@ Einstein coefficients per unit strength follow as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,14 +152,16 @@ def rate_coefficients(kernel, omega, g, cfg=None):
     return _require_finite(out, g, "rate coefficients")
 
 
-@dataclass
 class EinsteinCoefficients:
     """Upward/downward transition coefficients per unit strength."""
 
-    a_up: float
-    a_down: float
-    a_up_error: float = 0.0
-    a_down_error: float = 0.0
+    __slots__ = ("a_up", "a_down", "a_up_error", "a_down_error")
+
+    def __init__(self, a_up, a_down, a_up_error=0.0, a_down_error=0.0):
+        self.a_up = a_up
+        self.a_down = a_down
+        self.a_up_error = a_up_error
+        self.a_down_error = a_down_error
 
     @property
     def ratio(self):
@@ -197,18 +198,22 @@ def einstein_coefficients(grf, gsr, tol=None):
     return EinsteinCoefficients(a_up, a_down, err, err)
 
 
-@dataclass
 class TransitionRate:
     """Energy relaxation contribution of one ordered transition a -> b."""
 
-    a: int
-    b: int
-    omega_ab: float
-    strength: float
-    rf: float
-    sr: float
-    rf_error: float = 0.0
-    sr_error: float = 0.0
+    __slots__ = ("a", "b", "omega_ab", "strength", "rf", "sr", "rf_error",
+                 "sr_error")
+
+    def __init__(self, a, b, omega_ab, strength, rf, sr, rf_error=0.0,
+                 sr_error=0.0):
+        self.a = a
+        self.b = b
+        self.omega_ab = omega_ab
+        self.strength = strength
+        self.rf = rf
+        self.sr = sr
+        self.rf_error = rf_error
+        self.sr_error = sr_error
 
     @property
     def total(self):
@@ -248,13 +253,15 @@ def transition_rates(spec, a, kernel, cfg=None):
                             transition_elements(spec, a))[2]
 
 
-@dataclass
 class RelaxationRate:
     """Total energy relaxation rate of a level with its breakdown."""
 
-    value: float
-    error_estimate: float
-    contributions: list = field(default_factory=list)
+    __slots__ = ("value", "error_estimate", "contributions")
+
+    def __init__(self, value, error_estimate, contributions=None):
+        self.value = value
+        self.error_estimate = error_estimate
+        self.contributions = [] if contributions is None else contributions
 
     def __float__(self):
         return float(self.value)

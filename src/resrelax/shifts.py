@@ -52,7 +52,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -384,19 +383,23 @@ def _cutoff_remainder(spec, kernel, a, wc, cfg):
 # ---------------------------------------------------------------------------
 # assembled results
 
-@dataclass
 class ShiftResult:
     """Both mechanism shifts of one level with error diagnostics."""
 
-    a: int
-    label: str
-    delta_e_rf: float
-    delta_e_sr: float
-    omega_c: float
-    err_quad: float
-    err_cutoff: float
-    method: str = "kk"
-    detail: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("a", "label", "delta_e_rf", "delta_e_sr", "omega_c",
+                 "err_quad", "err_cutoff", "method", "detail")
+
+    def __init__(self, a, label, delta_e_rf, delta_e_sr, omega_c, err_quad,
+                 err_cutoff, method="kk", detail=None):
+        self.a = a
+        self.label = label
+        self.delta_e_rf = delta_e_rf
+        self.delta_e_sr = delta_e_sr
+        self.omega_c = omega_c
+        self.err_quad = err_quad
+        self.err_cutoff = err_cutoff
+        self.method = method
+        self.detail = {} if detail is None else detail
 
     @property
     def total(self):

@@ -21,8 +21,6 @@ not contribute to rates or shifts; they are excluded from the sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from .errors import (
@@ -37,7 +35,6 @@ HERMITICITY_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-9
 
 
-@dataclass
 class SystemSpec:
     """Energy levels plus coupling operators.
 
@@ -53,11 +50,16 @@ class SystemSpec:
         Dimensionless coupling constant multiplying the interaction.
     """
 
-    levels: tuple
-    coupling_ops: tuple
-    g: float
-    active_pairs: tuple = field(default=None, repr=False)
-    excluded_pairs: tuple = field(default=None, repr=False)
+    __slots__ = ("levels", "coupling_ops", "g", "active_pairs",
+                 "excluded_pairs")
+
+    def __init__(self, levels, coupling_ops, g, active_pairs=None,
+                 excluded_pairs=None):
+        self.levels = levels
+        self.coupling_ops = coupling_ops
+        self.g = g
+        self.active_pairs = active_pairs
+        self.excluded_pairs = excluded_pairs
 
     @property
     def n_levels(self):
@@ -164,20 +166,14 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
                 excluded.append((a, b))
             else:
                 active.append((a, b))
-    return replace(
-        spec,
-        levels=levels,
-        coupling_ops=ops,
-        active_pairs=tuple(active),
-        excluded_pairs=tuple(excluded),
-    )
+    return SystemSpec(levels, ops, spec.g, active_pairs=tuple(active),
+                      excluded_pairs=tuple(excluded))
 
 
 def ensure_validated(spec: SystemSpec) -> SystemSpec:
     return spec if spec.validated else validate_system(spec)
 
 
-@dataclass
 class TransitionElement:
     """Matrix M_ij(a, b) with its transition frequency omega_ab.
 
@@ -185,12 +181,13 @@ class TransitionElement:
     the quantity scalar reservoir kernels couple to.
     """
 
-    a: int
-    b: int
-    omega_ab: float
-    M: np.ndarray
+    __slots__ = ("a", "b", "omega_ab", "M")
 
-    def __post_init__(self):
+    def __init__(self, a, b, omega_ab, M):
+        self.a = a
+        self.b = b
+        self.omega_ab = omega_ab
+        self.M = M
         # M_ij(a,b) = conj(M_ji(a,b)) holds for hermitian S_i; guard anyway.
         if np.max(np.abs(self.M - self.M.conj().T)) > 1e-10 * max(
             1.0, np.max(np.abs(self.M))

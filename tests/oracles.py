@@ -204,6 +204,40 @@ def quad_gamma_sr(kernel_ca, omega, g, upper, **kw):
     return -g * g * val, g * g * err
 
 
+def exp_transform(a, omega, upper, kind):
+    """int_0^upper e^{-a u} {cos, sin}(omega u) du, in closed form (mpmath)."""
+    with mpmath.workdps(30):
+        a, w, u = mpmath.mpf(a), mpmath.mpf(omega), mpmath.mpf(upper)
+        damp = mpmath.exp(-a * u)
+        c, s = mpmath.cos(w * u), mpmath.sin(w * u)
+        if kind == "cos":
+            value = a - damp * (a * c - w * s)
+        else:
+            value = w - damp * (a * s + w * c)
+        return float(value / (a * a + w * w))
+
+
+def inverse_square_cos(omega, upper):
+    """int_0^upper cos(omega u) / (1 + u)^2 du, by sine and cosine
+    integrals (mpmath).
+
+    With t = 1 + u and T = 1 + upper it is cos(w) A + sin(w) B, where
+    A = int_1^T cos(w t) / t^2 dt = cos w - cos(w T) / T
+        - w (Si(w T) - Si(w)) and
+    B = int_1^T sin(w t) / t^2 dt = sin w - sin(w T) / T
+        + w (Ci(w T) - Ci(w)).
+    """
+    with mpmath.workdps(30):
+        w, t = mpmath.mpf(omega), 1 + mpmath.mpf(upper)
+        if w == 0:
+            return float(1 - 1 / t)
+        a = (mpmath.cos(w) - mpmath.cos(w * t) / t
+             - w * (mpmath.si(w * t) - mpmath.si(w)))
+        b = (mpmath.sin(w) - mpmath.sin(w * t) / t
+             + w * (mpmath.ci(w * t) - mpmath.ci(w)))
+        return float(mpmath.cos(w) * a + mpmath.sin(w) * b)
+
+
 def quad_pv(h, pole, lo, hi, **kw):
     """Principal value of integral h(x)/(x - pole) dx via weight='cauchy'."""
     kw.setdefault("limit", 400)
@@ -341,6 +375,44 @@ def kronrod15():
         nodes = sorted(gauss + kronrod)
         return [(x, w, w_gauss.get(x, mpmath.mpf(0)))
                 for x, w in zip(nodes, weights(nodes))]
+
+
+def filon15(theta):
+    """Filon-type K15 and G7 weights for the oscillation e^{i theta x}
+    on [-1, 1], in 50-digit mpmath.
+
+    The weight of a node is int_{-1}^1 l(x) e^{i theta x} dx, where l is
+    its Lagrange polynomial on the rule's nodes (kronrod15, mirrored).
+    The moments int x^k e^{i theta x} dx come from the power series of
+    the exponential, summed with enough guard digits to absorb its
+    cancellation, and the weights solve the monomial moment equations.
+    Returns (K15 weights, G7 weights) as complex numbers for the 15 and
+    the 7 nodes, ascending.
+    """
+    theta = mpmath.mpf(theta)
+    with mpmath.workdps(60 + int(abs(theta))):
+        half = [(x, g != 0) for x, _, g in kronrod15()]
+        nodes = [(-x, gauss) for x, gauss in half[:0:-1]] + half
+        k15 = [x for x, _ in nodes]
+        g7 = [x for x, gauss in nodes if gauss]
+
+        def moment(k):  # int_{-1}^1 x^k e^{i theta x} dx
+            total, term, n = mpmath.mpc(0), mpmath.mpc(1), 0
+            while True:  # term = (i theta)^n / n!
+                if (k + n) % 2 == 0:
+                    total += term * 2 / (k + n + 1)
+                if n > abs(theta) + 10 and abs(term) < mpmath.mpf(10) ** -70:
+                    return total
+                n += 1
+                term *= 1j * theta / n
+
+        def weights(nodes):
+            a = mpmath.matrix([[x ** k for x in nodes]
+                               for k in range(len(nodes))])
+            b = mpmath.matrix([moment(k) for k in range(len(nodes))])
+            return [complex(w) for w in mpmath.lu_solve(a, b)]
+
+        return weights(k15), weights(g7)
 
 
 # ---------------------------------------------------------------------------

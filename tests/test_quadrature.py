@@ -31,6 +31,9 @@ from resrelax.quadrature import (
     _QK15_HALF,
     _RULE,
     _eval_panels,
+    _filon_rules,
+    _halfline_breakpoints,
+    _sph_bessel,
     extrapolate_regulator,
     halfline_transform,
     integrate_adaptive,
@@ -143,6 +146,30 @@ class TestFailureModes:
                 nasty, 1.0, cfg, "cos", u_max=2000.0, u_scale=1.0,
                 envelope=Envelope(kind="power", amplitude=1e6),
             )
+
+    def test_tolerance_below_rounding_floor_refused_at_once(self):
+        # rel_tol * |value| = 4.1e-16 is below the rounding floor, 8 eps
+        # times int_0^1200 e^{-0.05 u} du = 20, that no split removes:
+        # the pass refuses before it spends its split budget
+        points = []
+
+        def f(u, eps):
+            points.append(u.size)
+            return np.exp(-0.05 * np.asarray(u))
+
+        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-14,
+                               max_subdivisions=20000)
+        with pytest.raises(SubdivisionLimit,
+                           match=r"rounding floor.*quadrature\.abs_tol or "
+                                 r"quadrature\.rel_tol"):
+            halfline_transform(f, 1.1, cfg, "cos", u_max=1200.0, u_scale=1.0,
+                               envelope=Envelope(kind="exp", amplitude=1.0,
+                                                 rate=0.05),
+                               eps_schedule=(0.0,))
+        # every split samples two panels of NODES_PER_PANEL nodes
+        ladder = _halfline_breakpoints(0.0, 1.0, 1200.0).size - 1
+        splits = (sum(points) // NODES_PER_PANEL - ladder) // 2
+        assert splits < 500
 
     def test_nonconvergent_regulator(self, time_domain):
         # an epsilon schedule deep in the nonlinear regime cannot be
@@ -345,7 +372,7 @@ def _heap_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
     converged error.  Returns (value, error, splits).
     """
     bp = np.asarray(breakpoints, dtype=float)
-    vals, errs = _eval_panels(fw, bp[:-1], bp[1:])
+    vals, errs = _eval_panels(fw, bp[:-1], bp[1:])[:2]
     panels = [[bp[i], bp[i + 1], vals[i], errs[i]] for i in range(len(bp) - 1)]
     heap = [(-p[3], i) for i, p in enumerate(panels)]
     heapq.heapify(heap)
@@ -372,7 +399,7 @@ def _heap_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
         hi = np.array([panels[i][1] for i in batch])
         mid = 0.5 * (lo + hi)
         nvals, nerrs = _eval_panels(fw, np.concatenate([lo, mid]),
-                                    np.concatenate([mid, hi]))
+                                    np.concatenate([mid, hi]))[:2]
         n = len(batch)
         for k, i in enumerate(batch):
             panels[i] = [lo[k], mid[k], nvals[k], nerrs[k]]
@@ -501,6 +528,94 @@ class TestAdaptiveStack:
                                     QuadratureConfig(), "sin", u_max=60.0,
                                     u_scale=1.0, envelope=EXP_ENV)
         assert single.value == pytest.approx(res[1].value, rel=1e-13, abs=0.0)
+
+
+def _shipped_filon(theta):
+    """The K15 and G7 weights of the shipped rules at theta, as complex
+    numbers on the 15 nodes (G7's zero off its own)."""
+    j = _sph_bessel(np.array([abs(theta)]))[0]
+    k15, diff = ((r[0::2].T @ j[0::2]) + 1j * np.sign(theta)
+                 * (r[1::2].T @ j[1::2]) for r in _filon_rules())
+    return k15, k15 - diff
+
+
+class TestFilon:
+    """The Filon-type K15/G7 panels of a half-line transform."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.5, 7.0, 14.0, 15.0,
+                                       300.0, -7.0])
+    def test_weights_match_mpmath(self, theta):
+        # w_j = int_{-1}^1 l_j(x) e^{i theta x} dx for the Lagrange
+        # polynomials of each rule, against 50-digit mpmath
+        k15, g7 = _shipped_filon(theta)
+        ref15, ref7 = (np.array(w) for w in oracles.filon15(theta))
+        scale = np.max(np.abs(ref15))
+        assert np.max(np.abs(k15 - ref15)) <= 16 * np.finfo(float).eps * scale
+        assert np.max(np.abs(g7[1::2] - ref7)) <= (16 * np.finfo(float).eps
+                                                    * scale)
+        assert np.max(np.abs(g7[0::2])) <= np.finfo(float).eps * scale
+
+    def test_weights_at_zero_are_the_panel_rules(self):
+        k15, g7 = _shipped_filon(0.0)
+        assert np.array_equal(k15, _RULE[0])
+        assert np.array_equal(g7, _RULE[0] - _RULE[1])
+
+    @pytest.mark.parametrize("tols", [(1e-10, 1e-8), (1e-13, 1e-12)],
+                             ids=["default", "tight"])
+    def test_error_estimate_covers_true_error(self, tols):
+        # calibration: on the ladder a half-line pass starts from, the
+        # estimate of every row covers the true error, for omega u_max
+        # up to 1e4 (the tight abs_tol stays above the rounding floor of
+        # every row, 8 eps int_0^u_max |f| <= 3.6e-14)
+        rows = [(a, kind) for a in (0.05, 0.8, 3.0) for kind in ("cos", "sin")]
+        rows.append((None, "cos"))  # (1 + u)^-2
+        for a, kind in rows:
+            upper = 1e4 if a is None else 60.0 / a
+            scale = 1.0 if a is None else 1.0 / a
+            for wu in (0.0, 0.5, 3.0, 30.0, 300.0, 3e3, 1e4):
+                w = wu / upper
+                if a is None:
+                    def f(u):
+                        return (1.0 + u)[None, None] ** -2.0
+                    exact = oracles.inverse_square_cos(w, upper)
+                else:
+                    def f(u, a=a):
+                        return np.exp(-a * u)[None, None]
+                    exact = oracles.exp_transform(a, w, upper, kind)
+                value, error, _ = integrate_adaptive(
+                    (f, np.array([w]), [kind == "sin"]),
+                    _halfline_breakpoints(0.0, scale, upper), *tols, 20000)
+                assert abs(value[0] - exact) <= error[0], (a, kind, wu)
+
+    def test_blocks_hold_panel_frequency_pairs(self):
+        # a transform at W frequencies samples max(1, 960 // W) panels
+        # per call: as many (panel, frequency) pairs as a plain block's
+        # BATCH_BLOCK_PANELS * NODES_PER_PANEL nodes
+        pairs = BATCH_BLOCK_PANELS * NODES_PER_PANEL
+        for n_freq in (1, 40, 2000):
+            sizes = []
+
+            def f(u):
+                sizes.append(u.size)
+                return np.exp(-u)[None, None]
+
+            step = max(1, pairs // n_freq)
+            bp = np.linspace(0.0, 1.0, 2 * step + 2)
+            integrate_adaptive((f, np.linspace(0.0, 1.0, n_freq), [False]),
+                               bp, 1e-10, 1e-8, 10)
+            assert sizes[:3] == [step * NODES_PER_PANEL] * 2 + [
+                NODES_PER_PANEL], n_freq
+
+    def test_panels_follow_the_kernel_not_the_period(self):
+        # e^{-u} cos(w u): the ladder and a few splits at every
+        # frequency, where six panels per period would take 6 w u_max /
+        # 2 pi of them (about 170,000 at w = 3000)
+        for w in (0.3, 30.0, 3000.0):
+            res = halfline_transform(decaying, w, QuadratureConfig(), "cos",
+                                     u_max=60.0, u_scale=1.0,
+                                     envelope=EXP_ENV)
+            assert res.value == pytest.approx(1.0 / (1.0 + w * w), rel=1e-9)
+            assert res.detail["panels"] <= 60
 
 
 class TestEnvelope:

@@ -290,8 +290,8 @@ def test_direct_pass_shares_each_kernel_sample(counting, eps_sensitive):
     # eps values and both mechanisms share every kernel sample.  Kernel
     # points, endpoints included: 1,688,028 with one pass per (mechanism,
     # eps) and 844,014 with one per partner, at 22 nodes per panel and 16
-    # panels per period; 304,296 at 21 nodes and 6 panels per period, and
-    # 217,356 at 15
+    # panels per period; 304,296 at 21 nodes and 6 panels per period,
+    # 217,356 at 15, and 4,236 with Filon-type panels on the ladder alone
     import numpy as np
 
     spec = _ladder3()
@@ -361,6 +361,18 @@ def test_direct_pass_samples_regular_kernel_at_eps_zero(counting):
     assert all(r.error_estimate < 1e-10 for r in res.values())
 
 
+def test_direct_shift_samples_few_kernel_points(counting):
+    # Filon-type panels follow the kernel, not its oscillation period:
+    # the direct shifts of all three levels sample 2,824 points (144,904
+    # with 6 K15 panels per period)
+    spec = _ladder3()
+    cfg = QuadratureConfig(omega_cutoff=25.0)
+    kernel = counting(_ladder_kernel())
+    for a in range(3):
+        compute_shift(spec, kernel, a, cfg, method="direct")
+    assert sum(u.size for _, u in kernel.calls) <= 5_000
+
+
 def test_direct_pass_independent_of_block_size(monkeypatch):
     # panel values do not depend on the sampling block, so neither do
     # the pass values: bit-identical at 7 panels per block
@@ -377,7 +389,7 @@ def test_direct_pass_independent_of_block_size(monkeypatch):
 
 
 def test_direct_pass_peak_memory():
-    # a 256-panel block bounds the working set of a pass
+    # the sampling block bounds the working set of a pass
     import tracemalloc
 
     spec = _ladder3()

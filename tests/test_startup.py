@@ -43,7 +43,7 @@ def _record(owner, name):
         return fn(*args, **kwargs)
     fn = getattr(owner, name)
     setattr(owner, name, wrapper)
-for name in ("eigvalsh", "lstsq", "solve", "svd"):
+for name in ("det", "eigvalsh", "inv", "lstsq", "solve", "svd"):
     _record(numpy.linalg, name)
 _record(numpy, "polyfit")
 from resrelax.cli import main
