@@ -639,15 +639,27 @@ class BandLimitedVacuum:
         return (t1 + t2) / FOUR_PI_SQ
 
     def image_tail_error(self, U, w0):
-        """Bound on the dropped image-term tails beyond U."""
-        if not self._n_terms:
+        """Bound on the rf transform of the image terms ring() misses.
+
+        These are the kept terms beyond U and every term n > N = _n_terms:
+        with b = 2 pi / a and q = b wc, term n is int_wc^inf w e^{-n b w}
+        e^{i w u} dw, whose rf transform is at most 2 |w0| / (wc^2 - w0^2)
+        e^{-n q} (1 + n q) / (n b)^2 / 4 pi^2, and the sum over n > N is at
+        most e^{-(N+1) q} / b^2 (1 / (N + 1/2) + q / ((N + 1)(1 - e^{-q}))).
+        """
+        a = self.acceleration
+        if a == 0.0:
             return 0.0
-        wc, a = self.omega_c, self.acceleration
-        beat = max(wc - abs(w0), 1.0 / U)
+        wc, n_kept, w0 = self.omega_c, self._n_terms, abs(w0)
+        beat = max(wc - w0, 1.0 / U)
+        q = 2.0 * math.pi * wc / a
         total = 0.0
-        for n in range(1, self._n_terms + 1):
-            damp = math.exp(-2.0 * math.pi * n * wc / a)
-            total += damp * (2.0 + wc * U) / (U * U) * 2.0 / beat
+        for n in range(1, n_kept + 1):
+            total += math.exp(-n * q) * (2.0 + wc * U) / (U * U) * 2.0 / beat
+        r = a / (2.0 * math.pi)
+        dropped = math.exp(-(n_kept + 1) * q) * r * r * (
+            1.0 / (n_kept + 0.5) - q / ((n_kept + 1) * math.expm1(-q)))
+        total += 2.0 * w0 / ((wc - w0) * (wc + w0)) * dropped
         return total / FOUR_PI_SQ
 
 

@@ -21,9 +21,9 @@ All reservoir quantities reduce to three numerical primitives:
     are among K15's, gives the panel error |F15 - F7|; at omega -> 0 the
     two rules are K15 and G7.  A plain integrand, such as a principal-
     value quotient, is integrated by K15 itself, with |K15 - G7| as the
-    panel error; a ringing one gets PANELS_PER_PERIOD initial panels per
-    period on top of the ladder (see _halfline_breakpoints).  So a panel
-    takes NODES_PER_PANEL = 15 samples.
+    panel error, on panels its caller lays out from the integrand's own
+    scale.  So a panel takes NODES_PER_PANEL = 15 samples, and no layout
+    follows an oscillation period or an absolute length.
     The adaptive engine keeps panel bounds, values and errors in arrays
     and splits the worst panels in batches until every component meets
     its tolerance or the split budget is spent (SubdivisionLimit).
@@ -54,7 +54,9 @@ All reservoir quantities reduce to three numerical primitives:
             = int [h(w) - h(p)]/(w - p) dw + h(p) ln((hi - p)/(p - lo)),
 
     with the difference quotient replaced by a central-difference
-    h'(p) inside a guard window |w - p| < 1e-6 (hi - lo).
+    h'(p) inside a window |w - p| < 1e-8 (hi - lo), whose cost, about
+    h'''(p) window^3, no estimate carries.  A pole within 1e-6 (hi - lo)
+    of either end is refused.
 
 Truncation of the half-line at u_max is compensated by the analytic
 endpoint term -f(u_max) sin(omega u_max)/omega (cosine case, sign
@@ -80,9 +82,7 @@ from .errors import (
 )
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
-PANELS_PER_PERIOD = 6
 LADDER_RATIO = 1.7
-PANEL_HARD_CAP = 400_000
 # Panels per sampling block of a plain integrand (960 nodes); a transform
 # at W frequencies takes 960 // W panels, so that a block holds at most
 # 960 (panel, frequency) pairs.  It bounds the working set of a pass;
@@ -341,33 +341,14 @@ def _sph_bessel(theta):
     return out
 
 
-def _halfline_breakpoints(omega_max, u_scale, u_max):
-    """Panel boundaries for [0, u_max]: geometric ladder + periodic grid.
-
-    The grid puts PANELS_PER_PERIOD panels on each period 2 pi /
-    |omega_max|; omega_max = 0 gives the ladder alone.
-    """
+def _halfline_breakpoints(u_scale, u_max):
+    """Panel boundaries for [0, u_max]: a geometric ladder from u_scale."""
     pts = {0.0, u_max}
-    u0 = max(u_scale / 32.0, u_max * 1e-13)
-    u = u0
+    u = max(u_scale / 32.0, u_max * 1e-13)
     while u < u_max:
         pts.add(u)
         u *= LADDER_RATIO
-    w = abs(omega_max)
-    if w > 0:
-        h = (2.0 * math.pi / w) / PANELS_PER_PERIOD
-        n_osc = u_max / h
-        if n_osc > PANEL_HARD_CAP:
-            raise SubdivisionLimit(
-                "initial oscillation grid needs %d panels (cap %d); reduce "
-                "u_max or the frequency range" % (int(n_osc), PANEL_HARD_CAP)
-            )
-        if n_osc >= 1:
-            pts.update(np.arange(h, u_max, h))
-    bp = np.array(sorted(pts))
-    # drop breakpoints that crowd closer than a tiny fraction of a panel
-    keep = np.concatenate([[True], np.diff(bp) > 1e-15 * u_max])
-    return bp[keep]
+    return np.array(sorted(pts))
 
 
 def _filon(samples, omega, sine, mid, half):
@@ -650,9 +631,9 @@ def halfline_transform(f, omega, cfg, kind, *, u_max, u_scale, envelope=None,
     def sample(u):
         return np.stack([parts(u, eps) for eps in sched])
 
-    # the ladder alone: Filon-type panels carry the oscillation, so they
-    # only have to resolve the kernel
-    bp = _halfline_breakpoints(0.0, u_scale, u_cap)
+    # Filon-type panels carry the oscillation, so they only have to
+    # resolve the kernel
+    bp = _halfline_breakpoints(u_scale, u_cap)
     raw, qerr, splits = integrate_adaptive(
         (sample, om, [k == "sin" for k in kinds]), bp, cfg.abs_tol,
         cfg.rel_tol, cfg.max_subdivisions
@@ -719,10 +700,11 @@ def pv_integral(h, pole, lo, hi, cfg, *, h_error=None, extra_breakpoints=()):
 
     ``h`` maps an array of n points to one function, shape (n,), or to
     a stack of m, shape (m, n); each component meets its own tolerance.
-    One call at (pole, pole -/+ guard) gives the pole value and the
-    guard-window derivative.  ``h_error`` may supply a pointwise error
+    One call at (pole, pole -/+ window) gives the pole value and the
+    derivative that stands in for the quotient within the window (see
+    the module docstring).  ``h_error`` may supply a pointwise error
     bound on h, shaped like it, which is propagated through the quotient
-    with the pole distance floored at the guard window.
+    with the pole distance floored at the guard 1e-6 (hi - lo).
     ``extra_breakpoints`` seeds panel boundaries at known kinks of h.
     The IntegralResult holds floats, or arrays of shape (m,) for a stack;
     its detail holds the pass's work: components, splits, panels and
@@ -737,13 +719,14 @@ def pv_integral(h, pole, lo, hi, cfg, *, h_error=None, extra_breakpoints=()):
         raise PoleOnBoundary(
             "pole %g sits on the boundary of [%g, %g]" % (pole, lo, hi)
         )
-    at_pole = np.asarray(h(np.array([pole, pole - guard, pole + guard])))
+    window = 1e-8 * span
+    at_pole = np.asarray(h(np.array([pole, pole - window, pole + window])))
     hp = at_pole[..., :1]
-    dh = (at_pole[..., 2:] - at_pole[..., 1:2]) / (2.0 * guard)
+    dh = (at_pole[..., 2:] - at_pole[..., 1:2]) / (2.0 * window)
 
     def subtracted(w):
         d = w - pole
-        near = np.abs(d) < guard
+        near = np.abs(d) < window
         safe = np.where(near, 1.0, d)
         out = (np.asarray(h(w)) - hp) / safe
         return np.where(near, dh, out)

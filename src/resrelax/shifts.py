@@ -31,12 +31,13 @@ Cutoff semantics: the frequency cutoff wc of QuadratureConfig bounds
 the dispersion integral.  So that both paths regularize identically,
 the direct path for vacuum kernels integrates the band-limited kernel
 (spectrum sharply windowed to |w| < wc, finite at eps = 0) instead of
-the raw one; its cutoff-induced ringing is integrated on a short
-interval and completed with analytic sine/cosine-integral tails.
-Kernels whose spectra already decay (ThermalOhmic, Tabulated) are
-integrated raw; their direct path has no cutoff dependence.  This
-windowing choice is the largest interpretation decision in the package
-and is what makes "KK equals direct" hold at finite cutoff.
+the raw one: its cutoff-induced ringing up to the phase wc u = 80, on
+40 panels at every wc, then analytic sine/cosine-integral tails, with
+the image terms that these leave out bounded in the rf error.  Kernels
+whose spectra already decay (ThermalOhmic, Tabulated) are integrated
+raw; their direct path has no cutoff dependence.  This windowing choice
+is the largest interpretation decision in the package and is what makes
+"KK equals direct" hold at finite cutoff.
 
 Every shift carries two error fields: err_quad (quadrature, regulator
 and interpolation) and err_cutoff, summed over the mechanisms.  Per
@@ -60,7 +61,6 @@ from .errors import (CutoffTooSmall, NonConvergent, SingularEvaluation,
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
-    _halfline_breakpoints,
     _work_counts,
     halfline_transform,
     integrate_adaptive,
@@ -70,7 +70,9 @@ from .rates import (MECHANISMS, _kernel_transform, _require_finite,
                     rate_coefficients)
 from .system import ensure_validated, transition_elements, two_level_system
 
-_RING_SPAN = 2.0  # length of the numerically integrated ring segment
+# the ring segment ends at phase _RING_PHASE of wc u, 3 panels per period
+_RING_PHASE = 80.0
+_RING_PANELS = 40
 
 log = logging.getLogger(__name__)
 
@@ -244,8 +246,10 @@ def shift_kk(system, kernel, a, cfg=None, workspace=None, *, omega_c=None):
 def _direct_windowed(window, omega_ab, cfg):
     """Band-limited vacuum transforms: short ring segment + analytic tail.
 
-    The ring segment of both mechanisms comes from one adaptive pass.
-    Returns ({mechanism: (value, error)}, work counts).
+    The ring segment [0, _RING_PHASE / wc] of both mechanisms comes from
+    one adaptive pass on _RING_PANELS uniform panels, so its layout and
+    work do not depend on the cutoff.  Returns ({mechanism: (value,
+    error)}, work counts).
     """
     w = float(omega_ab)
     aw = abs(w)
@@ -254,17 +258,17 @@ def _direct_windowed(window, omega_ab, cfg):
         cs, ca = window.ring(u)
         return np.stack([cs * np.sin(w * u), ca * np.cos(w * u)])
 
-    bp = _halfline_breakpoints(window.omega_c + aw, 1.0 / window.omega_c,
-                               _RING_SPAN)
+    span = _RING_PHASE / window.omega_c
     ring_val, ring_err, splits = integrate_adaptive(
-        ring_f, bp, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
-    )
-    image_err = window.image_tail_error(_RING_SPAN, aw)
-    rf_tail = (math.copysign(1.0, w) * window.ring_tail_sin_cs(_RING_SPAN, aw)
+        ring_f, np.linspace(0.0, span, _RING_PANELS + 1), cfg.abs_tol,
+        cfg.rel_tol, cfg.max_subdivisions)
+    # the image terms ring in Cs alone, so their bound is rf's
+    rf_tail = (math.copysign(1.0, w) * window.ring_tail_sin_cs(span, aw)
                if w != 0.0 else 0.0)
-    tails = (rf_tail, window.ring_tail_cos_ca(_RING_SPAN, aw))
-    out = {mech: [ring_val[j] + tails[j], ring_err[j] + image_err]
-           for j, mech in enumerate(MECHANISMS)}
+    out = {"rf": [ring_val[0] + rf_tail,
+                  ring_err[0] + window.image_tail_error(span, aw)],
+           "sr": [ring_val[1] + window.ring_tail_cos_ca(span, aw),
+                  ring_err[1]]}
     # smooth (non-ringing) rf remainder, present for accelerated trajectories
     if window.acceleration > 0.0:
         res = halfline_transform(
@@ -272,11 +276,11 @@ def _direct_windowed(window, omega_ab, cfg):
             u_max=max(2500.0 / max(aw, 0.1), 50.0),
             u_scale=2.0 * math.pi / window.acceleration,
             envelope=window.smooth_envelope(),
-            eps_schedule=cfg.epsilon_schedule[:1],
+            eps_schedule=(0.0,),
         )
         out["rf"][0] += res.value
         out["rf"][1] += res.error_estimate
-    return out, _work_counts(bp.size - 1, splits, 1, len(MECHANISMS))
+    return out, _work_counts(_RING_PANELS, splits, 1, len(MECHANISMS))
 
 
 def _direct_raw(kernel, omega_ab, cfg, g):

@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 from resrelax import (
     AcceleratedVacuum,
     InertialVacuum,
+    QuadratureConfig,
     ThermalOhmic,
     einstein_coefficients,
     rate_coefficients,
+    shift_direct,
+    shift_kk,
+    two_level_system,
 )
 from conftest import TimeDomainOnly
 
@@ -98,3 +102,21 @@ def test_thermal_kms_time_domain(omega, temperature):
 def test_accelerated_kms_time_domain(omega, acceleration):
     kernel = TimeDomainOnly(AcceleratedVacuum(acceleration))
     assert_kms(kernel, omega, 2.0 * math.pi * omega / acceleration)
+
+
+@CLOSED
+@given(acceleration=log_uniform(1e-2, 1e3), omega_0=log_uniform(1e-2, 10.0),
+       ratio=log_uniform(1.01, 1e4))
+def test_accelerated_kk_equals_direct(acceleration, omega_0, ratio):
+    # per level and mechanism, the two routes agree within their summed
+    # estimates; hot trajectories (2 pi wc / a << 1) lean on the bound of
+    # the image terms the band-limited ring does not keep
+    atom = two_level_system(omega_0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=omega_0 * ratio)
+    kernel = AcceleratedVacuum(acceleration)
+    for level in (0, 1):
+        kk = shift_kk(atom, kernel, level, cfg)
+        direct = shift_direct(atom, kernel, level, cfg)
+        for mech in ("rf", "sr"):
+            gap = abs(kk[mech].value - direct[mech].value)
+            assert gap <= kk[mech].error_estimate + direct[mech].error_estimate

@@ -167,7 +167,7 @@ class TestFailureModes:
                                                  rate=0.05),
                                eps_schedule=(0.0,))
         # every split samples two panels of NODES_PER_PANEL nodes
-        ladder = _halfline_breakpoints(0.0, 1.0, 1200.0).size - 1
+        ladder = _halfline_breakpoints(1.0, 1200.0).size - 1
         splits = (sum(points) // NODES_PER_PANEL - ladder) // 2
         assert splits < 500
 
@@ -584,7 +584,7 @@ class TestFilon:
                     exact = oracles.exp_transform(a, w, upper, kind)
                 value, error, _ = integrate_adaptive(
                     (f, np.array([w]), [kind == "sin"]),
-                    _halfline_breakpoints(0.0, scale, upper), *tols, 20000)
+                    _halfline_breakpoints(scale, upper), *tols, 20000)
                 assert abs(value[0] - exact) <= error[0], (a, kind, wu)
 
     def test_blocks_hold_panel_frequency_pairs(self):

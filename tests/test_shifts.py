@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -348,6 +349,65 @@ def test_accelerated_kk_vs_direct(vac_atom):
     direct = shift_direct(vac_atom, kernel, 1, cfg)["rf"]
     tol = 10.0 * (kk.error_estimate + direct.error_estimate)
     assert abs(kk.value - direct.value) <= tol
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e2, 1e4])
+def test_ring_pass_is_scale_free(caplog, lam):
+    # the ring segment is laid out in phase of the cutoff oscillation, so
+    # rescaling every frequency by lam leaves its work alone (1,410 kernel
+    # points at lam = 1 with 6 panels per period on u in [0, 2], refused
+    # at lam = 1e4) and scales the shift by lam
+    atom = two_level_system(1.3 * lam, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=40.0 * lam)
+    with caplog.at_level("DEBUG", logger="resrelax.shifts"):
+        direct = shift_direct(atom, InertialVacuum(), 1, cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("direct pass")]
+    assert len(lines) == 1 and "600 kernel points, 0 splits" in lines[0]
+    kk = shift_kk(atom, InertialVacuum(), 1, cfg)
+    exact = {"rf": oracles.inertial_shift_rf_upper(1.3, 40.0),
+             "sr": oracles.inertial_shift_sr(1.3, 40.0)}
+    for mech in ("rf", "sr"):
+        assert abs(direct[mech].value - kk[mech].value) <= (
+            direct[mech].error_estimate + kk[mech].error_estimate)
+        assert abs(direct[mech].value / lam - exact[mech]) <= (
+            direct[mech].error_estimate / lam)
+
+
+def test_kk_vs_direct_within_estimates():
+    # per level and mechanism, over accelerations from cold to hot and
+    # cutoffs from 1 to 3e4: the two routes agree within their summed
+    # error estimates
+    kernels = [InertialVacuum()] + [AcceleratedVacuum(a)
+                                    for a in (0.5, 2.0, 8.0, 50.0, 100.0)]
+    for kernel, wc, omega_0 in itertools.product(
+            kernels, (1.0, 2.0, 5.0, 40.0, 1e3, 3e4), (0.5, 1.0, 1.77)):
+        if omega_0 >= wc:
+            continue
+        atom = two_level_system(omega_0, 1.0)
+        cfg = QuadratureConfig(omega_cutoff=wc)
+        for level in (0, 1):
+            kk = shift_kk(atom, kernel, level, cfg)
+            direct = shift_direct(atom, kernel, level, cfg)
+            for mech in ("rf", "sr"):
+                gap = abs(kk[mech].value - direct[mech].value)
+                assert gap <= (kk[mech].error_estimate
+                               + direct[mech].error_estimate), (
+                    kernel.describe(), wc, omega_0, level, mech)
+
+
+def test_image_bound_stays_off_the_sr_shift():
+    # the image terms of a hot trajectory ring in Cs alone, so their bound
+    # belongs to rf; on sr it had read 5.8e-2 against a true error of 1e-17
+    atom = two_level_system(1.0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=2.0)
+    kernel = AcceleratedVacuum(50.0)
+    direct = shift_direct(atom, kernel, 1, cfg)
+    kk = shift_kk(atom, kernel, 1, cfg)
+    assert direct["sr"].error_estimate < 1e-10
+    assert abs(direct["sr"].value - kk["sr"].value) <= (
+        direct["sr"].error_estimate + kk["sr"].error_estimate)
+    assert direct["rf"].error_estimate > 1e-4
 
 
 def test_direct_pass_samples_regular_kernel_at_eps_zero(counting):
