@@ -29,9 +29,14 @@ Implemented models:
     Cubic-spline interpolation of sampled (u, Cs, Ca) data; insensitive
     to eps and bounded to its grid.
 
-Vacuum kernels additionally provide a band-limited variant (sharp
-frequency window |w| < omega_c applied to the spectral decomposition)
-that is finite at eps = 0; the direct shift evaluation is built on it.
+``UnruhExcess``
+    AcceleratedVacuum minus InertialVacuum at eps = 0: regular at u = 0,
+    with the thermal excess of the Unruh spectrum, which decays.
+
+Vacuum kernels additionally provide a band-limited variant, on which
+the direct shift evaluation is built: the inertial kernel with its
+spectrum sharply windowed to |w| < omega_c, finite at eps = 0, plus for
+an accelerated trajectory its UnruhExcess, integrated raw.
 """
 
 from __future__ import annotations
@@ -292,11 +297,71 @@ class AcceleratedVacuum(ReservoirKernel):
                    200.0 * self.origin_scale(eps))
 
     def band_limited(self, omega_c):
-        return BandLimitedVacuum(omega_c, acceleration=self.acceleration)
+        return BandLimitedVacuum(omega_c, UnruhExcess(self.acceleration))
 
     def describe(self):
         return {"model": self.name, "acceleration": self.acceleration,
                 "kms_temperature": self.kms_temperature}
+
+
+# 3 (sinh x - x) / x^3 = sum_k 3 x^(2k-2) / (2k+1)!, k >= 1; twelve terms
+# reach rounding accuracy at x = 2
+_SINH_SERIES = tuple(3.0 / math.factorial(2 * k + 1) for k in range(1, 13))
+
+
+class UnruhExcess(ReservoirKernel):
+    """AcceleratedVacuum minus InertialVacuum at eps = 0, x = a u / 2:
+
+        Cs(u) = (a^2 / 16 pi^2) (1/x^2 - 1/sinh^2 x),   Ca(u) = 0,
+
+    which is a^2 / 48 pi^2 at u = 0 and below 1 / (4 pi^2 u^2) everywhere.
+    Its spectrum is the thermal excess (|w| / 8 pi)(coth(pi |w| / a) - 1)
+    of rf alone, which decays on its own.
+    """
+
+    name = "unruh_excess"
+    epsilon_sensitive = False
+
+    def __init__(self, acceleration):
+        self.acceleration = _require_positive(acceleration, "acceleration")
+
+    def evaluate(self, u, eps):
+        """(Cs, Ca) at eps = 0, whatever ``eps``."""
+        u, scalar = _as_array(u)
+        a = self.acceleration
+        x = np.abs(0.5 * a * u)
+        # with r = x / sinh x, 3 (1/x^2 - 1/sinh^2 x) = 3 (sinh x - x)/x^3
+        # r (1 + r) cancels nothing below x = 2, and beyond it 1/sinh^2 x =
+        # 4 e^{-2x} / expm1(-2x)^2 cannot overflow
+        near = np.clip(x, _TINY, 2.0)  # r = 1 exactly at the floor
+        r = near / np.sinh(near)
+        near = np.polyval(_SINH_SERIES[::-1], near * near) * r * (1.0 + r)
+        far = np.maximum(x, 2.0)
+        far = 3.0 / (far * far) - 12.0 * np.exp(-2.0 * far) / np.expm1(
+            -2.0 * far) ** 2
+        cs = (a * a / (48.0 * math.pi ** 2)) * np.where(x < 2.0, near, far)
+        if scalar:
+            return float(cs[0]), 0.0
+        return cs, np.zeros_like(cs)
+
+    def rate_coefficients(self, omega):
+        """gamma_rf = (a / 8 pi^2) y / expm1(y), y = 2 pi |omega| / a, and
+        gamma_sr = 0."""
+        w = np.abs(np.asarray(omega, dtype=float))
+        pref = self.acceleration / (8.0 * math.pi ** 2)
+        # y e^{-y} / -expm1(-y) does not overflow where e^y would, and it
+        # is 1 exactly at the floor y = _TINY
+        y = np.maximum((2.0 * math.pi / self.acceleration) * w, _TINY)
+        rf = pref * (y * np.exp(-y) / -np.expm1(-y))
+        zero = np.zeros_like(w)
+        return {"rf": (rf, _rounding_error(rf, y, pref * y)),
+                "sr": (zero, zero)}
+
+    def origin_scale(self, eps):
+        return 1.0 / self.acceleration
+
+    def envelope(self, eps):
+        return Envelope("power", 1.0 / FOUR_PI_SQ)
 
 
 class ThermalOhmic(ReservoirKernel):
@@ -516,11 +581,6 @@ def _sin_tail(nu, U):
     return math.sin(nu * U) / U - nu * _ci(nu * U)
 
 
-def _cos_tail(nu, U):
-    """int_U^inf cos(nu u) / u du for nu > 0."""
-    return -_ci(nu * U)
-
-
 # Taylor coefficients in th^2 of the ring pieces for |th| < 0.5:
 # (cos th + th sin th - 1) / th^2 = sum_k (-1)^(k-1) (2k-1)/(2k)! th^(2k-2)
 # (th cos th - sin th) / th^2 = sum_k (-1)^k 2k/(2k+1)! th^(2k-1), k >= 1;
@@ -532,39 +592,27 @@ _RING_CA_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1)
 
 
 class BandLimitedVacuum:
-    """Vacuum kernel with its spectrum cut off sharply at |w| = omega_c.
+    """Inertial vacuum kernel with its spectrum cut off sharply at omega_c.
 
-    The windowed symmetric part splits into a "ring" piece carrying the
-    cutoff oscillation,
+    The windowed kernel is a "ring" carrying the cutoff oscillation,
 
-        ring_cs(u) = (thc cos th + th sin th - 1 + cos th)/(4 pi^2 u^2)
-                   -> closed forms below,
+        ring_cs(u) = (th sin th + cos th - 1) / (4 pi^2 u^2),
+        ring_ca(u) = (th cos th - sin th) / (4 pi^2 u^2),   th = omega_c u,
 
-    and for an accelerated trajectory an additional smooth piece built
-    on the trigamma resummation of the thermal image sum.  The ring
-    contributions beyond a truncation point U reduce to sine/cosine
-    integrals and are supplied analytically by ``ring_tail_*``; the
-    windowed antisymmetric part is trajectory independent.
+    whose contributions beyond a truncation point U reduce to sine/cosine
+    integrals (``ring_tail_*``).  ``excess`` is what the trajectory adds
+    to the inertial kernel, with a spectrum that decays (UnruhExcess), or
+    None; the direct route integrates it raw, less its part beyond wc.
     """
 
-    __slots__ = ("omega_c", "acceleration", "_n_terms")
+    __slots__ = ("omega_c", "excess")
 
-    def __init__(self, omega_c, acceleration=0.0):
+    def __init__(self, omega_c, excess=None):
         self.omega_c = _require_positive(omega_c, "omega_c")
-        self.acceleration = acceleration
-        if self.acceleration < 0:
-            raise OutOfRange("acceleration must be >= 0")
-        # image-sum window terms exp(-2 pi n omega_c / a) kept explicitly
-        self._n_terms = 0
-        if self.acceleration > 0:
-            q = 2.0 * math.pi * self.omega_c / self.acceleration
-            while (self._n_terms + 1) * q < 41.5 and self._n_terms < 8:
-                self._n_terms += 1
-
-    # -- ring piece ---------------------------------------------------------
+        self.excess = excess
 
     def ring(self, u):
-        """(cs_ring, ca_ring): the pieces oscillating at omega_c."""
+        """(cs_ring, ca_ring): the windowed kernel, oscillating at omega_c."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         th = self.omega_c * u
         small = np.abs(th) < 0.5
@@ -578,39 +626,7 @@ class BandLimitedVacuum:
         pref = self.omega_c ** 2 / FOUR_PI_SQ
         cs_ser = pref * np.polyval(_RING_CS_SERIES[::-1], t2)
         ca_ser = pref * ths * np.polyval(_RING_CA_SERIES[::-1], t2)
-        cs = np.where(small, cs_ser, cs)
-        ca = np.where(small, ca_ser, ca)
-        if self._n_terms:
-            a = self.acceleration
-            wc = self.omega_c
-            for n in range(1, self._n_terms + 1):
-                zn = 2.0 * math.pi * n / a - 1j * u
-                term = np.exp(-wc * zn) * (1.0 + wc * zn) / (zn * zn)
-                cs = cs - 2.0 * term.real / FOUR_PI_SQ
-        return cs, ca
-
-    # -- smooth piece (zero for the inertial trajectory) --------------------
-
-    def smooth_cs(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self.acceleration == 0.0:
-            return np.zeros_like(u)
-        a = self.acceleration
-        r = a / (2.0 * math.pi)
-        psi = trigamma_complex(1.0 - 1j * r * u)
-        return 2.0 * r * r * psi.real / FOUR_PI_SQ
-
-    def evaluate(self, u, eps=0.0):
-        """Full windowed kernel (eps is accepted and ignored)."""
-        cs_r, ca = self.ring(u)
-        return cs_r + self.smooth_cs(u), ca
-
-    def smooth_envelope(self):
-        if self.acceleration == 0.0:
-            return None
-        return Envelope("power", 1.5 / FOUR_PI_SQ)
-
-    # -- analytic ring tails ------------------------------------------------
+        return np.where(small, cs_ser, cs), np.where(small, ca_ser, ca)
 
     def _check_beat(self, w0):
         w0 = abs(float(w0))
@@ -627,40 +643,17 @@ class BandLimitedVacuum:
         wc = self.omega_c
         t1 = -_sin_tail(w0, U)
         t2 = 0.5 * (_sin_tail(wc + w0, U) - _sin_tail(wc - w0, U))
-        t3 = 0.5 * wc * (_cos_tail(wc - w0, U) - _cos_tail(wc + w0, U))
+        # int_U^inf cos(nu u) / u du = -Ci(nu U)
+        t3 = 0.5 * wc * (_ci((wc + w0) * U) - _ci((wc - w0) * U))
         return (t1 + t2 + t3) / FOUR_PI_SQ
 
     def ring_tail_cos_ca(self, U, w0):
         """int_U^inf ring_ca(u) cos(w0 u) du, exactly."""
         w0 = self._check_beat(w0)
         wc = self.omega_c
-        t1 = 0.5 * wc * (_cos_tail(wc - w0, U) + _cos_tail(wc + w0, U))
+        t1 = -0.5 * wc * (_ci((wc - w0) * U) + _ci((wc + w0) * U))
         t2 = -0.5 * (_sin_tail(wc + w0, U) + _sin_tail(wc - w0, U))
         return (t1 + t2) / FOUR_PI_SQ
-
-    def image_tail_error(self, U, w0):
-        """Bound on the rf transform of the image terms ring() misses.
-
-        These are the kept terms beyond U and every term n > N = _n_terms:
-        with b = 2 pi / a and q = b wc, term n is int_wc^inf w e^{-n b w}
-        e^{i w u} dw, whose rf transform is at most 2 |w0| / (wc^2 - w0^2)
-        e^{-n q} (1 + n q) / (n b)^2 / 4 pi^2, and the sum over n > N is at
-        most e^{-(N+1) q} / b^2 (1 / (N + 1/2) + q / ((N + 1)(1 - e^{-q}))).
-        """
-        a = self.acceleration
-        if a == 0.0:
-            return 0.0
-        wc, n_kept, w0 = self.omega_c, self._n_terms, abs(w0)
-        beat = max(wc - w0, 1.0 / U)
-        q = 2.0 * math.pi * wc / a
-        total = 0.0
-        for n in range(1, n_kept + 1):
-            total += math.exp(-n * q) * (2.0 + wc * U) / (U * U) * 2.0 / beat
-        r = a / (2.0 * math.pi)
-        dropped = math.exp(-(n_kept + 1) * q) * r * r * (
-            1.0 / (n_kept + 0.5) - q / ((n_kept + 1) * math.expm1(-q)))
-        total += 2.0 * w0 / ((wc - w0) * (wc + w0)) * dropped
-        return total / FOUR_PI_SQ
 
 
 def build_kernel(model, **params):

@@ -679,19 +679,16 @@ def halfline_transform(f, omega, cfg, kind, *, u_max, u_scale, envelope=None,
 # principal values and Kramers-Kronig
 
 def _pv_breakpoints(lo, hi, pole, guard, extra=()):
-    span = hi - lo
-    pts = {lo, hi, pole}
-    step = span / 16.0
-    pts.update(np.arange(lo + step, hi, step))
-    d = max(min(pole - lo, hi - pole) / 2.0, guard)
-    while d > guard:
-        for s in (pole - d, pole + d):
-            if lo < s < hi:
-                pts.add(s)
-        d /= 2.0
-    for s in extra:
-        if lo < s < hi:
-            pts.add(float(s))
+    """16 uniform panels, halved toward the pole and toward each extra
+    point inside (lo, hi) down to the guard."""
+    step = (hi - lo) / 16.0
+    pts = {lo, hi, *np.arange(lo + step, hi, step)}
+    for c in (pole, *(float(s) for s in extra if lo < s < hi)):
+        pts.add(c)
+        d = min(c - lo, hi - c) / 2.0
+        while d > guard:
+            pts.update((c - d, c + d))
+            d /= 2.0
     return np.array(sorted(pts))
 
 
@@ -705,7 +702,8 @@ def pv_integral(h, pole, lo, hi, cfg, *, h_error=None, extra_breakpoints=()):
     the module docstring).  ``h_error`` may supply a pointwise error
     bound on h, shaped like it, which is propagated through the quotient
     with the pole distance floored at the guard 1e-6 (hi - lo).
-    ``extra_breakpoints`` seeds panel boundaries at known kinks of h.
+    ``extra_breakpoints`` seeds panel boundaries at known kinks or narrow
+    features of h, refined toward as the pole is.
     The IntegralResult holds floats, or arrays of shape (m,) for a stack;
     its detail holds the pass's work: components, splits, panels and
     kernel_points (the samples of h, the three at the pole included).

@@ -54,13 +54,13 @@ MECHANISMS = ("rf", "sr")
 def _kernel_transform(kernel, omegas, cfg, kinds):
     """Half-line transforms of the kernel pair (Cs, Ca) in one pass.
 
-    ``kinds`` give the "cos" or "sin" of Cs and of Ca, and ``omegas`` is
-    one frequency or an array of them.  This is the one regulator policy:
-    a kernel regular at eps = 0 (not ``epsilon_sensitive``) is sampled
-    there, once; any other samples cfg's schedule divided by max(1, the
-    largest |omega|), so eps * omega stays small at every frequency of
-    the call.  Truncation follows the kernel at the smallest |omega|.
-    Returns the IntegralResults of Cs and of Ca (see halfline_transform).
+    ``kinds`` give the "cos" or "sin" of Cs and, if there are two, of Ca,
+    and ``omegas`` is one frequency or an array of them.  This is the one
+    regulator policy: a kernel regular at eps = 0 (not
+    ``epsilon_sensitive``) is sampled there, once; any other samples
+    cfg's schedule divided by max(1, the largest |omega|), so eps * omega
+    stays small at every frequency of the call.  Truncation follows the kernel at the smallest |omega|.
+    Returns an IntegralResult per kind (see halfline_transform).
     """
     om = np.abs(np.asarray(omegas, dtype=float))
     sched = (0.0,)
@@ -69,7 +69,7 @@ def _kernel_transform(kernel, omegas, cfg, kinds):
         sched = tuple(e / scale for e in cfg.epsilon_schedule)
 
     def f(u, eps):
-        return np.stack(kernel.evaluate(u, eps))
+        return np.stack(kernel.evaluate(u, eps)[:len(kinds)])
 
     return halfline_transform(
         f, omegas, cfg, kinds,

@@ -31,9 +31,10 @@ Cutoff semantics: the frequency cutoff wc of QuadratureConfig bounds
 the dispersion integral.  So that both paths regularize identically,
 the direct path for vacuum kernels integrates the band-limited kernel
 (spectrum sharply windowed to |w| < wc, finite at eps = 0) instead of
-the raw one: its cutoff-induced ringing up to the phase wc u = 80, on
-40 panels at every wc, then analytic sine/cosine-integral tails, with
-the image terms that these leave out bounded in the rf error.  Kernels
+the raw one: the inertial window's ringing up to the phase wc u = 80,
+on 40 panels at every wc, then analytic sine/cosine-integral tails.  An
+accelerated trajectory adds the raw rf transform of its Unruh excess,
+less the excess's cutoff remainder R (see _cutoff_remainder).  Kernels
 whose spectra already decay (ThermalOhmic, Tabulated) are integrated
 raw; their direct path has no cutoff dependence.  This windowing choice
 is the largest interpretation decision in the package and is what makes
@@ -61,8 +62,8 @@ from .errors import (CutoffTooSmall, NonConvergent, SingularEvaluation,
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
+    _halfline_breakpoints,
     _work_counts,
-    halfline_transform,
     integrate_adaptive,
     pv_integral,
 )
@@ -243,13 +244,15 @@ def shift_kk(system, kernel, a, cfg=None, workspace=None, *, omega_c=None):
 # ---------------------------------------------------------------------------
 # time-domain path
 
-def _direct_windowed(window, omega_ab, cfg):
+def _direct_windowed(window, omega_ab, cfg, g):
     """Band-limited vacuum transforms: short ring segment + analytic tail.
 
     The ring segment [0, _RING_PHASE / wc] of both mechanisms comes from
     one adaptive pass on _RING_PANELS uniform panels, so its layout and
-    work do not depend on the cutoff.  Returns ({mechanism: (value,
-    error)}, work counts).
+    work do not depend on the cutoff.  The window's excess kernel, if
+    any, adds its raw rf transform (see _direct_raw); shift_direct takes
+    away its part beyond wc.  Returns ({mechanism: (value, error)}, work
+    counts).
     """
     w = float(omega_ab)
     aw = abs(w)
@@ -262,38 +265,32 @@ def _direct_windowed(window, omega_ab, cfg):
     ring_val, ring_err, splits = integrate_adaptive(
         ring_f, np.linspace(0.0, span, _RING_PANELS + 1), cfg.abs_tol,
         cfg.rel_tol, cfg.max_subdivisions)
-    # the image terms ring in Cs alone, so their bound is rf's
     rf_tail = (math.copysign(1.0, w) * window.ring_tail_sin_cs(span, aw)
                if w != 0.0 else 0.0)
-    out = {"rf": [ring_val[0] + rf_tail,
-                  ring_err[0] + window.image_tail_error(span, aw)],
+    out = {"rf": [ring_val[0] + rf_tail, ring_err[0]],
            "sr": [ring_val[1] + window.ring_tail_cos_ca(span, aw),
                   ring_err[1]]}
-    # smooth (non-ringing) rf remainder, present for accelerated trajectories
-    if window.acceleration > 0.0:
-        res = halfline_transform(
-            lambda u, eps: window.smooth_cs(u), w, cfg, "sin",
-            u_max=max(2500.0 / max(aw, 0.1), 50.0),
-            u_scale=2.0 * math.pi / window.acceleration,
-            envelope=window.smooth_envelope(),
-            eps_schedule=(0.0,),
-        )
-        out["rf"][0] += res.value
-        out["rf"][1] += res.error_estimate
-    return out, _work_counts(_RING_PANELS, splits, 1, len(MECHANISMS))
+    work = _work_counts(_RING_PANELS, splits, 1, len(MECHANISMS))
+    if window.excess is not None:
+        raw, more = _direct_raw(window.excess, w, cfg, g, ["sin"])
+        out["rf"][0] += raw["rf"][0]
+        out["rf"][1] += raw["rf"][1]
+        work = {key: work[key] + more[key] for key in work}
+    return out, work
 
 
-def _direct_raw(kernel, omega_ab, cfg, g):
+def _direct_raw(kernel, omega_ab, cfg, g, kinds=("sin", "cos")):
     """Transforms of a raw spectrum that decays on its own, in one pass.
 
-    A kernel sample or panel sum that is not finite fails the pass at
-    once, without numpy's overflow warnings, with a SingularEvaluation
-    that names the knobs.  Returns ({mechanism: (value, error)}, work
-    counts).
+    ``kinds`` transform Cs and, if there are two, Ca: rf alone or both
+    mechanisms.  A kernel sample or panel sum that is not finite fails
+    the pass at once, without numpy's overflow warnings, with a
+    SingularEvaluation that names the knobs.  Returns ({mechanism:
+    (value, error)}, work counts).
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            res = _kernel_transform(kernel, omega_ab, cfg, ["sin", "cos"])
+            res = _kernel_transform(kernel, omega_ab, cfg, kinds)
     except SingularEvaluation as exc:
         raise SingularEvaluation(
             "direct shifts are not finite at g = %g (%s); reduce system.g "
@@ -323,13 +320,18 @@ def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
                 continue
             start = time.perf_counter()
             if window is not None:
-                parts, work = _direct_windowed(window, el.omega_ab, cfg)
+                parts, work = _direct_windowed(window, el.omega_ab, cfg,
+                                               spec.g)
             else:
                 parts, work = _direct_raw(kernel, el.omega_ab, cfg, spec.g)
             _log_pass("direct pass at omega %.6g" % el.omega_ab, work, start)
             for mech, (v, e) in parts.items():
                 total[mech] += g2 * m * v
                 err[mech] += g2 * m * e
+        if window is not None and window.excess is not None:
+            rem = _cutoff_remainder(spec, window.excess, a, wc, cfg)["rf"]
+            total["rf"] -= rem.value
+            err["rf"] += rem.error_estimate
     return _require_finite({mech: IntegralResult(total[mech], err[mech])
                             for mech in MECHANISMS}, spec.g, "direct shifts")
 
@@ -351,7 +353,7 @@ def _cutoff_remainder(spec, kernel, a, wc, cfg):
     on w = wc / t, t in (0, 1], integrates both from the closed-form
     coefficients, and their pointwise error bounds alongside.  Returns
     {mechanism: IntegralResult}; coefficients that do not decay, so that
-    R diverges, raise NonConvergent.
+    R diverges, raise NonConvergent (a tolerance below rounding does not).
     """
     els = transition_elements(spec, a)
     m = np.array([el.strength for el in els])[:, None]
@@ -368,12 +370,17 @@ def _cutoff_remainder(spec, kernel, a, wc, cfg):
             np.sum(np.abs(k), axis=1)
             * [c["rf"].error_estimate, c["sr"].error_estimate]])
 
+    # geometric panels toward t = 0 from t = wc * origin_scale (at most 1),
+    # where a spectrum that decays on the kernel's scale has its structure
+    ladder = _halfline_breakpoints(min(wc * kernel.origin_scale(0.0), 1.0),
+                                   1.0)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             value, err, _ = integrate_adaptive(
-                f, np.linspace(0.0, 1.0, 17), cfg.abs_tol, cfg.rel_tol,
-                cfg.max_subdivisions)
+                f, ladder, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
     except (SingularEvaluation, SubdivisionLimit) as exc:
+        if "rounding floor" in str(exc):
+            raise  # a tolerance below rounding, not a divergent R
         raise NonConvergent(
             "the dispersion integral beyond omega_cutoff %g does not "
             "converge (%s); a kernel without a band-limited variant needs "

@@ -71,6 +71,25 @@ def thermal_sr_beyond_cutoff(pole, eta, omega_j, omega_c, g=1.0):
                      * (piece(pole) + piece(-pole)))
 
 
+def unruh_excess_rf_beyond_cutoff(pole, acceleration, omega_c, g=1.0):
+    """int_{|w| > omega_c} gamma_rf(w) / (w - pole) dw of the Unruh excess.
+
+    gamma_rf(w) = g^2 (|w| / 4 pi) / expm1(2 pi |w| / a) is even, so the
+    fold gives int_wc^inf gamma_rf(w) 2 p / (w^2 - p^2) dw (50-digit mpmath
+    quadrature on octaves of the thermal scale a / 2 pi).
+    """
+    with mpmath.workdps(50):
+        a, wc, p = (mpmath.mpf(v) for v in (acceleration, omega_c, pole))
+
+        def f(w):
+            return (w / (4 * mpmath.pi) / mpmath.expm1(2 * mpmath.pi * w / a)
+                    * 2 * p / (w * w - p * p))
+
+        scale = a / (2 * mpmath.pi)
+        pts = [wc] + [wc + scale * 2 ** k for k in range(-8, 8)] + [mpmath.inf]
+        return float(g * g * mpmath.quad(f, pts))
+
+
 def thermal_ratio(omega_0, temperature):
     """Detailed-balance ratio e^{-omega_0 / T}."""
     return math.exp(-omega_0 / temperature)
@@ -113,9 +132,19 @@ def mp_gammas(model, omega, g=1.0, **params):
 # closed-form energy shifts (sharp frequency window at omega_c)
 
 def inertial_shift_rf_upper(omega_0, omega_c, g=1.0):
+    """Upper-level rf shift; (wc - w0)(wc + w0) keeps wc^2 - w0^2 exact
+    where a cutoff just above the transition would cancel it."""
     return -(g * g * omega_0 / (32.0 * math.pi ** 2)) * math.log(
-        (omega_c ** 2 - omega_0 ** 2) / omega_0 ** 2
+        (omega_c - omega_0) * (omega_c + omega_0) / omega_0 ** 2
     )
+
+
+def inertial_shift_rf_upper_mp(omega_0, omega_c, g=1.0):
+    """inertial_shift_rf_upper in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        w0, wc = mpmath.mpf(omega_0), mpmath.mpf(omega_c)
+        return float(-(mpmath.mpf(g) ** 2 * w0 / (32 * mpmath.pi ** 2))
+                     * mpmath.log((wc * wc - w0 * w0) / (w0 * w0)))
 
 
 def inertial_shift_sr(omega_0, omega_c, g=1.0):
@@ -140,6 +169,19 @@ def ring_mp(omega_c, u):
         cs = (mpmath.cos(th) + th * mpmath.sin(th) - 1) / den
         ca = (th * mpmath.cos(th) - mpmath.sin(th)) / den
         return float(cs), float(ca)
+
+
+def unruh_excess_cs(acceleration, u):
+    """Cs of the accelerated minus the inertial vacuum kernel at eps = 0,
+    (a^2 / 16 pi^2)(1/x^2 - 1/sinh^2 x) with x = a u / 2, and its limit
+    a^2 / 48 pi^2 at u = 0 (50-digit mpmath)."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(acceleration)
+        x = a * mpmath.mpf(u) / 2
+        if x == 0:
+            return float(a * a / (48 * mpmath.pi ** 2))
+        return float(a * a / (16 * mpmath.pi ** 2)
+                     * (1 / (x * x) - 1 / mpmath.sinh(x) ** 2))
 
 
 def ci_mp(x):

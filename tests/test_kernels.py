@@ -18,7 +18,7 @@ from resrelax import (
     build_kernel,
     trigamma_complex,
 )
-from resrelax.kernels import BandLimitedVacuum
+from resrelax.kernels import BandLimitedVacuum, UnruhExcess
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -173,6 +173,57 @@ def test_accelerated_rejects_nonpositive():
 
 
 # ---------------------------------------------------------------------------
+# Unruh excess (accelerated minus inertial vacuum)
+
+@pytest.mark.parametrize("a", [1e-3, 0.7, 2.0, 37.1, 556.04, 1e6])
+def test_unruh_excess_matches_mpmath(a):
+    # within 4 ulps of its value a^2 / 48 pi^2 at u = 0, from x = a u / 2
+    # = 1e-9, where 1/x^2 - 1/sinh^2 x cancels 18 digits, to 60
+    k = UnruhExcess(a)
+    u = 2.0 * np.concatenate([[0.0], np.geomspace(1e-9, 60.0, 400),
+                              np.linspace(1.9, 2.1, 41)]) / a
+    cs, ca = k.evaluate(u, 0.0)
+    scale = a * a / (48.0 * math.pi ** 2)
+    for ui, c in zip(u, cs):
+        assert abs(c - oracles.unruh_excess_cs(a, ui)) <= 4.0 * 2.0 ** -52 * scale
+    assert np.all(ca == 0.0)
+    # the power envelope, up to rounding where x is large
+    assert np.all(cs[1:] <= (1.0 + 1e-14) / (FOUR_PI_SQ * u[1:] ** 2))
+
+
+def test_unruh_excess_is_accelerated_minus_inertial():
+    a = 1.7
+    u = np.array([0.05, 0.3, 1.9, 6.0])
+    cs = UnruhExcess(a).evaluate(u, 0.0)[0]
+    ref = (AcceleratedVacuum(a).evaluate(u, 0.0)[0]
+           - InertialVacuum().evaluate(u, 0.0)[0])
+    assert_allclose(cs, ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("a", [1e-2, 2.0, 1e3])
+def test_unruh_excess_rates(a):
+    # rf is the excess (w / 8 pi)(coth(pi w / a) - 1) of the accelerated
+    # over the inertial rate, within its error bound of the 50-digit
+    # difference (which keeps 24 digits at 2 pi w / a = 60), and sr
+    # vanishes; far beyond, rf underflows quietly to 0
+    w = np.concatenate([[0.0], np.geomspace(1e-6, 60.0 / (2.0 * math.pi),
+                                            60) * a])
+    got = UnruhExcess(a).rate_coefficients(w)
+    rf, rf_err = got["rf"]
+    assert np.all(got["sr"][0] == 0.0) and np.all(got["sr"][1] == 0.0)
+    acc = AcceleratedVacuum(a).rate_coefficients(w)["rf"]
+    inert = InertialVacuum().rate_coefficients(w)["rf"]
+    for i, wi in enumerate(w):
+        ref = (oracles.mp_gammas("accelerated_vacuum", wi, acceleration=a)[0]
+               - oracles.mp_gammas("inertial_vacuum", wi)[0])
+        assert abs(rf[i] - float(ref)) <= rf_err[i]
+        assert abs(rf[i] - (acc[0][i] - inert[0][i])) <= (
+            rf_err[i] + acc[1][i] + inert[1][i])
+    far = UnruhExcess(a).rate_coefficients(np.array([1e3, 1e300]) * a)["rf"]
+    assert np.all(far[0] >= 0.0) and np.all(far[0] < 1e-300)
+
+
+# ---------------------------------------------------------------------------
 # thermal Ohmic bath
 
 def spectral_cs(u, eta, omega_j, temperature, s_extra=0.0):
@@ -316,7 +367,7 @@ def test_ring_matches_spectral_quadrature():
         ref_ca = -integrate.quad(
             lambda w: w * math.sin(w * u), 0.0, 6.0, limit=200
         )[0] / FOUR_PI_SQ
-        cs, ca = k.evaluate(u)
+        (cs,), (ca,) = k.ring(u)
         assert cs == pytest.approx(ref_cs, rel=1e-12)
         assert ca == pytest.approx(ref_ca, rel=1e-12)
 
@@ -365,26 +416,25 @@ def test_ring_series_is_the_power_series_horner():
 
 
 def test_windowed_accelerated_matches_quadrature():
-    # thermal-window spectral form: the windowed kernel for acceleration a
-    # equals the integral of (w/4pi^2) coth(pi w / a) cos(w u) - odd part
+    # the accelerated window is the inertial ring plus the Unruh excess,
+    # whose Cs is the cosine transform of its spectrum on [0, inf):
+    # (w / 4 pi^2)(coth(pi w / a) - 1) = (w / 2 pi^2) / expm1(2 pi w / a)
     a = 1.3
-    k = BandLimitedVacuum(omega_c=5.0, acceleration=a)
+    k = AcceleratedVacuum(a).band_limited(5.0)
+    assert isinstance(k.excess, UnruhExcess)
 
     def cs_ref(u):
-        return integrate.quad(
-            lambda w: w / math.tanh(math.pi * w / a) * math.cos(w * u),
-            0.0, 5.0, limit=400,
-        )[0] / FOUR_PI_SQ
+        def f(w):
+            y = 2.0 * math.pi * w / a
+            return w * math.exp(-y) / -math.expm1(-y) * math.cos(w * u)
 
-    def ca_ref(u):
-        return -integrate.quad(
-            lambda w: w * math.sin(w * u), 0.0, 5.0, limit=400
-        )[0] / FOUR_PI_SQ
+        return integrate.quad(f, 0.0, np.inf, limit=400)[0] / (
+            2.0 * math.pi ** 2)
 
-    for u in (0.3, 1.1):
-        cs, ca = k.evaluate(u)
+    for u in (0.0, 0.3, 1.1, 7.0):
+        cs, ca = k.excess.evaluate(u, 0.0)
         assert cs == pytest.approx(cs_ref(u), rel=1e-9)
-        assert ca == pytest.approx(ca_ref(u), rel=1e-9)
+        assert ca == 0.0
 
 
 def test_window_tail_increment_identity():

@@ -109,8 +109,9 @@ def test_accelerated_kms_time_domain(omega, acceleration):
        ratio=log_uniform(1.01, 1e4))
 def test_accelerated_kk_equals_direct(acceleration, omega_0, ratio):
     # per level and mechanism, the two routes agree within their summed
-    # estimates; hot trajectories (2 pi wc / a << 1) lean on the bound of
-    # the image terms the band-limited ring does not keep
+    # estimates, from cold trajectories, whose thermal feature at w' = 0
+    # is far narrower than the PV panels, to hot ones (2 pi wc / a << 1),
+    # where the Unruh excess and its remainder beyond wc carry the shift
     atom = two_level_system(omega_0, 1.0)
     cfg = QuadratureConfig(omega_cutoff=omega_0 * ratio)
     kernel = AcceleratedVacuum(acceleration)

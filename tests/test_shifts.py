@@ -12,6 +12,7 @@ from resrelax import (
     InertialVacuum,
     NonConvergent,
     QuadratureConfig,
+    SubdivisionLimit,
     ThermalOhmic,
     compute_shift,
     delta_sr_relative,
@@ -21,7 +22,8 @@ from resrelax import (
     two_level_system,
 )
 from resrelax.quadrature import BATCH_BLOCK_PANELS, NODES_PER_PANEL
-from resrelax.shifts import ShiftWorkspace
+from resrelax.kernels import UnruhExcess
+from resrelax.shifts import ShiftWorkspace, _cutoff_remainder
 
 W0 = 1.0
 WC = 60.0
@@ -397,17 +399,66 @@ def test_kk_vs_direct_within_estimates():
 
 
 def test_image_bound_stays_off_the_sr_shift():
-    # the image terms of a hot trajectory ring in Cs alone, so their bound
-    # belongs to rf; on sr it had read 5.8e-2 against a true error of 1e-17
+    # a hot trajectory's excess over the inertial window is the Unruh
+    # excess, whose Ca = 0, so its pass and its remainder add to rf alone
+    # (a bound on the dropped image terms had read 5.8e-2 on sr against a
+    # true error of 1e-17), and its rf estimate is tight
     atom = two_level_system(1.0, 1.0)
     cfg = QuadratureConfig(omega_cutoff=2.0)
     kernel = AcceleratedVacuum(50.0)
     direct = shift_direct(atom, kernel, 1, cfg)
+    inertial = shift_direct(atom, InertialVacuum(), 1, cfg)
     kk = shift_kk(atom, kernel, 1, cfg)
-    assert direct["sr"].error_estimate < 1e-10
-    assert abs(direct["sr"].value - kk["sr"].value) <= (
-        direct["sr"].error_estimate + kk["sr"].error_estimate)
-    assert direct["rf"].error_estimate > 1e-4
+    assert direct["sr"].value == inertial["sr"].value
+    assert direct["sr"].error_estimate == inertial["sr"].error_estimate
+    for mech in ("rf", "sr"):
+        assert abs(direct[mech].value - kk[mech].value) <= (
+            direct[mech].error_estimate + kk[mech].error_estimate)
+    assert direct["rf"].error_estimate < 1e-8 * abs(kk["rf"].value)
+
+
+@pytest.mark.parametrize("a", [1e3, 1e4, 1e6])
+def test_hot_trajectory_direct_matches_kk(a):
+    # 2 pi wc / a << 1: the direct route is the inertial window plus the
+    # raw excess less its part beyond wc, and it agrees with kk within
+    # their estimates at a tight rf estimate (8 image terms had given
+    # 0.228 against 0.504 at a = 1e4 and 0.713 against 50.4 at a = 1e6)
+    atom = two_level_system(1.0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=40.0)
+    kernel = AcceleratedVacuum(a)
+    for level in (0, 1):
+        kk = shift_kk(atom, kernel, level, cfg)
+        direct = shift_direct(atom, kernel, level, cfg)
+        for mech in ("rf", "sr"):
+            assert abs(kk[mech].value - direct[mech].value) <= (
+                kk[mech].error_estimate + direct[mech].error_estimate)
+        assert direct["rf"].error_estimate <= 1e-8 * abs(kk["rf"].value)
+
+
+def test_kk_resolves_the_thermal_feature_at_zero():
+    # the thermal feature of width a / 2 pi at w' = 0 is far narrower than
+    # the uniform PV panels; kk refines toward w' = 0 as toward the pole
+    # (it had missed direct by 4.19x the summed estimates)
+    omega_0 = 5.3059123247419775
+    atom = two_level_system(omega_0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=2750.4910580574524)
+    kernel = AcceleratedVacuum(0.012589254117941675)
+    for level in (0, 1):
+        kk = shift_kk(atom, kernel, level, cfg)["rf"]
+        direct = shift_direct(atom, kernel, level, cfg)["rf"]
+        assert abs(kk.value - direct.value) <= 0.01 * (
+            kk.error_estimate + direct.error_estimate)
+
+
+@pytest.mark.parametrize("rel", [1e-4, 1e-5, 3e-6])
+def test_kk_at_a_cutoff_just_above_the_transition(rel):
+    # the kk estimate covers the closed form, computed without the
+    # cancellation of wc^2 - w0^2 (which had read 4.3x err_quad off)
+    atom = two_level_system(1.0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=1.0 + rel)
+    res = compute_shift(atom, InertialVacuum(), 1, cfg, method="kk")
+    exact = oracles.inertial_shift_rf_upper(1.0, 1.0 + rel)
+    assert abs(res.delta_e_rf - exact) <= 0.1 * res.err_quad
 
 
 def test_direct_pass_samples_regular_kernel_at_eps_zero(counting):
@@ -489,6 +540,32 @@ def test_err_cutoff_covers_the_remainder(wc):
             pole, 0.4, 4.0, wc, g=0.7)
         rem = res.detail["cutoff_remainder"]["sr"]
         assert abs(rem.value - exact) <= rem.error_estimate
+
+
+def test_excess_remainder_estimate_covers_its_error():
+    # the Unruh excess leaves the direct route a remainder R beyond wc;
+    # on the geometric ladder its estimate covers its error (16 uniform
+    # panels had given a true error of 3.1e-9 against 8.4e-10 here)
+    omega_0, a = 0.021532, 556.04
+    wc = 1.8206 * omega_0
+    atom = two_level_system(omega_0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=wc)
+    for level, pole in ((0, -omega_0), (1, omega_0)):
+        rem = _cutoff_remainder(atom, UnruhExcess(a), level, wc, cfg)
+        exact = -0.25 / math.pi * oracles.unruh_excess_rf_beyond_cutoff(
+            pole, a, wc)
+        assert abs(rem["rf"].value - exact) <= rem["rf"].error_estimate
+        assert rem["sr"].value == 0.0
+
+
+def test_remainder_below_rounding_floor_names_the_tolerances():
+    # a tolerance below the rounding floor is the tolerance's fault, not a
+    # spectrum that does not decay
+    atom = two_level_system(1.0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=50.0, abs_tol=1e-300, rel_tol=1e-16)
+    with pytest.raises(SubdivisionLimit,
+                       match=r"rounding floor.*quadrature\.abs_tol"):
+        _cutoff_remainder(atom, ThermalOhmic(0.5, 5.0, 1.0), 1, 50.0, cfg)
 
 
 def test_remainder_of_a_spectrum_that_does_not_decay_refused(constant_rates):
