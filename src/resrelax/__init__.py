@@ -39,8 +39,8 @@ _EXPORTS = {
         "DimensionMismatch", "InsufficientSamples", "NegativeExcitationRate",
         "NonConvergent", "NonFiniteEnergy", "NonHermitianCoupling",
         "NumericalError", "OutOfRange", "PoleOnBoundary", "ResRelaxError",
-        "SingularEvaluation", "StepTooLarge", "SubdivisionLimit",
-        "ZeroRelaxationRate",
+        "RoundingFloor", "SingularEvaluation", "StepTooLarge",
+        "SubdivisionLimit", "ZeroRelaxationRate",
     ),
     "system": (
         "SystemSpec", "TransitionElement", "system_spectral_functions",

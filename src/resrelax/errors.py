@@ -54,6 +54,10 @@ class SubdivisionLimit(NumericalError):
     """Adaptive quadrature exhausted its panel budget."""
 
 
+class RoundingFloor(SubdivisionLimit):
+    """Adaptive quadrature was asked for a tolerance below rounding."""
+
+
 class PoleOnBoundary(NumericalError):
     """Principal value pole lies on or outside the integration domain."""
 

@@ -77,6 +77,7 @@ from .errors import (
     InsufficientSamples,
     NonConvergent,
     PoleOnBoundary,
+    RoundingFloor,
     SingularEvaluation,
     SubdivisionLimit,
 )
@@ -457,15 +458,15 @@ def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
     max(abs_tol, rel_tol * |value|) or the split budget is exhausted
     (SubdivisionLimit).  A non-finite panel value or error, or a sum
     that overflows, raises SingularEvaluation at once, before any more
-    splits.  A batch takes up to 64 panels, ranked by their
-    error relative to the tolerance of the components still open, among
-    those at or above a quarter of such a component's mean panel error.
-    Each component's error gains the rounding floor ROUNDING_FLOOR_ULPS
-    * eps * the sum of its panels' rounding scales (see _eval_panels),
-    which the stopping test does not see and no split removes: an unmet
-    tolerance below it raises SubdivisionLimit at once.  Returns (value,
-    error, splits_used); value and error are floats for one integrand
-    and arrays of shape (m,) for a stack.
+    splits.  A batch takes up to 64 panels, ranked by their error
+    relative to the tolerance of the components still open, among those
+    at or above a quarter of such a component's mean panel error.  Each
+    component's error gains the rounding floor ROUNDING_FLOOR_ULPS * eps
+    * the sum of its panels' rounding scales (see _eval_panels), which
+    the stopping test does not see and no split removes: an unmet
+    tolerance below it raises RoundingFloor, a SubdivisionLimit, at
+    once.  Returns (value, error, splits_used); value and error are
+    floats for one integrand and arrays of shape (m,) for a stack.
     """
     bp = np.asarray(breakpoints, dtype=float)
     lo, hi = bp[:-1], bp[1:].copy()
@@ -490,7 +491,7 @@ def integrate_adaptive(fw, breakpoints, abs_tol, rel_tol, max_subdivisions):
             break
         below = np.flatnonzero(unmet & (tol < floor))
         if below.size:
-            raise SubdivisionLimit(
+            raise RoundingFloor(
                 "adaptive quadrature cannot reach tolerance %.3e below the "
                 "rounding floor %.3e; raise quadrature.abs_tol or "
                 "quadrature.rel_tol" % (tol[below[0]], floor[below[0]]))

@@ -56,11 +56,11 @@ def _kernel_transform(kernel, omegas, cfg, kinds):
 
     ``kinds`` give the "cos" or "sin" of Cs and, if there are two, of Ca,
     and ``omegas`` is one frequency or an array of them.  This is the one
-    regulator policy: a kernel regular at eps = 0 (not
-    ``epsilon_sensitive``) is sampled there, once; any other samples
-    cfg's schedule divided by max(1, the largest |omega|), so eps * omega
-    stays small at every frequency of the call.  Truncation follows the kernel at the smallest |omega|.
-    Returns an IntegralResult per kind (see halfline_transform).
+    regulator policy: a kernel regular at eps = 0 (not epsilon_sensitive)
+    is sampled there, once; any other samples cfg's schedule divided by
+    max(1, the largest |omega|), so eps * omega stays small at every
+    frequency of the call.  Truncation follows the kernel at the smallest
+    |omega|.  Returns an IntegralResult per kind (see halfline_transform).
     """
     om = np.abs(np.asarray(omegas, dtype=float))
     sched = (0.0,)

@@ -57,8 +57,8 @@ import time
 
 import numpy as np
 
-from .errors import (CutoffTooSmall, NonConvergent, SingularEvaluation,
-                     SubdivisionLimit)
+from .errors import (CutoffTooSmall, NonConvergent, RoundingFloor,
+                     SingularEvaluation, SubdivisionLimit)
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
@@ -244,15 +244,13 @@ def shift_kk(system, kernel, a, cfg=None, workspace=None, *, omega_c=None):
 # ---------------------------------------------------------------------------
 # time-domain path
 
-def _direct_windowed(window, omega_ab, cfg, g):
+def _direct_windowed(window, omega_ab, cfg):
     """Band-limited vacuum transforms: short ring segment + analytic tail.
 
     The ring segment [0, _RING_PHASE / wc] of both mechanisms comes from
     one adaptive pass on _RING_PANELS uniform panels, so its layout and
-    work do not depend on the cutoff.  The window's excess kernel, if
-    any, adds its raw rf transform (see _direct_raw); shift_direct takes
-    away its part beyond wc.  Returns ({mechanism: (value, error)}, work
-    counts).
+    work do not depend on the cutoff.  Returns ({mechanism: (value,
+    error)}, work counts).
     """
     w = float(omega_ab)
     aw = abs(w)
@@ -267,16 +265,10 @@ def _direct_windowed(window, omega_ab, cfg, g):
         cfg.rel_tol, cfg.max_subdivisions)
     rf_tail = (math.copysign(1.0, w) * window.ring_tail_sin_cs(span, aw)
                if w != 0.0 else 0.0)
-    out = {"rf": [ring_val[0] + rf_tail, ring_err[0]],
-           "sr": [ring_val[1] + window.ring_tail_cos_ca(span, aw),
-                  ring_err[1]]}
-    work = _work_counts(_RING_PANELS, splits, 1, len(MECHANISMS))
-    if window.excess is not None:
-        raw, more = _direct_raw(window.excess, w, cfg, g, ["sin"])
-        out["rf"][0] += raw["rf"][0]
-        out["rf"][1] += raw["rf"][1]
-        work = {key: work[key] + more[key] for key in work}
-    return out, work
+    out = {"rf": (ring_val[0] + rf_tail, ring_err[0]),
+           "sr": (ring_val[1] + window.ring_tail_cos_ca(span, aw),
+                  ring_err[1])}
+    return out, _work_counts(_RING_PANELS, splits, 1, len(MECHANISMS))
 
 
 def _direct_raw(kernel, omega_ab, cfg, g, kinds=("sin", "cos")):
@@ -313,23 +305,27 @@ def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
         wc = (omega_c if omega_c is not None
               else _require_cutoff(cfg, _poles(spec)))
         window = kernel.band_limited(wc)
+        excess = window.excess if window is not None else None
         g2 = spec.g * spec.g
         for el in transition_elements(spec, a):
             m = el.strength
             if m == 0.0:
                 continue
             start = time.perf_counter()
-            if window is not None:
-                parts, work = _direct_windowed(window, el.omega_ab, cfg,
-                                               spec.g)
-            else:
-                parts, work = _direct_raw(kernel, el.omega_ab, cfg, spec.g)
+            parts, work = (_direct_windowed(window, el.omega_ab, cfg)
+                           if window is not None else
+                           _direct_raw(kernel, el.omega_ab, cfg, spec.g))
+            if excess is not None:  # Ca = 0: the excess pass is rf's alone
+                raw, more = _direct_raw(excess, el.omega_ab, cfg, spec.g,
+                                        ["sin"])
+                parts["rf"] = tuple(np.add(parts["rf"], raw["rf"]))
+                work = {key: work[key] + more[key] for key in work}
             _log_pass("direct pass at omega %.6g" % el.omega_ab, work, start)
             for mech, (v, e) in parts.items():
                 total[mech] += g2 * m * v
                 err[mech] += g2 * m * e
-        if window is not None and window.excess is not None:
-            rem = _cutoff_remainder(spec, window.excess, a, wc, cfg)["rf"]
+        if excess is not None:  # less its part beyond wc, once per level
+            rem = _cutoff_remainder(spec, excess, a, wc, cfg)["rf"]
             total["rf"] -= rem.value
             err["rf"] += rem.error_estimate
     return _require_finite({mech: IntegralResult(total[mech], err[mech])
@@ -378,9 +374,9 @@ def _cutoff_remainder(spec, kernel, a, wc, cfg):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             value, err, _ = integrate_adaptive(
                 f, ladder, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+    except RoundingFloor:
+        raise  # a tolerance below rounding, not a divergent R
     except (SingularEvaluation, SubdivisionLimit) as exc:
-        if "rounding floor" in str(exc):
-            raise  # a tolerance below rounding, not a divergent R
         raise NonConvergent(
             "the dispersion integral beyond omega_cutoff %g does not "
             "converge (%s); a kernel without a band-limited variant needs "
