@@ -15,7 +15,10 @@ temporary name and renamed into place only on success.  Exit codes:
 0 success, 2 configuration or usage error or a failed write (stdout
 included), 3 numerical failure; a stderr that cannot be written changes
 none of them.
-Set RESRELAX_LOG=debug|info|warning for diagnostics on stderr.
+Set RESRELAX_LOG=debug|info|warning|error (any case) for diagnostics on
+stderr; any other non-empty value is a configuration error (exit 2).
+A run imports ``logging`` only when RESRELAX_LOG is set, and ``json``
+only when it writes JSON.
 
 ``run``, the process entry, skips interpreter teardown (about 25 ms);
 ``main`` called in-process never ends the process.
@@ -31,8 +34,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
-import logging
 import math
 import os
 import sys
@@ -72,12 +73,11 @@ from .rates import (
 )
 from .shifts import (
     ShiftWorkspace,
+    _log,
     compute_shift,
     delta_sr_relative,
     lamb_shift_two_level,
 )
-
-log = logging.getLogger("resrelax")
 
 _FMT = "%.16e"  # 17 significant digits round-trip every double
 
@@ -109,6 +109,8 @@ def _csv(header, rows):
 
 
 def _json_text(obj):
+    import json
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -427,7 +429,7 @@ def cmd_sweep(cfg: RunConfig, args):
     if size > 10 ** 6:
         raise ConfigError("sweep grid has %d points (limit 10^6)" % size)
     grid = list(itertools.product(*(axes[n] for n in names)))
-    log.info("sweep: %d points, %d workers", size, args.jobs)
+    _log("resrelax", "info", "sweep: %d points, %d workers", size, args.jobs)
     if args.jobs == 1:
         results = [_sweep_point(cfg, names, values, quantity)
                    for values in grid]
@@ -498,20 +500,24 @@ def _build_parser():
 
 
 def _setup_logging():
+    """Log to stderr at RESRELAX_LOG's level; unset, logging is not loaded."""
     level_name = os.environ.get("RESRELAX_LOG", "").strip().lower()
-    levels = {"debug": logging.DEBUG, "info": logging.INFO,
-              "warning": logging.WARNING, "error": logging.ERROR}
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=levels.get(level_name, logging.WARNING),
-        format="resrelax %(levelname)s: %(message)s",
-    )
+    levels = ("debug", "info", "warning", "error")
+    if not level_name:
+        return
+    if level_name not in levels:
+        raise ConfigError("RESRELAX_LOG must be one of %s, got %r"
+                          % (", ".join(levels), level_name))
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=level_name.upper(),
+                        format="resrelax %(levelname)s: %(message)s")
 
 
 def main(argv=None):
-    _setup_logging()
     parser = _build_parser()
     try:
+        _setup_logging()
         args = parser.parse_args(argv)
         needs_config = args.command != "kk-check"
         if args.config is not None:
@@ -530,17 +536,17 @@ def main(argv=None):
         }
         return dispatch[args.command](cfg, args)
     except CutoffTooSmall as exc:
-        log.debug("cutoff failure", exc_info=True)
+        _log("resrelax", "debug", "cutoff failure", exc_info=True)
         _report("numerical failure: %s\n"
                 "  (increase quadrature.omega_cutoff above every transition "
                 "frequency)" % exc)
         return 3
     except NumericalError as exc:
-        log.debug("numerical failure", exc_info=True)
+        _log("resrelax", "debug", "numerical failure", exc_info=True)
         _report("numerical failure: %s" % exc)
         return 3
     except ConfigError as exc:
-        log.debug("config failure", exc_info=True)
+        _log("resrelax", "debug", "config failure", exc_info=True)
         _report("config error: %s" % exc)
         return 2
     except OSError as exc:
@@ -573,7 +579,9 @@ def run(argv=None):
     except OSError as exc:
         _report("i/o error: %s" % exc)
         code = 2
-    logging.shutdown()
+    logging = sys.modules.get("logging")
+    if logging is not None:  # never loaded, it holds no handler to flush
+        logging.shutdown()
     try:
         sys.stderr.flush()
     except OSError:

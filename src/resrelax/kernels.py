@@ -126,14 +126,25 @@ def _rounding_error(value, exp_arg=0.0, scale=0.0):
     most 1.  The smallest normal number, times 1 + ``scale`` (the factor
     multiplying the exponential), covers results that underflow.
     """
-    return (_EPS * (_ROUNDING_ULPS + exp_arg) * np.abs(value)
-            + _TINY * (1.0 + scale))
+    # eps (16 + exp_arg) |value| + tiny (1 + scale), in place: the
+    # factors commute, and |a value| = a |value| for a >= 0
+    err = np.add(exp_arg, _ROUNDING_ULPS, out=np.empty(np.shape(value)))
+    err *= _EPS
+    err *= value
+    np.abs(err, out=err)
+    tail = np.add(scale, 1.0)
+    tail *= _TINY
+    err += tail
+    return err[()]
 
 
 def _x_coth(x):
     """x coth(x) for x >= 0, with its limit 1 at x = 0."""
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, safe / np.tanh(safe), 1.0)
+    pos = x > 0.0
+    out = np.where(pos, x, 1.0)
+    out /= np.tanh(out)
+    np.copyto(out, 1.0, where=~pos)
+    return out
 
 
 def _as_array(u):

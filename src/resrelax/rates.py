@@ -107,8 +107,8 @@ def _time_domain(kernel, om, cfg):
 
 def _require_finite(results, g, what):
     """``results``, {mechanism: IntegralResult}, if all of it is finite."""
-    if not all(np.all(np.isfinite([r.value, r.error_estimate]))
-               for r in results.values()):
+    if not all(np.isfinite(a).all() for r in results.values()
+               for a in (r.value, r.error_estimate)):
         raise NumericalError("%s are not finite at g = %g; reduce system.g "
                              "or the [reservoir] parameters" % (what, g))
     return results

@@ -51,8 +51,8 @@ dispersion integral beyond wc that the direct path includes.
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 import time
 
 import numpy as np
@@ -75,15 +75,22 @@ from .system import ensure_validated, transition_elements, two_level_system
 _RING_PHASE = 80.0
 _RING_PANELS = 40
 
-log = logging.getLogger(__name__)
+
+def _log(name, level, msg, *args, **kwargs):
+    """``getLogger(name).<level>(msg, ...)`` if this process has loaded
+    logging; one that never imported it has no handler for the record."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger(name), level)(msg, *args, stacklevel=2,
+                                                **kwargs)
 
 
 def _log_pass(what, work, start):
     """One debug line: the work counts of a pass and its time."""
-    log.debug("%s: %d components, %d panels, %d kernel points, %d splits, "
-              "%.3f s", what, work["components"], work["panels"],
-              work["kernel_points"], work["splits"],
-              time.perf_counter() - start)
+    _log(__name__, "debug", "%s: %d components, %d panels, %d kernel "
+         "points, %d splits, %.3f s", what, work["components"],
+         work["panels"], work["kernel_points"], work["splits"],
+         time.perf_counter() - start)
 
 
 def _poles(spec):
@@ -153,7 +160,8 @@ class ShiftWorkspace:
         self._kernel, self._g, self._cfg = kernel, g, cfg
         self._spline = None
         if kernel.rate_coefficients(0.0) is not None:
-            log.debug("rf+sr workspace: exact rate coefficients, no grid")
+            _log(__name__, "debug",
+                 "rf+sr workspace: exact rate coefficients, no grid")
             return
         from scipy.interpolate import CubicSpline
 

@@ -24,6 +24,7 @@ from resrelax import (
 from resrelax.quadrature import BATCH_BLOCK_PANELS, NODES_PER_PANEL
 from resrelax.kernels import UnruhExcess
 from resrelax.shifts import ShiftWorkspace, _cutoff_remainder
+from test_acceptance import THERMAL, _three_level
 
 W0 = 1.0
 WC = 60.0
@@ -541,6 +542,32 @@ def test_err_cutoff_covers_the_remainder(wc):
             pole, 0.4, 4.0, wc, g=0.7)
         rem = res.detail["cutoff_remainder"]["sr"]
         assert abs(rem.value - exact) <= rem.error_estimate
+
+
+@pytest.mark.parametrize("systems, kernel, wc", [
+    ((two_level_system(1.0, 1.0), _three_level()), ThermalOhmic(**THERMAL),
+     50.0),
+    *(((two_level_system(1.0, 0.7),), ThermalOhmic(0.4, 4.0, 0.8), wc)
+      for wc in (4.0, 6.0, 8.0, 12.0, 20.0, 40.0)),
+], ids=["criterion-2", *("sweep-wc%g" % wc for wc in (4, 6, 8, 12, 20, 40))])
+def test_kk_plus_remainder_matches_direct(systems, kernel, wc):
+    # the direct route integrates the raw kernel, so it holds the
+    # remainder R beyond wc that the dispersion route leaves out: kk + R
+    # meets direct within the quadrature estimates of all three, with no
+    # |R| in the budget.  The smallest margin, budget / residual, is 28x
+    cfg = QuadratureConfig(omega_cutoff=wc)
+    for spec in systems:
+        for a in range(spec.n_levels):
+            rem = compute_shift(spec, kernel, a, cfg,
+                                method="kk").detail["cutoff_remainder"]
+            kk = shift_kk(spec, kernel, a, cfg)
+            direct = shift_direct(spec, kernel, a, cfg)
+            for mech in ("rf", "sr"):
+                residual = abs(kk[mech].value + rem[mech].value
+                               - direct[mech].value)
+                assert residual <= (kk[mech].error_estimate
+                                    + rem[mech].error_estimate
+                                    + direct[mech].error_estimate), (a, mech)
 
 
 def test_excess_remainder_estimate_covers_its_error():

@@ -6,17 +6,21 @@ only the tabulated kernel, the spline workspace of a kernel without
 closed-form rates and ``kk_check.table`` use it, so a CLI run on a
 closed-form kernel never imports scipy; nor does it load
 numpy.polynomial or call LAPACK, whose first use raises the peak RSS by
-1-2 MB.  ``import resrelax`` loads no submodule and no numpy and leaves
-the environment alone; ``import resrelax.cli`` pins OpenBLAS to one
-thread unless the caller chose a thread count.  ``python -m
-resrelax.cli`` ends through ``run``, which flushes stdout and the log
-and skips interpreter teardown; the process tests check its output,
-exit codes, failed writes and peak memory with Python's default stdout
-buffering, and a failed --help also unbuffered.  Each case runs in a
-fresh interpreter so that no other test's imports leak into
-``sys.modules``.
+1-2 MB.  Nor does it import logging unless RESRELAX_LOG is set (about
+0.5 MB of peak RSS), or json unless it writes JSON; a bad RESRELAX_LOG
+exits 2, and the library's debug lines still reach a program that
+configures logging after importing it.  ``import resrelax`` loads no
+submodule and no numpy and leaves the environment alone; ``import
+resrelax.cli`` pins OpenBLAS to one thread unless the caller chose a
+thread count.  ``python -m resrelax.cli`` ends through ``run``, which
+flushes stdout and the log and skips interpreter teardown; the process
+tests check its output, exit codes, failed writes and peak memory with
+Python's default stdout buffering, and a failed --help also
+unbuffered.  Each case runs in a fresh interpreter so that no other
+test's imports leak into ``sys.modules``.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -169,6 +173,53 @@ def test_closed_form_commands_load_no_scipy(tmp_path, model, ini, command):
     assert (tmp_path / "out").stat().st_size > 0
 
 
+# runs the CLI with the given arguments and reports which of logging and
+# json it loaded: sys.modules is read as main returns, before anything is
+# imported to report with, against what was loaded before (a site hook
+# may preload stdlib modules)
+_LOADS = """\
+import sys
+before = set(sys.modules)
+from resrelax.cli import main
+rc = main(sys.argv[1:])
+print((rc, sorted({"json", "logging"} & (set(sys.modules) - before))))
+"""
+
+
+@pytest.mark.parametrize(
+    "model, ini, command", CASES,
+    ids=["%s-%s" % (model, "-".join(cmd).replace("--method-", ""))
+         for model, _, cmd in CASES])
+def test_closed_form_commands_load_no_logging(tmp_path, model, ini, command):
+    # RESRELAX_LOG unset (empty reads as unset): no command loads
+    # logging, and the CSV writers (rates, sweep) load no json
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    argv = [*command, "--config", str(path), "--out", str(tmp_path / "out")]
+    report = ast.literal_eval(_python(["-c", _LOADS, *argv], tmp_path,
+                                      RESRELAX_LOG=""))
+    writes_json = command[0] in ("evolve", "kk-check", "shift")
+    assert report == (0, ["json"] if writes_json else [])
+
+
+def test_library_logging_configured_after_import(tmp_path):
+    # the library looks logging up when it logs, so a caller that
+    # configures it after importing resrelax.shifts gets the debug lines
+    proc = subprocess.run([sys.executable, "-c", """\
+import sys
+import resrelax.shifts as shifts
+assert "logging" not in sys.modules
+import logging
+logging.basicConfig(level=logging.DEBUG)
+from resrelax import InertialVacuum, QuadratureConfig, two_level_system
+shifts.compute_shift(two_level_system(1.0, 1.0), InertialVacuum(), 1,
+                     QuadratureConfig(omega_cutoff=40.0), method="both")
+"""], cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for what in ("rf+sr workspace", "pv pass", "direct pass"):
+        assert "DEBUG:resrelax.shifts:" + what in proc.stderr, proc.stderr
+
+
 def test_package_import_is_lazy(tmp_path):
     out = _python(["-c", "import json, os, sys\n"
                          "before = dict(os.environ)\n"
@@ -254,6 +305,27 @@ def test_process_exit_codes(tmp_path, ini, args, code, message):
     err = proc.stderr.decode()
     assert message in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("value, code", [
+    ("verbose", 2), ("3", 2), ("debugging", 2), (" Warning ", 0), ("", 0),
+])
+def test_process_log_level_checked(tmp_path, value, code):
+    # RESRELAX_LOG takes a level name, in any case; anything else is
+    # refused, naming the variable and what it accepts
+    path = tmp_path / "run.ini"
+    path.write_text(INERTIAL_INI)
+    proc = _cli(["rates", "--config", str(path)], tmp_path,
+                RESRELAX_LOG=value)
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    if code:
+        assert proc.stdout == b""
+        assert err == ("resrelax: config error: RESRELAX_LOG must be one of "
+                       "debug, info, warning, error, got %r\n"
+                       % value.strip().lower())
+    else:
+        assert err == "" and proc.stdout != b""
 
 
 def _full_device():
