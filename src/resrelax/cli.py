@@ -62,6 +62,7 @@ from .errors import (
     ConfigError,
     CutoffTooSmall,
     NumericalError,
+    SubdivisionLimit,
     ZeroRelaxationRate,
 )
 from .quadrature import kk_real_from_imag, QuadratureConfig
@@ -298,15 +299,21 @@ def cmd_kk_check(cfg, args):
               for s in (-1.0, 1.0)]
     report_points = []
     max_rel = 0.0
-    for w in sorted(points):
-        res = kk_real_from_imag(f_imag, w, qcfg)
-        exact = float(f_real(w))
-        rel = abs(res.value - exact) / abs(exact)
-        max_rel = max(max_rel, rel)
-        report_points.append({"omega": w, "reconstructed": res.value,
-                              "exact": exact, "rel_err": rel,
-                              "err_estimate": res.error_estimate})
-    zero = kk_real_from_imag(f_imag, 0.0, qcfg)
+    try:
+        for w in sorted(points):
+            res = kk_real_from_imag(f_imag, w, qcfg)
+            exact = float(f_real(w))
+            rel = abs(res.value - exact) / abs(exact)
+            max_rel = max(max_rel, rel)
+            report_points.append({"omega": w, "reconstructed": res.value,
+                                  "exact": exact, "rel_err": rel,
+                                  "err_estimate": res.error_estimate})
+        zero = kk_real_from_imag(f_imag, 0.0, qcfg)
+    except SubdivisionLimit as exc:
+        # kk-check sets its own tolerances: only eta can change the outcome
+        raise SubdivisionLimit(
+            "dispersion self-test cannot converge at kk_check.eta = %g; "
+            "choose a larger kk_check.eta" % eta) from exc
     # Re f(0) = 0 exactly (odd integrand); compare against the peak 1/2eta.
     zero_rel = abs(zero.value) * 2.0 * eta
     max_rel = max(max_rel, zero_rel)

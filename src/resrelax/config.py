@@ -52,8 +52,8 @@ _KNOWN_SECTIONS = {"system", "reservoir", "quadrature", "rates", "shift",
 _SYSTEM_KEYS = {"omega_0", "g", "levels", "coupling_ops"}
 _RESERVOIR_KEYS = {"model", "acceleration", "eta", "omega_j", "temperature",
                    "path"}
-_QUADRATURE_KEYS = {"epsilon_schedule", "omega_cutoff", "abs_tol", "rel_tol",
-                    "max_subdivisions", "u_max"}
+_QUADRATURE_KEYS = {"omega_cutoff", "abs_tol", "rel_tol", "max_subdivisions",
+                    "u_max"}
 SWEEPABLE_KEYS = ("acceleration", "eta", "g", "omega_0", "omega_cutoff",
                   "omega_j", "temperature")
 
@@ -236,14 +236,6 @@ def _build_quadrature(sec):
     if "max_subdivisions" in sec:
         kwargs["max_subdivisions"] = _positive_int(
             "quadrature", "max_subdivisions", sec["max_subdivisions"])
-    if "epsilon_schedule" in sec:
-        sched = sec["epsilon_schedule"]
-        if not isinstance(sched, (list, tuple)):
-            raise ConfigError(
-                "quadrature.epsilon_schedule must be a list of decreasing reals"
-            )
-        kwargs["epsilon_schedule"] = tuple(
-            _number("quadrature", "epsilon_schedule", e) for e in sched)
     try:
         return QuadratureConfig(**kwargs)
     except Exception as exc:

@@ -18,8 +18,8 @@ Implemented models:
     W(u) = -1 / (4 pi^2 (u - i eps)^2).
 
 ``AcceleratedVacuum``
-    W(u) = -(a^2/16 pi^2) sinh^-2(a (u - i eps)/2), which satisfies the
-    detailed-balance (KMS) condition at temperature a / 2 pi.
+    InertialVacuum plus its UnruhExcess, W(u) = -(a^2/16 pi^2)
+    sinh^-2(a u/2) at eps = 0: KMS (thermal) at temperature a / 2 pi.
 
 ``ThermalOhmic``
     Ohmic spectral density J(w) = eta w exp(-w/omega_j) at temperature
@@ -30,13 +30,14 @@ Implemented models:
     to eps and bounded to its grid.
 
 ``UnruhExcess``
-    AcceleratedVacuum minus InertialVacuum at eps = 0: regular at u = 0,
-    with the thermal excess of the Unruh spectrum, which decays.
+    What acceleration adds to the inertial vacuum at eps = 0: regular at
+    u = 0, with the thermal excess of the Unruh spectrum, which decays.
 
-Vacuum kernels additionally provide a band-limited variant, on which
-the direct shift evaluation is built: the inertial kernel with its
-spectrum sharply windowed to |w| < omega_c, finite at eps = 0, plus for
-an accelerated trajectory its UnruhExcess, integrated raw.
+A vacuum kernel adds the ``excess`` of its trajectory (None, or an
+UnruhExcess) on every route, the band-limited variant included: the
+inertial kernel with its spectrum sharply windowed to |w| < omega_c,
+finite at eps = 0, on which the direct shift evaluation is built, plus
+the excess, integrated raw.
 """
 
 from __future__ import annotations
@@ -206,9 +207,12 @@ def _require_positive(value, what):
 
 
 class InertialVacuum(ReservoirKernel):
-    """Massless-field vacuum along an inertial trajectory."""
+    """Massless-field vacuum along an inertial trajectory.  A subclass
+    sets ``excess``, the regular kernel its trajectory adds; the
+    regulator acts on the singular inertial part alone."""
 
     name = "inertial_vacuum"
+    excess = None
 
     def evaluate(self, u, eps):
         u, scalar = _as_array(u)
@@ -217,84 +221,62 @@ class InertialVacuum(ReservoirKernel):
             raise OutOfRange("regulator eps must be >= 0, got %g" % eps)
         if eps == 0.0 and np.any(u == 0.0):
             raise SingularEvaluation(
-                "inertial vacuum kernel is singular at u = 0 when eps = 0"
+                "%s kernel is singular at u = 0 when eps = 0"
+                % self.name.replace("_", " ")
             )
         d = (u * u + eps * eps) ** 2
         cs = -(u * u - eps * eps) / (FOUR_PI_SQ * d)
         ca = -eps * u / (2.0 * math.pi ** 2 * d)
+        if self.excess is not None:
+            cs += self.excess.evaluate(u, 0.0)[0]
         if scalar:
             return float(cs[0]), float(ca[0])
         return cs, ca
 
     def rate_coefficients(self, omega):
-        """gamma_rf = gamma_sr = |omega| / 8 pi."""
+        """gamma_rf = gamma_sr = |omega| / 8 pi, plus the excess's rf."""
         gamma = np.abs(np.asarray(omega, dtype=float)) / (8.0 * math.pi)
         pair = (gamma, _rounding_error(gamma))
-        return {"rf": pair, "sr": pair}
+        if self.excess is None:
+            return {"rf": pair, "sr": pair}
+        # the two bounds of 16 ulps each leave room for the sum's rounding
+        rf, err = self.excess.rate_coefficients(omega)["rf"]
+        return {"rf": (gamma + rf, pair[1] + err), "sr": pair}
 
     def envelope(self, eps):
         return Envelope("power", 1.2 / FOUR_PI_SQ)
 
     def band_limited(self, omega_c):
-        return BandLimitedVacuum(omega_c)
+        return BandLimitedVacuum(omega_c, self.excess)
 
 
-class AcceleratedVacuum(ReservoirKernel):
-    """Massless-field vacuum along a uniformly accelerated trajectory.
+class AcceleratedVacuum(InertialVacuum):
+    """Massless-field vacuum along a uniformly accelerated trajectory:
+    the inertial kernel plus its ``UnruhExcess``, which at eps = 0 is
 
-    The kernel is periodic in imaginary proper time with period
-    2 pi / a, i.e. thermal at temperature a / (2 pi).
+        W(u) = -(a^2 / 16 pi^2) sinh^-2(a u / 2),
+
+    periodic in imaginary proper time with period 2 pi / a, i.e. thermal
+    (KMS) at temperature a / 2 pi.  Its rf rate is the inertial one plus
+    the excess's, (|omega| / 8 pi) coth(pi |omega| / a); sr is inertial.
+
+    The regulator acts on the inertial part alone, the excess being
+    regular, so the eps -> 0 limit is W; at finite eps, Ca keeps the
+    inertial residue -eps / (2 pi^2 u^3), which the exponential envelope
+    does not bound, and the eps extrapolation removes it.  Far out, W is
+    the difference of two terms of size 1 / (4 pi^2 u^2), so its error
+    there is a few ulps of that, absolute rather than relative.
     """
 
     name = "accelerated_vacuum"
-    # beyond this au/2 the complex sinh overflows; use its leading exponential
-    _OVERFLOW_X = 350.0
 
     def __init__(self, acceleration):
         self.acceleration = _require_positive(acceleration, "acceleration")
+        self.excess = UnruhExcess(self.acceleration)
 
     @property
     def kms_temperature(self):
         return self.acceleration / (2.0 * math.pi)
-
-    def evaluate(self, u, eps):
-        u, scalar = _as_array(u)
-        eps = float(eps)
-        if eps < 0:
-            raise OutOfRange("regulator eps must be >= 0, got %g" % eps)
-        if eps == 0.0 and np.any(u == 0.0):
-            raise SingularEvaluation(
-                "accelerated vacuum kernel is singular at u = 0 when eps = 0"
-            )
-        a = self.acceleration
-        x = 0.5 * a * u
-        y = 0.5 * a * eps
-        pref = -(a * a) / (16.0 * math.pi ** 2)
-        w = np.empty(u.shape, dtype=complex)
-        big = np.abs(x) > self._OVERFLOW_X
-        if np.any(~big):
-            z = x[~big] - 1j * y
-            w[~big] = pref / np.sinh(z) ** 2
-        if np.any(big):
-            # sinh(z)^-2 ~ 4 exp(-2|x|) exp(2i sign(x) y) far from the axis
-            xb = x[big]
-            w[big] = pref * 4.0 * np.exp(-2.0 * np.abs(xb)) * np.exp(
-                2j * np.sign(xb) * y
-            )
-        cs, ca = w.real, w.imag
-        if scalar:
-            return float(cs[0]), float(ca[0])
-        return cs, ca
-
-    def rate_coefficients(self, omega):
-        """gamma_rf = (|omega| / 8 pi) coth(pi |omega| / a), which is
-        a / 8 pi^2 at omega = 0, and gamma_sr = |omega| / 8 pi."""
-        w = np.abs(np.asarray(omega, dtype=float))
-        a = self.acceleration
-        rf = (a / (8.0 * math.pi ** 2)) * _x_coth(math.pi * w / a)
-        sr = w / (8.0 * math.pi)
-        return {"rf": (rf, _rounding_error(rf)),
-                "sr": (sr, _rounding_error(sr))}
 
     def envelope(self, eps):
         a = self.acceleration
@@ -307,9 +289,6 @@ class AcceleratedVacuum(ReservoirKernel):
         return max(min(base, dead), 20.0 / self.acceleration,
                    200.0 * self.origin_scale(eps))
 
-    def band_limited(self, omega_c):
-        return BandLimitedVacuum(omega_c, UnruhExcess(self.acceleration))
-
     def describe(self):
         return {"model": self.name, "acceleration": self.acceleration,
                 "kms_temperature": self.kms_temperature}
@@ -321,13 +300,15 @@ _SINH_SERIES = tuple(3.0 / math.factorial(2 * k + 1) for k in range(1, 13))
 
 
 class UnruhExcess(ReservoirKernel):
-    """AcceleratedVacuum minus InertialVacuum at eps = 0, x = a u / 2:
+    """What a uniform acceleration a adds to the inertial vacuum kernel,
+    at eps = 0, x = a u / 2:
 
         Cs(u) = (a^2 / 16 pi^2) (1/x^2 - 1/sinh^2 x),   Ca(u) = 0,
 
     which is a^2 / 48 pi^2 at u = 0 and below 1 / (4 pi^2 u^2) everywhere.
     Its spectrum is the thermal excess (|w| / 8 pi)(coth(pi |w| / a) - 1)
-    of rf alone, which decays on its own.
+    of rf alone, which decays on its own.  AcceleratedVacuum adds it on
+    every route.
     """
 
     name = "unruh_excess"

@@ -171,6 +171,15 @@ def ring_mp(omega_c, u):
         return float(cs), float(ca)
 
 
+def accelerated_cs(acceleration, u):
+    """Cs of the accelerated vacuum kernel at eps = 0,
+    -(a^2 / 16 pi^2) / sinh^2(a u / 2), u != 0 (50-digit mpmath)."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(acceleration)
+        x = a * mpmath.mpf(u) / 2
+        return float(-(a * a / (16 * mpmath.pi ** 2)) / mpmath.sinh(x) ** 2)
+
+
 def unruh_excess_cs(acceleration, u):
     """Cs of the accelerated minus the inertial vacuum kernel at eps = 0,
     (a^2 / 16 pi^2)(1/x^2 - 1/sinh^2 x) with x = a u / 2, and its limit

@@ -264,6 +264,51 @@ class TestShiftCommand:
                     if k.startswith("delta_sr")]
 
 
+def _tabulated_ini(tmp_path):
+    u = np.linspace(0.0, 60.0, 601)
+    cs, ca = ThermalOhmic(0.5, 5.0, 1.0).evaluate(u, 0.0)
+    rows = "\n".join("%.17g,%.17g,%.17g" % t for t in zip(u, cs, ca))
+    (tmp_path / "kern.csv").write_text("u,Cs,Ca\n" + rows + "\n")
+    return THERMAL_INI.replace(
+        "model = thermal_ohmic\neta = 0.5\nomega_j = 5.0\ntemperature = 1.0",
+        "model = tabulated\npath = kern.csv").replace(
+        "omega_cutoff = 30.0", "omega_cutoff = 20.0")
+
+
+@pytest.mark.parametrize("model", ["inertial_vacuum", "accelerated_vacuum",
+                                   "thermal_ohmic", "tabulated"])
+@pytest.mark.parametrize("command", [["rates"], ["shift", "--method", "both"]],
+                         ids=["rates", "shift-both"])
+def test_cli_samples_kernels_at_eps_zero_only(tmp_path, monkeypatch, model,
+                                              command):
+    # no CLI model reaches the regulator schedule: closed-form rates, the
+    # band-limited vacuum route and kernels regular at eps = 0 all sample
+    # (if at all) at eps = 0, which is why the INI has no epsilon_schedule
+    from resrelax import kernels
+
+    seen = []
+    for cls in (kernels.InertialVacuum, kernels.UnruhExcess,
+                kernels.ThermalOhmic, kernels.TabulatedKernel):
+        def recording(self, u, eps, _evaluate=cls.evaluate):
+            seen.append(float(eps))
+            return _evaluate(self, u, eps)
+
+        monkeypatch.setattr(cls, "evaluate", recording)
+    text = {"inertial_vacuum": INERTIAL_INI,
+            "accelerated_vacuum": INERTIAL_INI.replace(
+                "model = inertial_vacuum",
+                "model = accelerated_vacuum\nacceleration = 2.0"),
+            "thermal_ohmic": THERMAL_INI}.get(model) or _tabulated_ini(tmp_path)
+    path = write(tmp_path, text)
+    assert run_cli([*command, "--config", path,
+                    "--out", str(tmp_path / "out")]) == 0
+    assert set(seen) <= {0.0}
+    # the direct route samples every kernel without a band-limited
+    # variant, and the accelerated trajectory's excess
+    if command[0] == "shift" and model != "inertial_vacuum":
+        assert seen
+
+
 @pytest.mark.parametrize("command", [
     ["rates"], ["shift", "--method", "both"], ["shift", "--method", "direct"],
 ], ids=["rates", "shift-both", "shift-direct"])

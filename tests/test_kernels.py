@@ -119,27 +119,36 @@ def test_inertial_unregulated_tail():
 # accelerated vacuum
 
 def test_accelerated_matches_sinh_form():
+    # at eps = 0 the sinh form; at finite eps the regulated inertial
+    # kernel plus the (regular) excess, the regulator acting on the
+    # inertial part alone
     a = 1.7
     k = AcceleratedVacuum(acceleration=a)
     for u in (0.3, 1.9, -0.6):
+        cs, ca = k.evaluate(u, 0.0)
+        assert cs == pytest.approx(oracles.accelerated_cs(a, u), rel=1e-12)
+        assert ca == 0.0
         eps = 0.03
-        arg = 0.5 * a * (u - 1j * eps)
-        w = -(a * a / (16.0 * math.pi ** 2)) / np.sinh(arg) ** 2
+        cs_i, ca_i = InertialVacuum().evaluate(u, eps)
         cs, ca = k.evaluate(u, eps)
-        assert cs == pytest.approx(w.real, rel=1e-12)
-        assert ca == pytest.approx(w.imag, rel=1e-12)
+        assert cs == pytest.approx(cs_i + oracles.unruh_excess_cs(a, u),
+                                   rel=1e-12)
+        assert ca == pytest.approx(ca_i, rel=1e-12)
 
 
 def test_accelerated_overflow_guard():
-    # far beyond the sinh overflow point the kernel must stay finite and
-    # follow the exponential asymptote
-    a = 2.0
-    k = AcceleratedVacuum(acceleration=a)
-    u = 400.0
-    cs, ca = k.evaluate(u, 0.01)
-    expect = -(a * a / (16.0 * math.pi ** 2)) * 4.0 * math.exp(-a * u)
-    assert math.isfinite(cs) and math.isfinite(ca)
-    assert cs == pytest.approx(expect * math.cos(a * 0.01), rel=1e-10)
+    # far out the kernel is the difference of the inertial kernel and
+    # the excess, each about 1 / (4 pi^2 u^2): its error is absolute,
+    # within a few ulps of that cancellation floor, from x = a u / 2 = 2
+    # to 2e4, far beyond where a sinh of x would overflow
+    for a in (0.05, 2.0, 1e3):
+        k = AcceleratedVacuum(acceleration=a)
+        u = 2.0 * np.concatenate([[20.0], np.geomspace(2.0, 2e4, 60)]) / a
+        cs, ca = k.evaluate(u, 0.0)
+        assert np.all(np.isfinite(cs)) and np.all(ca == 0.0)
+        for ui, c in zip(u, cs):
+            floor = 2.0 ** -52 / (FOUR_PI_SQ * ui * ui)
+            assert abs(c - oracles.accelerated_cs(a, ui)) <= 4.0 * floor, (a, ui)
 
 
 def test_accelerated_kms_temperature():
@@ -192,11 +201,12 @@ def test_unruh_excess_matches_mpmath(a):
 
 
 def test_unruh_excess_is_accelerated_minus_inertial():
+    # the accelerated kernel, built as the inertial one plus UnruhExcess,
+    # against the 50-digit sinh form
     a = 1.7
     u = np.array([0.05, 0.3, 1.9, 6.0])
-    cs = UnruhExcess(a).evaluate(u, 0.0)[0]
-    ref = (AcceleratedVacuum(a).evaluate(u, 0.0)[0]
-           - InertialVacuum().evaluate(u, 0.0)[0])
+    cs = AcceleratedVacuum(a).evaluate(u, 0.0)[0]
+    ref = [oracles.accelerated_cs(a, ui) for ui in u]
     assert_allclose(cs, ref, rtol=1e-10)
 
 
