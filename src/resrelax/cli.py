@@ -20,24 +20,30 @@ stderr; any other non-empty value is a configuration error (exit 2).
 A run imports ``logging`` only when RESRELAX_LOG is set, and ``json``
 only when it writes JSON.
 
+Arguments are read from a table of the commands and their options, not
+by argparse, whose gettext and locale imports cost every process about
+0.55 MB of peak RSS.  Each option is spelled in full, as ``--opt value``
+or ``--opt=value``; ``-h``/``--help`` prints help and exits 0, and a
+usage error prints the usage line and the error and exits 2.
+
 ``run``, the process entry, skips interpreter teardown (about 25 ms);
 ``main`` called in-process never ends the process.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise:
-OpenBLAS starts its workers when numpy loads, and the CLI's matrix
-products are too small to gain from them (on a built-in kernel it makes
-no LAPACK call).  Importing this module sets that default; ``import
+OpenBLAS starts its workers when numpy loads, whether or not a BLAS
+routine is ever called; on a built-in kernel the CLI calls no BLAS or
+LAPACK routine.  Importing this module sets that default; ``import
 resrelax`` alone does not.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
 import os
 import sys
 import tempfile
+import types
 
 # before numpy loads: an idle OpenBLAS worker spins ~0.1 s CPU per process
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -459,51 +465,124 @@ def cmd_sweep(cfg: RunConfig, args):
 # ---------------------------------------------------------------------------
 # entry point
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        # argparse drops a failed write; let it fail the run like any
-        # other stdout write does
-        (file or sys.stdout).write(self.format_help())
-
-
 def _jobs(text):
-    jobs = int(text)
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise ValueError("invalid int value: %r" % text) from None
     if jobs < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % jobs)
+        raise ValueError("must be at least 1, got %d" % jobs)
     return jobs
 
 
-def _build_parser():
-    parser = _Parser(
-        prog="resrelax",
-        description="Relaxation rates, Einstein coefficients and radiative "
-                    "shifts of a small system coupled to a stationary "
-                    "reservoir.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The argument table: command -> (help, options); option -> (default,
+# metavar, check, help).  A check is a tuple of choices, a function that
+# converts the text (its ValueError is the usage error), or None.
 
-    def common(p, default_format):
-        p.add_argument("--config", metavar="PATH",
-                       help="INI-style run configuration")
-        p.add_argument("--out", metavar="PATH",
-                       help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default=default_format)
+def _common(default_format):
+    return {"--config": (None, "PATH", None, "INI-style run configuration"),
+            "--out": (None, "PATH", None, "output file (default: stdout)"),
+            "--format": (default_format, "{csv,json}", ("csv", "json"),
+                         "output format (default: %s)" % default_format)}
 
-    p = sub.add_parser("rates", help="rate coefficients and transition rates")
-    common(p, "csv")
-    p = sub.add_parser("shift", help="energy shift of one level")
-    common(p, "json")
-    p.add_argument("--method", choices=("kk", "direct", "both"), default="kk")
-    p = sub.add_parser("evolve", help="two-level mean-energy trajectory")
-    common(p, "csv")
-    p = sub.add_parser("kk-check", help="dispersion-transform self-test")
-    common(p, "json")
-    p = sub.add_parser("sweep", help="parameter-grid scan")
-    common(p, "csv")
-    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                   help="concurrent grid evaluations")
-    return parser
+
+_COMMANDS = {
+    "rates": ("rate coefficients and transition rates", _common("csv")),
+    "shift": ("energy shift of one level", {**_common("json"), "--method": (
+        "kk", "{kk,direct,both}", ("kk", "direct", "both"),
+        "shift route (default: kk)")}),
+    "evolve": ("two-level mean-energy trajectory", _common("csv")),
+    "kk-check": ("dispersion-transform self-test", _common("json")),
+    "sweep": ("parameter-grid scan", {**_common("csv"), "--jobs": (
+        1, "N", _jobs, "concurrent grid evaluations (default: 1)")}),
+}
+
+
+def _usage(command):
+    if command is None:
+        return "usage: resrelax [-h] {%s} ...\n" % ",".join(_COMMANDS)
+    return "usage: resrelax %s [-h]%s\n" % (command, "".join(
+        " [%s %s]" % (flag, option[1])
+        for flag, option in _COMMANDS[command][1].items()))
+
+
+def _help(command):
+    if command is None:
+        rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
+    else:
+        rows = [("-h, --help", "show this help message and exit")] + [
+            ("%s %s" % (flag, option[1]), option[3])
+            for flag, option in _COMMANDS[command][1].items()]
+    width = max(len(name) for name, _ in rows)
+    body = "".join("  %-*s  %s\n" % (width, name, text) for name, text in rows)
+    if command is not None:
+        return _usage(command) + "\noptions:\n" + body
+    return (_usage(None) + "\nRelaxation rates, Einstein coefficients and "
+            "radiative shifts of a small\nsystem coupled to a stationary "
+            "reservoir.\n\ncommands:\n" + body + "\n'resrelax COMMAND -h' "
+            "lists a command's options; each takes its value\nas the next "
+            "argument or after '=' (--out PATH or --out=PATH).\n")
+
+
+def _usage_error(command, message):
+    """Usage and the error on stderr, exit 2; a lost message keeps the 2."""
+    prog = "resrelax" if command is None else "resrelax " + command
+    try:
+        sys.stderr.write("%s%s: error: %s\n" % (_usage(command), prog,
+                                                message))
+    except OSError:
+        pass
+    raise SystemExit(2)
+
+
+def _parse_args(argv):
+    """The command and its option values, defaults filled in.
+
+    -h/--help writes help to stdout and raises SystemExit(0); a usage
+    error writes the usage line and the error to stderr and raises
+    SystemExit(2).  Options are spelled in full, each either
+    ``--opt value`` or ``--opt=value``; the last of a repeated option
+    wins.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        _usage_error(None, "the following arguments are required: command"
+                     if command is None else
+                     "argument command: invalid choice: %r (choose from %s)"
+                     % (command, ", ".join(map(repr, _COMMANDS))))
+    options = _COMMANDS[command][1]
+    values = {flag[2:]: option[0] for flag, option in options.items()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        flag, inline, value = arg.partition("=")
+        if flag not in options:
+            _usage_error(command, "unrecognized arguments: %s" % arg)
+        if not inline:
+            value = next(rest, None)
+            # "-1" is a value, which --jobs refuses by its check
+            if value is None or value[:1] == "-" and not value[1:2].isdigit():
+                _usage_error(command, "argument %s: expected one argument"
+                             % flag)
+        check = options[flag][2]
+        if isinstance(check, tuple):
+            if value not in check:
+                _usage_error(command, "argument %s: invalid choice: %r "
+                             "(choose from %s)"
+                             % (flag, value, ", ".join(map(repr, check))))
+        elif check is not None:
+            try:
+                value = check(value)
+            except ValueError as exc:
+                _usage_error(command, "argument %s: %s" % (flag, exc))
+        values[flag[2:]] = value
+    return types.SimpleNamespace(command=command, **values)
 
 
 def _setup_logging():
@@ -522,10 +601,9 @@ def _setup_logging():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
         _setup_logging()
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         needs_config = args.command != "kk-check"
         if args.config is not None:
             # kk-check reads only [kk_check]
@@ -575,7 +653,7 @@ def run(argv=None):
 
     A failed stdout write (a full device, a closed pipe) exits 2.  A
     stderr that cannot be written changes no exit code: that of ``main``,
-    or argparse's (0 for --help, 2 for a usage error).
+    or the argument parser's (0 for --help, 2 for a usage error).
     """
     try:
         code = main(argv)

@@ -39,6 +39,7 @@ import ast
 import configparser
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -60,10 +61,14 @@ SWEEPABLE_KEYS = ("acceleration", "eta", "g", "omega_0", "omega_cutoff",
 
 def _parse_value(raw):
     raw = raw.strip()
-    try:
-        return ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        return raw
+    # a value such as 1if 1 else 2 is a bare string, not a SyntaxWarning
+    # on stderr ("invalid decimal literal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SyntaxWarning)
+        try:
+            return ast.literal_eval(raw)
+        except (ValueError, SyntaxError):
+            return raw
 
 
 class RunConfig:
@@ -107,11 +112,21 @@ class RunConfig:
         return self._quadrature
 
     def with_overrides(self, overrides):
-        """New RunConfig with {(section, key): value} replaced; revalidates."""
+        """New RunConfig with {(section, key): value} replaced; revalidates.
+
+        The system, kernel and quadrature already built from a section
+        that no override touches are carried over, not rebuilt (a
+        tabulated kernel would parse its file again).
+        """
         sections = {name: dict(sec) for name, sec in self.sections.items()}
         for (section, key), value in overrides.items():
             sections.setdefault(section, {})[key] = value
-        fresh = RunConfig(self.path, sections)
+        touched = {section for section, _ in overrides}
+        fresh = RunConfig(
+            self.path, sections,
+            None if "system" in touched else self._system,
+            None if "reservoir" in touched else self._kernel,
+            None if "quadrature" in touched else self._quadrature)
         fresh.validate()
         return fresh
 

@@ -89,10 +89,10 @@ LADDER_RATIO = 1.7
 # 960 (panel, frequency) pairs.  It bounds the working set of a pass;
 # panel values do not depend on it.  At 256/128/64/32: a 3-level
 # ThermalOhmic `shift --method both`, whose direct passes sample at most
-# 128 panels per call, peaks at 30.2-30.3 MB RSS and takes about 6 ms
+# 128 panels per call, peaks at 28.8-29.0 MB RSS and takes about 5.5 ms
 # in-process at each; the spline workspace of a 6,001-sample tabulated
 # kernel (about 25 frequencies per pass) peaks at 1.5/1.2/0.85/0.69 MB
-# (tracemalloc) and takes 32/33/34/40 ms (2 vCPU, Python 3.11, numpy 2.4).
+# (tracemalloc) and takes 36/36/35/41 ms (2 vCPU, Python 3.11, numpy 2.4).
 BATCH_BLOCK_PANELS = 64
 # K15's nodes, G7's among them
 NODES_PER_PANEL = 15
@@ -338,7 +338,8 @@ def _sph_bessel(theta):
         for l in range(_MILLER_START, 0, -1):
             nxt, cur = cur, ratio[:, l] * cur - nxt
             seq[:, l - 1] = cur
-        out[mid] = seq[:, :n] / np.sqrt((seq * seq) @ _ODD)[:, None]
+        norm = np.einsum("il,l->i", seq * seq, _ODD)  # not @: see _filon
+        out[mid] = seq[:, :n] / np.sqrt(norm)[:, None]
     return out
 
 
@@ -368,8 +369,10 @@ def _filon(samples, omega, sine, mid, half):
     (w, e, p), panels).
     """
     n_eps, n_parts = samples.shape[:2]
-    coef = samples.reshape(-1, NODES_PER_PANEL) @ _filon_rules().reshape(
-        -1, NODES_PER_PANEL).T
+    # einsum (unoptimised) runs numpy's own loops where @ calls BLAS, whose
+    # first call maps in OpenBLAS code and buffers: ~0.4 MB of peak RSS
+    coef = np.einsum("in,mn->im", samples.reshape(-1, NODES_PER_PANEL),
+                     _filon_rules().reshape(-1, NODES_PER_PANEL))
     # (eps, part, panel, rule, l)
     coef = coef.reshape(n_eps, n_parts, mid.size, 2, NODES_PER_PANEL)
     bessel = _sph_bessel(np.abs(np.multiply.outer(half, omega)).ravel())
@@ -384,8 +387,8 @@ def _filon(samples, omega, sine, mid, half):
     out = np.where(np.asarray(sine)[:, None, None, None],
                    hs * re + hc * im, hc * re - hs * im)
     out = out.transpose(3, 4, 0, 1, 2).reshape(2, omega.size, -1, mid.size)
-    scale = half * (np.abs(samples).reshape(-1, mid.size, NODES_PER_PANEL)
-                    @ _RULE[0])
+    scale = half * np.einsum("ekn,n->ek", np.abs(samples).reshape(
+        -1, mid.size, NODES_PER_PANEL), _RULE[0])
     return np.concatenate([out, np.broadcast_to(scale, out.shape[1:])[None]]
                           ).reshape(3, -1, mid.size)
 

@@ -461,6 +461,41 @@ class TestSweepCommand:
                  str(four)])
         assert one.read_bytes() == four.read_bytes()
 
+    def test_tabulated_g_axis_parses_table_once(self, tmp_path,
+                                                monkeypatch):
+        # a point that overrides only [system] keeps the kernel built
+        # from the table; each g on its own gives the same row
+        from resrelax import TabulatedKernel
+
+        parses = []
+        from_csv = TabulatedKernel.from_csv.__func__
+
+        def counting(cls, path):
+            parses.append(path)
+            return from_csv(cls, path)
+
+        monkeypatch.setattr(TabulatedKernel, "from_csv",
+                            classmethod(counting))
+        ini = _tabulated_ini(tmp_path) + "\n[sweep]\nquantity = gamma_rf\n"
+        path = write(tmp_path, ini + "g = [0.5, 0.7, 1.0]\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert len(parses) == 1
+        # threads share the one kernel
+        pooled = tmp_path / "pooled.csv"
+        assert run_cli(["sweep", "--config", path, "--jobs", "4",
+                        "--out", str(pooled)]) == 0
+        assert len(parses) == 2
+        assert pooled.read_bytes() == out.read_bytes()
+        rows = []
+        for g in ("0.5", "0.7", "1.0"):
+            one = write(tmp_path, ini + "g = [%s]\n" % g, "one.ini")
+            assert run_cli(["sweep", "--config", one,
+                            "--out", str(tmp_path / "one.csv")]) == 0
+            header, row = (tmp_path / "one.csv").read_text().splitlines()
+            rows.append(row)
+        assert out.read_text() == "\n".join([header, *rows]) + "\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         text = THERMAL_INI + "\n[sweep]\nquantity = gamma_sr\n" \
@@ -535,6 +570,75 @@ def test_oversized_evolve_rejected(tmp_path, capsys, line, key):
     err = capsys.readouterr().err
     assert key in err and "10^6" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the argument parser
+
+def test_option_values_after_equals(tmp_path):
+    # --opt=value and --opt value parse alike; the last of a repeated
+    # option wins
+    path = write(tmp_path, INERTIAL_INI)
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_cli(["shift", "--config", path, "--method", "both",
+                    "--format", "csv", "--out", str(spaced)]) == 0
+    assert run_cli(["shift", "--config=" + path, "--method=kk",
+                    "--method=both", "--format=csv",
+                    "--out=" + str(joined)]) == 0
+    assert joined.read_bytes() == spaced.read_bytes() != b""
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["-h"], ["usage: resrelax [-h] {rates,shift,evolve,kk-check,sweep} ...",
+              "  kk-check  dispersion-transform self-test"]),
+    (["shift", "--help"], [
+        "usage: resrelax shift [-h] [--config PATH] [--out PATH] "
+        "[--format {csv,json}] [--method {kk,direct,both}]",
+        "  --method {kk,direct,both}  shift route (default: kk)"]),
+    (["sweep", "--jobs", "3", "-h"], [
+        "  --jobs N             concurrent grid evaluations (default: 1)"]),
+], ids=["top", "shift", "sweep"])
+def test_help_on_stdout_exits_0(capsys, argv, lines):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for line in lines:
+        assert line in captured.out.splitlines()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "resrelax: error: the following arguments are required: command"),
+    (["--config", "run.ini", "rates"],
+     "resrelax: error: argument command: invalid choice: '--config' (choose "
+     "from 'rates', 'shift', 'evolve', 'kk-check', 'sweep')"),
+    (["rates", "extra"], "resrelax rates: error: unrecognized arguments: "
+                         "extra"),
+    (["shift", "--meth", "both"], "resrelax shift: error: unrecognized "
+                                  "arguments: --meth"),
+    (["rates", "--method", "kk"], "resrelax rates: error: unrecognized "
+                                  "arguments: --method"),
+    (["sweep", "--jobs", "two"], "resrelax sweep: error: argument --jobs: "
+                                 "invalid int value: 'two'"),
+    (["sweep", "--jobs=0"], "resrelax sweep: error: argument --jobs: must be "
+                            "at least 1, got 0"),
+    (["rates", "--format=xml"], "resrelax rates: error: argument --format: "
+                                "invalid choice: 'xml' (choose from 'csv', "
+                                "'json')"),
+    (["rates", "--help=x"], "resrelax rates: error: unrecognized "
+                            "arguments: --help=x"),
+], ids=["no-command", "option-first", "positional", "prefix", "other-command",
+        "jobs-not-int", "jobs-equals", "format", "help-value"])
+def test_usage_error_on_stderr_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: resrelax ")
+    assert error == message
 
 
 def test_no_partial_output_on_failure(tmp_path):

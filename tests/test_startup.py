@@ -6,11 +6,13 @@ only the tabulated kernel, the spline workspace of a kernel without
 closed-form rates and ``kk_check.table`` use it, so a CLI run on a
 closed-form kernel never imports scipy; nor does it load
 numpy.polynomial or call LAPACK, whose first use raises the peak RSS by
-1-2 MB.  Nor does it import logging unless RESRELAX_LOG is set (about
-0.5 MB of peak RSS), or json unless it writes JSON; a bad RESRELAX_LOG
-exits 2, and the library's debug lines still reach a program that
-configures logging after importing it.  ``import resrelax`` loads no
-submodule and no numpy and leaves the environment alone; ``import
+1-2 MB, or call BLAS, whose first call maps in about 0.3 MB of OpenBLAS
+code.  Nor does it import logging unless RESRELAX_LOG is set (about
+0.5 MB of peak RSS), json unless it writes JSON, or argparse, gettext
+and locale (about 0.55 MB): the CLI reads its arguments from a table.
+A bad RESRELAX_LOG exits 2, and the library's debug lines still reach a
+program that configures logging after importing it.  ``import resrelax``
+loads no submodule and no numpy and leaves the environment alone; ``import
 resrelax.cli`` pins OpenBLAS to one thread unless the caller chose a
 thread count.  ``python -m resrelax.cli`` ends through ``run``, which
 flushes stdout and the log and skips interpreter teardown; the process
@@ -173,16 +175,17 @@ def test_closed_form_commands_load_no_scipy(tmp_path, model, ini, command):
     assert (tmp_path / "out").stat().st_size > 0
 
 
-# runs the CLI with the given arguments and reports which of logging and
-# json it loaded: sys.modules is read as main returns, before anything is
-# imported to report with, against what was loaded before (a site hook
-# may preload stdlib modules)
+# runs the CLI with the given arguments and reports which of logging,
+# json, argparse, gettext and locale it loaded: sys.modules is read as
+# main returns, before anything is imported to report with, against what
+# was loaded before (a site hook may preload stdlib modules)
 _LOADS = """\
 import sys
 before = set(sys.modules)
 from resrelax.cli import main
 rc = main(sys.argv[1:])
-print((rc, sorted({"json", "logging"} & (set(sys.modules) - before))))
+print((rc, sorted({"argparse", "gettext", "json", "locale", "logging"}
+                  & (set(sys.modules) - before))))
 """
 
 
@@ -192,7 +195,8 @@ print((rc, sorted({"json", "logging"} & (set(sys.modules) - before))))
          for model, _, cmd in CASES])
 def test_closed_form_commands_load_no_logging(tmp_path, model, ini, command):
     # RESRELAX_LOG unset (empty reads as unset): no command loads
-    # logging, and the CSV writers (rates, sweep) load no json
+    # logging or the argument parser's argparse, gettext and locale, and
+    # the CSV writers (rates, sweep) load no json
     path = tmp_path / "run.ini"
     path.write_text(ini)
     argv = [*command, "--config", str(path), "--out", str(tmp_path / "out")]
@@ -200,6 +204,48 @@ def test_closed_form_commands_load_no_logging(tmp_path, model, ini, command):
                                       RESRELAX_LOG=""))
     writes_json = command[0] in ("evolve", "kk-check", "shift")
     assert report == (0, ["json"] if writes_json else [])
+
+
+# runs the CLI with the given arguments and reports the resident size, in
+# kB, of the mappings of OpenBLAS before and after main: a BLAS call
+# faults in code pages that numpy's import does not touch
+_BLAS_RSS = """\
+import sys
+def blas_rss():
+    total, blas = 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            field = line.split(None, 1)[0]
+            if not field.endswith(":"):  # a mapping's header line
+                blas = "openblas" in line
+            elif blas and field == "Rss:":
+                total += int(line.split()[1])
+    return total
+from resrelax.cli import main
+before = blas_rss()
+rc = main(sys.argv[1:])
+print((rc, before, blas_rss()))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="reads the mappings in /proc/self/smaps")
+@pytest.mark.parametrize(
+    "model, ini, command", CASES,
+    ids=["%s-%s" % (model, "-".join(cmd).replace("--method-", ""))
+         for model, _, cmd in CASES])
+def test_closed_form_commands_call_no_blas(tmp_path, model, ini, command):
+    # the Filon pass contracts with einsum, not @: a first BLAS call
+    # maps in about 0.3 MB of OpenBLAS code
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    argv = [*command, "--config", str(path), "--out", str(tmp_path / "out")]
+    rc, before, after = ast.literal_eval(
+        _python(["-c", _BLAS_RSS, *argv], tmp_path))
+    if before == 0:
+        pytest.skip("numpy maps no OpenBLAS library here")
+    assert rc == 0
+    assert after == before
 
 
 def test_library_logging_configured_after_import(tmp_path):
@@ -293,7 +339,20 @@ EXIT_CASES = pytest.mark.parametrize("ini, args, code, message", [
     (INERTIAL_INI, ["rates", "--bogus"], 2, "usage:"),
     (THERMAL_INI.replace("eta = 0.5", "eta = 1e307"),
      ["shift", "--method", "kk"], 3, "numerical failure"),
-], ids=["ok", "bad-key", "usage", "overflow"])
+    # a value that is no literal stays a string, with no SyntaxWarning
+    (INERTIAL_INI.replace("g = 1.0", "g = 1if 1 else 2"), ["rates"], 2,
+     "config error: system.g must be a finite number"),
+    # the argument parser; the --config PATH that the tests append names
+    # the same run.ini
+    (INERTIAL_INI, ["rates", "--config=run.ini"], 0, ""),
+    (INERTIAL_INI, ["shift", "-h"], 0, ""),
+    (INERTIAL_INI, ["bogus"], 2, "argument command: invalid choice"),
+    (INERTIAL_INI, ["rates", "--out"], 2,
+     "argument --out: expected one argument"),
+    (INERTIAL_INI, ["shift", "--method", "fast"], 2,
+     "argument --method: invalid choice: 'fast'"),
+], ids=["ok", "bad-key", "usage", "overflow", "non-literal", "equals",
+        "help", "unknown-command", "missing-value", "bad-choice"])
 
 
 @EXIT_CASES
@@ -450,8 +509,9 @@ def _peak_rss_mb(args, cwd):
 def test_shift_peak_memory_above_setup(tmp_path):
     # what a 3-level dispersion-and-direct shift adds to the peak RSS of
     # an interpreter that has only loaded the CLI and read its INI: the
-    # sampling blocks and what its paths load (about 1.2 MB with 64-panel
-    # blocks; 3.4 MB with 256-panel blocks, numpy.polynomial and LAPACK)
+    # sampling blocks and what its paths load (about 0.7 MB with 64-panel
+    # blocks; 1.35 MB with a BLAS call and argparse's lazy locale import,
+    # 3.4 MB with 256-panel blocks, numpy.polynomial and LAPACK too)
     path = tmp_path / "thermal3.ini"
     path.write_text(THERMAL3_INI)
     setup_args = ["-c", "import sys, resrelax.cli\n"
