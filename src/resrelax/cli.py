@@ -17,8 +17,12 @@ included), 3 numerical failure; a stderr that cannot be written changes
 none of them.
 Set RESRELAX_LOG=debug|info|warning|error (any case) for diagnostics on
 stderr; any other non-empty value is a configuration error (exit 2).
-A run imports ``logging`` only when RESRELAX_LOG is set, and ``json``
-only when it writes JSON.
+A run imports ``logging`` only when RESRELAX_LOG is set (``sweep
+--jobs N`` runs plain threads, as ``concurrent.futures`` loads it), and
+never ``json`` or ``configparser``: JSON is written by ``_json_text``,
+byte for byte what ``json.dumps(obj, sort_keys=True, indent=2)`` gives
+for the types the commands emit, and the INI is read by
+``resrelax.config``.
 
 Arguments are read from a table of the commands and their options, not
 by argparse, whose gettext and locale imports cost every process about
@@ -71,6 +75,7 @@ from .errors import (
     SubdivisionLimit,
     ZeroRelaxationRate,
 )
+from .kernels import _read_table
 from .quadrature import kk_real_from_imag, QuadratureConfig
 from .rates import (
     einstein_coefficients,
@@ -115,10 +120,62 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _json_text(obj):
-    import json
+# json.dumps(obj, sort_keys=True, indent=2) for the types the commands
+# emit, without loading json: its decoder compiles regexes no command uses
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
+                 "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+def _json_char(c):
+    if " " <= c <= "~":
+        return _JSON_ESCAPES.get(c, c)
+    code = ord(c)
+    if code < 0x10000:
+        return _JSON_ESCAPES.get(c) or "\\u%04x" % code
+    code -= 0x10000  # a UTF-16 surrogate pair, as ensure_ascii writes it
+    return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+
+
+def _json(obj, indent):
+    if isinstance(obj, str):
+        return '"%s"' % "".join(map(_json_char, obj))
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):  # np.float64 too
+        if obj != obj:
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json(item, inner) for item in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s"
+                                % type(key).__name__)
+        items = ["%s: %s" % (_json(key, inner), _json(obj[key], inner))
+                 for key in sorted(obj)]
+        brackets = "{}"
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
+    if not items:
+        return brackets
+    return "%s\n%s%s\n%s%s" % (brackets[0], inner, (",\n" + inner).join(items),
+                               indent, brackets[1])
+
+
+def _json_text(obj):
+    return _json(obj, "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +406,7 @@ def _kk_check_table(cfg, sec, qcfg):
     path = str(sec["table"])
     if not os.path.isabs(path):
         path = os.path.join(os.path.dirname(cfg.path), path)
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if data.shape[1] < 3:
-        raise ConfigError("kk_check.table needs columns omega,re,im")
+    data = _read_table(path, "kk_check.table")
     if not np.all(np.isfinite(data)):
         raise ConfigError("kk_check.table contains non-finite entries")
     w, re, im = data[:, 0], data[:, 1], data[:, 2]
@@ -443,16 +498,32 @@ def cmd_sweep(cfg: RunConfig, args):
         raise ConfigError("sweep grid has %d points (limit 10^6)" % size)
     grid = list(itertools.product(*(axes[n] for n in names)))
     _log("resrelax", "info", "sweep: %d points, %d workers", size, args.jobs)
-    if args.jobs == 1:
-        results = [_sweep_point(cfg, names, values, quantity)
-                   for values in grid]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    results = [None] * size
+    failures = {}
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_point, cfg, names, values, quantity)
-                       for values in grid]
-            results = [f.result() for f in futures]
+    def work(first):
+        # worker k takes points k, k + jobs, ...; it stops at its first
+        # failure, so the lowest failing index is the grid's first
+        for i in range(first, size, args.jobs):
+            try:
+                results[i] = _sweep_point(cfg, names, grid[i], quantity)
+            except Exception as exc:
+                failures[i] = exc
+                return
+
+    if args.jobs == 1:
+        work(0)
+    else:
+        import threading  # not concurrent.futures, which loads logging
+
+        workers = [threading.Thread(target=work, args=(k,))
+                   for k in range(min(args.jobs, size))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise failures[min(failures)]
     rows = []
     for values, (val, err) in zip(grid, results):
         rows.append(tuple(_fmt(v) for v in values)

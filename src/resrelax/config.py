@@ -1,11 +1,16 @@
 """Run configuration: INI-style sections with typed values.
 
-Grammar: standard INI sections and ``key = value`` lines, where each
-value is parsed as a Python literal when possible (numbers, strings,
-booleans, lists, tuples, nested lists, complex numbers such as
-``-0.5j``) and kept as a bare string otherwise.  Multi-line values
-follow INI continuation rules (indent the following lines), which keeps
-matrices readable:
+Grammar, read by the package itself: ``[section]`` headers, then
+``key = value`` or ``key: value`` lines (the first ``=`` or ``:``
+splits them; keys are lower-cased, section names kept as written).  A
+line whose first non-blank character is ``#`` or ``;`` is a comment,
+and so is the rest of a line from a ``#`` that follows whitespace
+(``;`` starts no inline comment).  A line indented deeper than its
+key's line continues that key's value, joined by a newline, which
+keeps matrices readable; blank lines inside such a value are kept.
+Each value is parsed as a Python literal when possible (numbers,
+strings, booleans, lists, tuples, nested lists, complex numbers such
+as ``-0.5j``) and kept as a bare string otherwise:
 
     [system]
     omega_0 = 1.0
@@ -25,8 +30,14 @@ coupling matrices:
 
     [system]
     levels = [("g", -0.5), ("e", 0.5)]
-    coupling_ops = [[[0, -0.5j], [0.5j, 0]]]
+    coupling_ops = [[[0, -0.5j],
+                     [0.5j, 0]]]
     g = 0.1
+
+The reader refuses, naming the file and the line, a duplicate section
+or key, a key before the first section, a line with neither ``=`` nor
+``:``, an empty key, a ``[`` line that is not exactly ``[name]``, and a
+``[DEFAULT]`` section (its keys would not be shared with the others).
 
 Everything is validated at parse time: files referenced by the config
 must exist and all numeric parameters must satisfy their module
@@ -36,7 +47,6 @@ preconditions before any computation starts.
 from __future__ import annotations
 
 import ast
-import configparser
 import math
 import os
 import warnings
@@ -149,6 +159,59 @@ class RunConfig:
         return self
 
 
+def _read_ini(lines, path):
+    """{section: {key: raw value}} from the lines of an INI text, in the
+    module docstring's grammar; ``path`` names the text in errors."""
+    sections = {}
+    section = key = None
+    key_indent = lineno = 0
+
+    def refuse(what):
+        raise ConfigError("cannot parse %s: %s at line %d"
+                          % (path, what, lineno))
+
+    for lineno, line in enumerate(lines, 1):
+        if line.lstrip().startswith(("#", ";")):
+            continue
+        cut = line.find("#")
+        while cut > 0 and not line[cut - 1].isspace():
+            cut = line.find("#", cut + 1)
+        text = (line if cut < 0 else line[:cut]).strip()
+        if not text:
+            if key is not None:  # a blank line within a value
+                sections[section][key].append("")
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key is not None and indent > key_indent:
+            sections[section][key].append(text)
+            continue
+        key_indent = indent
+        if text.startswith("["):
+            if len(text) < 3 or not text.endswith("]"):
+                refuse("malformed section header %r" % text)
+            section, key = text[1:-1], None
+            if section == "DEFAULT":
+                refuse("a [DEFAULT] section is not supported")
+            if section in sections:
+                refuse("duplicate section [%s]" % section)
+            sections[section] = {}
+            continue
+        if section is None:
+            refuse("key before the first [section]")
+        split = min((i for i in (text.find("="), text.find(":")) if i >= 0),
+                    default=-1)
+        if split < 0:
+            refuse("no '=' or ':' in %r" % text)
+        key = text[:split].rstrip().lower()
+        if not key:
+            refuse("empty key in %r" % text)
+        if key in sections[section]:
+            refuse("duplicate key %s.%s" % (section, key))
+        sections[section][key] = [text[split + 1:].strip()]
+    return {name: {k: "\n".join(v).rstrip() for k, v in sec.items()}
+            for name, sec in sections.items()}
+
+
 def parse_config(path, validate=True):
     """Read, type and validate a config file.
 
@@ -158,19 +221,15 @@ def parse_config(path, validate=True):
     """
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
-    parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#",))
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        with open(path) as fh:
+            raw = _read_ini(fh, path)
+    except UnicodeDecodeError as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
-    if not read:
-        raise ConfigError("cannot read config file %s" % path)
-    sections = {
-        name: {key: _parse_value(parser.get(name, key))
-               for key in parser.options(name)}
-        for name in parser.sections()
-    }
+    except OSError as exc:
+        raise ConfigError("cannot read config file %s" % path) from exc
+    sections = {name: {key: _parse_value(value) for key, value in sec.items()}
+                for name, sec in raw.items()}
     cfg = RunConfig(os.path.abspath(path), sections)
     return cfg.validate() if validate else cfg
 

@@ -125,7 +125,8 @@ def _rounding_error(value, exp_arg=0.0, scale=0.0):
     relative error of up to x ulps, so the bound grows with ``exp_arg``;
     tanh(y) cannot amplify, its condition number 2y / sinh(2y) being at
     most 1.  The smallest normal number, times 1 + ``scale`` (the factor
-    multiplying the exponential), covers results that underflow.
+    multiplying the exponential), covers results that underflow.  An
+    array ``scale`` is overwritten.
     """
     # eps (16 + exp_arg) |value| + tiny (1 + scale), in place: the
     # factors commute, and |a value| = a |value| for a >= 0
@@ -133,19 +134,20 @@ def _rounding_error(value, exp_arg=0.0, scale=0.0):
     err *= _EPS
     err *= value
     np.abs(err, out=err)
-    tail = np.add(scale, 1.0)
+    tail = np.add(scale, 1.0,
+                  out=scale if isinstance(scale, np.ndarray) else None)
     tail *= _TINY
     err += tail
     return err[()]
 
 
 def _x_coth(x):
-    """x coth(x) for x >= 0, with its limit 1 at x = 0."""
-    pos = x > 0.0
-    out = np.where(pos, x, 1.0)
-    out /= np.tanh(out)
-    np.copyto(out, 1.0, where=~pos)
-    return out
+    """x coth(x) for an array x >= 0, in place, with its limit 1 at 0."""
+    zero = ~(x > 0.0)
+    np.copyto(x, 1.0, where=zero)
+    x /= np.tanh(x)
+    np.copyto(x, 1.0, where=zero)
+    return x
 
 
 def _as_array(u):
@@ -403,20 +405,29 @@ class ThermalOhmic(ReservoirKernel):
         """gamma_sr = (pi/2) eta |omega| exp(-|omega| / omega_j) and
         gamma_rf = gamma_sr coth(|omega| / 2T), which is pi eta T at
         omega = 0 (gamma_rf = gamma_sr at T = 0)."""
-        w = np.abs(np.asarray(omega, dtype=float))
+        # in place, so that at most six arrays the size of omega are
+        # live: the four results, x and one more; 1-d, as a ufunc turns
+        # a 0-d array into a scalar
+        shape = np.shape(omega)
+        w = np.abs(np.asarray(omega, dtype=float)).reshape(-1)
         x = w / self.omega_j
-        damp = np.exp(-x)
-        pref = 0.5 * math.pi * self.eta * w
+        damp = np.negative(x)
+        np.exp(damp, out=damp)
+        pref = np.multiply(w, 0.5 * math.pi * self.eta)
         sr = pref * damp
         coeffs = {"sr": (sr, _rounding_error(sr, x, pref))}
         t = self.temperature
         if t == 0.0:
             coeffs["rf"] = coeffs["sr"]
         else:
-            pref = math.pi * self.eta * t * _x_coth(w / (2.0 * t))
-            rf = pref * damp
-            coeffs["rf"] = (rf, _rounding_error(rf, x, pref))
-        return coeffs
+            del pref  # the tail of sr's bound, before x coth's temporary
+            w /= 2.0 * t
+            pref = _x_coth(w)
+            pref *= math.pi * self.eta * t
+            damp *= pref
+            coeffs["rf"] = (damp, _rounding_error(damp, x, pref))
+        return {kind: tuple(a.reshape(shape)[()] for a in pair)
+                for kind, pair in coeffs.items()}
 
     def origin_scale(self, eps):
         return max(eps, 0.25 / self.omega_j)
@@ -429,6 +440,38 @@ class ThermalOhmic(ReservoirKernel):
     def describe(self):
         return {"model": self.name, "eta": self.eta, "omega_j": self.omega_j,
                 "temperature": self.temperature}
+
+
+def _read_table(path, what):
+    """The rows of a comma-separated table of numbers, an (n, k) array.
+
+    Blank lines are skipped and ``#`` starts a comment; lines before
+    the first row of numbers (a header) are skipped too.  After it,
+    every line must hold as many numbers as the first row, at least
+    three, or ConfigError names ``what``, the file and the line.
+    """
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                row = [float(field) for field in text.split(",")]
+            except ValueError:
+                if not rows:
+                    continue
+                row = []
+            if len(row) < 3 or rows and len(row) != len(rows[0]):
+                raise ConfigError(
+                    "%s %s, line %d: expected %d comma-separated numbers, "
+                    "got %r" % (what, path, lineno,
+                                len(rows[0]) if rows else 3, text))
+            rows.append(row)
+    if not rows:
+        raise InsufficientSamples("no numeric rows found in %s %s"
+                                  % (what, path))
+    return np.array(rows)
 
 
 class TabulatedKernel(ReservoirKernel):
@@ -475,22 +518,8 @@ class TabulatedKernel(ReservoirKernel):
 
     @classmethod
     def from_csv(cls, path):
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                try:
-                    rows.append([float(p) for p in parts[:3]])
-                except ValueError:
-                    continue  # header line
-        if not rows:
-            raise InsufficientSamples("no numeric rows found in %s" % path)
-        data = np.array(rows)
-        if data.shape[1] < 3:
-            raise ConfigError("expected columns u, Cs, Ca in %s" % path)
+        """The kernel of a ``u, Cs, Ca`` table (``_read_table``)."""
+        data = _read_table(path, "tabulated kernel")
         return cls(data[:, 0], data[:, 1], data[:, 2])
 
     def evaluate(self, u, eps):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -95,6 +97,34 @@ model = inertial_vacuum
         spec = cfg.system()
         assert spec.labels == ("g", "e")
         assert spec.g == 0.2
+
+    def test_multi_line_matrix_gives_one_line_bytes(self, tmp_path, capsys):
+        one_line = """\
+[system]
+levels = [("g", -0.7), ("m", 0.1), ("e", 0.9)]
+coupling_ops = [[[0, 0.5, 0.2j], [0.5, 0, 0.3], [-0.2j, 0.3, 0]]]
+g = 0.4
+
+[reservoir]
+model = thermal_ohmic
+eta = 0.5
+omega_j = 5.0
+temperature = 1.0
+"""
+        multi_line = one_line.replace(
+            "coupling_ops = [[[0, 0.5, 0.2j], [0.5, 0, 0.3], "
+            "[-0.2j, 0.3, 0]]]",
+            "Coupling_Ops: [[[0, 0.5, 0.2j],  # row 0\n"
+            "                 [0.5, 0, 0.3],\n"
+            "\n"
+            "  ; a comment inside the value\n"
+            "                 [-0.2j, 0.3, 0]]]")
+        assert multi_line.count("\n") == one_line.count("\n") + 4
+        outputs = []
+        for text in (one_line, multi_line):
+            assert run_cli(["rates", "--config", write(tmp_path, text)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
 
     def test_tabulated_path_relative_to_config(self, tmp_path):
         u = np.linspace(0.0, 4.0, 32)
@@ -418,6 +448,35 @@ class TestKkCheckCommand:
         assert "kk_check.table" in capsys.readouterr().err
 
 
+    def test_user_table_malformed_row_names_key_and_line(self, tmp_path,
+                                                         capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("omega,re,im\n0.1,1.0,-0.5\n0.2,abc,-0.4\n"
+                         "0.3,0.8,-0.3\n")
+        path = write(tmp_path, "[kk_check]\ntable = table.csv\n")
+        assert run_cli(["kk-check", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "kk_check.table %s, line 3:" % table in err, err
+
+
+@pytest.mark.parametrize("row", ["30.0; 0.25, 0.0", "30.0,0.25", "30.0,x,0",
+                                 "30.0,0.25,0.0,", "30.0,0.25,0.0,1.0"],
+                         ids=["semicolon", "short", "text", "trailing-comma",
+                              "long"])
+def test_tabulated_malformed_row_names_file_and_line(tmp_path, capsys, row):
+    # a row that does not parse was dropped, leaving a hole in the kernel
+    path = write(tmp_path, _tabulated_ini(tmp_path))
+    table = tmp_path / "kern.csv"
+    lines = table.read_text().splitlines()
+    assert lines[301].startswith("30,")  # u = 30, after the header
+    lines[301] = row
+    table.write_text("# u, Cs, Ca of ThermalOhmic(0.5, 5, 1)\n"
+                     + "\n".join(lines) + "\n")
+    assert run_cli(["rates", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "tabulated kernel %s, line 303:" % table in err, err
+
+
 class TestSweepCommand:
     def test_lexicographic_order(self, tmp_path):
         text = THERMAL_INI + (
@@ -495,6 +554,52 @@ class TestSweepCommand:
             header, row = (tmp_path / "one.csv").read_text().splitlines()
             rows.append(row)
         assert out.read_text() == "\n".join([header, *rows]) + "\n"
+
+    def test_many_threads_fill_every_point(self, tmp_path):
+        # more workers than cores, switching threads every microsecond:
+        # a lost or misplaced result would change the bytes
+        text = THERMAL_INI + (
+            "\n[sweep]\nquantity = einstein_ratio\n"
+            "temperature = [0.5, 1.0, 2.0, 4.0]\nomega_0 = [0.8, 1.6, 3.2]\n")
+        path = write(tmp_path, text)
+        out = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in ("1", "8"):
+                out[jobs] = tmp_path / ("jobs-%s.csv" % jobs)
+                assert run_cli(["sweep", "--config", path, "--jobs", jobs,
+                                "--out", str(out[jobs])]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert out["1"].read_bytes() == out["8"].read_bytes()
+        assert len(out["8"].read_text().splitlines()) == 13
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_first_failing_point_in_grid_order_is_reported(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        # the points at omega_0 = 3 and 5 fail; 3, the first in grid
+        # order, fails last
+        import resrelax.cli as cli
+
+        point = cli._sweep_point
+
+        def failing(base_cfg, names, values, quantity):
+            if values[0] == 3.0:
+                time.sleep(0.2)
+            if values[0] in (3.0, 5.0):
+                raise ConfigError("point %g fails" % values[0])
+            return point(base_cfg, names, values, quantity)
+
+        monkeypatch.setattr(cli, "_sweep_point", failing)
+        text = THERMAL_INI + ("\n[sweep]\nquantity = gamma_rf\n"
+                              "omega_0 = [1, 2, 3, 4, 5, 6]\n")
+        path = write(tmp_path, text)
+        assert run_cli(["sweep", "--config", path, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "resrelax: config error: point 3 fails\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

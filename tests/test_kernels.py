@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,64 @@ def test_thermal_rejects_bad_parameters():
         ThermalOhmic(eta=1.0, omega_j=0.0, temperature=0.0)
     with pytest.raises(OutOfRange):
         ThermalOhmic(eta=1.0, omega_j=5.0, temperature=-0.1)
+
+
+def thermal_closed_form(kernel, omega):
+    """ThermalOhmic's rate coefficients step by step, a new array for
+    each product, with the error bound of kernels._rounding_error."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    w = np.abs(np.asarray(omega, dtype=float))
+    x = w / kernel.omega_j
+    damp = np.exp(-x)
+
+    def with_bound(pref):
+        value = pref * damp
+        return value, np.abs((x + 16.0) * eps * value) + (pref + 1.0) * tiny
+
+    coeffs = {"sr": with_bound(0.5 * math.pi * kernel.eta * w)}
+    t = kernel.temperature
+    if t == 0.0:
+        coeffs["rf"] = coeffs["sr"]
+    else:
+        y = w / (2.0 * t)
+        safe = np.where(y > 0.0, y, 1.0)
+        x_coth = np.where(y > 0.0, safe / np.tanh(safe), 1.0)
+        coeffs["rf"] = with_bound(math.pi * kernel.eta * t * x_coth)
+    return coeffs
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1e-3, 1.0, 400.0])
+@pytest.mark.parametrize("omega", [
+    0.7, 0.0, -2.5, np.array([]), np.linspace(-30.0, 30.0, 855),
+    np.random.default_rng(5).uniform(-50.0, 50.0, (7, 11)),
+    np.array([0.0, 1e-300, 5e-324, 1e3, 1e308, 750.0])],
+    ids=["scalar", "zero", "negative", "empty", "1d", "2d", "extremes"])
+def test_thermal_rate_coefficients_match_formula_bits(temperature, omega):
+    # the in-place evaluation changes no bit, shape or type
+    kernel = ThermalOhmic(0.5, 5.0, temperature)
+    with np.errstate(all="ignore"):
+        got = kernel.rate_coefficients(omega)
+        want = thermal_closed_form(kernel, omega)
+    for kind in ("rf", "sr"):
+        for a, b in zip(got[kind], want[kind]):
+            assert type(a) is type(b)
+            assert np.shape(a) == np.shape(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_thermal_rate_coefficients_peak_memory():
+    # in place: the four results, x and one more array the size of omega
+    # (about 9.3 of them when each product was a new array)
+    w = np.linspace(0.01, 40.0, 855)
+    kernel = ThermalOhmic(0.5, 5.0, 1.0)
+    kernel.rate_coefficients(w)
+    tracemalloc.start()
+    try:
+        kernel.rate_coefficients(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * w.nbytes
 
 
 # ---------------------------------------------------------------------------

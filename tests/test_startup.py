@@ -8,8 +8,11 @@ closed-form kernel never imports scipy; nor does it load
 numpy.polynomial or call LAPACK, whose first use raises the peak RSS by
 1-2 MB, or call BLAS, whose first call maps in about 0.3 MB of OpenBLAS
 code.  Nor does it import logging unless RESRELAX_LOG is set (about
-0.5 MB of peak RSS), json unless it writes JSON, or argparse, gettext
-and locale (about 0.55 MB): the CLI reads its arguments from a table.
+0.5 MB of peak RSS), not even for ``sweep --jobs 2``; json or
+configparser (about 0.25 MB together), as the package writes its JSON
+and reads its INI itself; or argparse, gettext and locale (about 0.55 MB):
+the CLI reads its arguments from a table.  The INI reader's refusals
+exit 2 naming the line.
 A bad RESRELAX_LOG exits 2, and the library's debug lines still reach a
 program that configures logging after importing it.  ``import resrelax``
 loads no submodule and no numpy and leaves the environment alone; ``import
@@ -115,6 +118,7 @@ CASES = [
     ("thermal_ohmic", THERMAL_INI, ["rates"]),
     ("thermal_ohmic", THERMAL_INI, ["evolve"]),
     ("thermal_ohmic", THERMAL_INI, ["sweep"]),
+    ("thermal_ohmic", THERMAL_INI, ["sweep", "--jobs", "2"]),
     ("thermal_ohmic", THERMAL_INI, ["shift", "--method", "both"]),
     ("accelerated_vacuum", ACCELERATED_INI, ["rates"]),
     ("accelerated_vacuum", ACCELERATED_INI, ["evolve"]),
@@ -124,6 +128,9 @@ CASES = [
     ("accelerated_vacuum", ACCELERATED_INI, ["shift", "--method", "both"]),
     ("inertial_vacuum", INERTIAL_INI, ["shift", "--method", "both"]),
 ]
+CASE_IDS = ["%s-%s" % (model, " ".join(cmd).replace("--method ", "")
+                       .replace(" --", " ").replace(" ", "-"))
+            for model, _, cmd in CASES]
 
 
 def _env(**env_vars):
@@ -164,8 +171,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize(
     "model, ini, command", CASES,
-    ids=["%s-%s" % (model, "-".join(cmd).replace("--method-", ""))
-         for model, _, cmd in CASES])
+    ids=CASE_IDS)
 def test_closed_form_commands_load_no_scipy(tmp_path, model, ini, command):
     path = tmp_path / "run.ini"
     path.write_text(ini)
@@ -176,34 +182,33 @@ def test_closed_form_commands_load_no_scipy(tmp_path, model, ini, command):
 
 
 # runs the CLI with the given arguments and reports which of logging,
-# json, argparse, gettext and locale it loaded: sys.modules is read as
-# main returns, before anything is imported to report with, against what
-# was loaded before (a site hook may preload stdlib modules)
+# json, configparser, argparse, gettext and locale it loaded: sys.modules
+# is read as main returns, before anything is imported to report with,
+# against what was loaded before (a site hook may preload stdlib modules)
 _LOADS = """\
 import sys
 before = set(sys.modules)
 from resrelax.cli import main
 rc = main(sys.argv[1:])
-print((rc, sorted({"argparse", "gettext", "json", "locale", "logging"}
-                  & (set(sys.modules) - before))))
+print((rc, sorted({"argparse", "configparser", "gettext", "json", "locale",
+                   "logging"} & (set(sys.modules) - before))))
 """
 
 
 @pytest.mark.parametrize(
     "model, ini, command", CASES,
-    ids=["%s-%s" % (model, "-".join(cmd).replace("--method-", ""))
-         for model, _, cmd in CASES])
+    ids=CASE_IDS)
 def test_closed_form_commands_load_no_logging(tmp_path, model, ini, command):
     # RESRELAX_LOG unset (empty reads as unset): no command loads
-    # logging or the argument parser's argparse, gettext and locale, and
-    # the CSV writers (rates, sweep) load no json
+    # logging, json or configparser (the package writes its JSON and
+    # reads its INI itself), or argparse, gettext and locale; nor does a
+    # sweep on two threads
     path = tmp_path / "run.ini"
     path.write_text(ini)
     argv = [*command, "--config", str(path), "--out", str(tmp_path / "out")]
     report = ast.literal_eval(_python(["-c", _LOADS, *argv], tmp_path,
                                       RESRELAX_LOG=""))
-    writes_json = command[0] in ("evolve", "kk-check", "shift")
-    assert report == (0, ["json"] if writes_json else [])
+    assert report == (0, [])
 
 
 # runs the CLI with the given arguments and reports the resident size, in
@@ -232,8 +237,7 @@ print((rc, before, blas_rss()))
                     reason="reads the mappings in /proc/self/smaps")
 @pytest.mark.parametrize(
     "model, ini, command", CASES,
-    ids=["%s-%s" % (model, "-".join(cmd).replace("--method-", ""))
-         for model, _, cmd in CASES])
+    ids=CASE_IDS)
 def test_closed_form_commands_call_no_blas(tmp_path, model, ini, command):
     # the Filon pass contracts with einsum, not @: a first BLAS call
     # maps in about 0.3 MB of OpenBLAS code
@@ -351,8 +355,16 @@ EXIT_CASES = pytest.mark.parametrize("ini, args, code, message", [
      "argument --out: expected one argument"),
     (INERTIAL_INI, ["shift", "--method", "fast"], 2,
      "argument --method: invalid choice: 'fast'"),
+    # the INI reader's refusals, each naming the line
+    (INERTIAL_INI + "\n[DEFAULT]\ng = 2.0\n", ["rates"], 2,
+     "a [DEFAULT] section is not supported at line 11"),
+    (INERTIAL_INI.replace("g = 1.0", "g = 1.0\nG = 2.0"), ["rates"], 2,
+     "duplicate key system.g at line 4"),
+    ("g = 1.0\n" + INERTIAL_INI, ["rates"], 2,
+     "key before the first [section] at line 1"),
 ], ids=["ok", "bad-key", "usage", "overflow", "non-literal", "equals",
-        "help", "unknown-command", "missing-value", "bad-choice"])
+        "help", "unknown-command", "missing-value", "bad-choice",
+        "ini-default", "ini-duplicate-key", "ini-key-before-section"])
 
 
 @EXIT_CASES
