@@ -22,10 +22,10 @@ which makes the sr identity manifest: the cosine is even in w_ab, so
 the sr shift of every level of a two-level system is identical and the
 relative shift vanishes by construction.  The dispersion route reaches
 it only numerically, so delta_sr_relative checks it there.  Each route
-takes one pass per partner level b (and, on the dispersion route, per
-cutoff) in which every sample serves both mechanisms: a PV pass on the
-stacked rf and sr integrands of one ShiftWorkspace, or an adaptive pass
-that samples Cs and Ca together at each node and eps.
+takes one pass per partner level b in which every sample serves both
+mechanisms: a PV pass on the stacked rf and sr integrands of one
+ShiftWorkspace, or an adaptive pass that samples Cs and Ca together at
+each node and eps.
 
 Cutoff semantics: the frequency cutoff wc of QuadratureConfig bounds
 the dispersion integral.  So that both paths regularize identically,
@@ -42,11 +42,12 @@ is the largest interpretation decision in the package and is what makes
 
 Every shift carries two error fields: err_quad (quadrature, regulator
 and interpolation) and err_cutoff, summed over the mechanisms.  Per
-mechanism, err_cutoff is the sensitivity |dE(2 wc) - dE(wc)|, which is
-all of it for a vacuum kernel, whose direct path applies the same
-window.  For a decaying spectrum with closed-form rate coefficients it
-is raised to at least |R| + err(R), where R is the part of the
-dispersion integral beyond wc that the direct path includes.
+mechanism, err_cutoff is the sensitivity |dE(2 wc) - dE(wc)|, the
+dispersion integral over the band wc < |w'| < 2 wc, on every route that
+depends on wc; that is all of it for a vacuum kernel.  For a decaying
+spectrum with closed-form rate coefficients the dispersion route raises
+it to at least |R| + err(R), where R is the part beyond wc that the
+direct path includes.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def _coefficient_grid(w_top, poles):
     return np.array(sorted(pts))
 
 
+def _stacked(coeffs):
+    """(values, errors) of {mechanism: IntegralResult}, stacked."""
+    return (np.stack([coeffs[m].value for m in MECHANISMS]),
+            np.stack([coeffs[m].error_estimate for m in MECHANISMS]))
+
+
 class ShiftWorkspace:
     """Rate coefficients of both mechanisms over [0, 2 wc].
 
@@ -143,10 +150,10 @@ class ShiftWorkspace:
     wherever the dispersion integral asks.  Any other kernel is sampled
     once on a frequency grid, both mechanisms from the same kernel
     samples, and interpolated by a cubic spline; ``stats`` holds the
-    work counts of that sampling.  One workspace serves
-    every level, both cutoffs of the sensitivity difference, and all
-    principal-value poles of a system: the scalar-kernel coefficient
-    gamma(w') does not depend on the level pair.
+    work counts of that sampling.  One workspace serves every level, the
+    cutoff band up to 2 wc, and all principal-value poles of a system:
+    the scalar-kernel coefficient gamma(w') does not depend on the level
+    pair.
     """
 
     def __init__(self, kernel, g, cfg, mechanism, poles):
@@ -174,7 +181,7 @@ class ShiftWorkspace:
         coeffs = rate_coefficients(kernel, np.concatenate([grid, probes]),
                                    g, cfg)
         self.stats = coeffs["rf"].detail
-        vals, errs = self._stack(coeffs)
+        vals, errs = _stacked(coeffs)
         n = grid.size
         self._spline = CubicSpline(grid, vals[:, :n], axis=1)
         self._err_spline = CubicSpline(grid, errs[:, :n], axis=1)
@@ -182,14 +189,9 @@ class ShiftWorkspace:
             np.abs(vals[:, n:] - self._spline(probes)), axis=1)
         _log_pass("rf+sr workspace, %d grid points" % n, self.stats, start)
 
-    def _stack(self, coeffs):
-        """(values, errors) of {mechanism: IntegralResult}, stacked."""
-        return (np.stack([coeffs[m].value for m in MECHANISMS]),
-                np.stack([coeffs[m].error_estimate for m in MECHANISMS]))
-
     def _exact(self, omega):
-        return self._stack(rate_coefficients(self._kernel, omega, self._g,
-                                             self._cfg))
+        return _stacked(rate_coefficients(self._kernel, omega, self._g,
+                                          self._cfg))
 
     def coefficient(self, omega):
         """gamma of each mechanism on the real line: even rf, odd sr."""
@@ -210,20 +212,19 @@ class ShiftWorkspace:
 # ---------------------------------------------------------------------------
 # dispersion-integral path
 
-def shift_kk(system, kernel, a, cfg=None, workspace=None, *, omega_c=None):
+def shift_kk(system, kernel, a, cfg=None, workspace=None):
     """Energy shifts of level ``a`` from the dispersion integral.
 
     Returns {"rf": ..., "sr": ...}, both from one PV pass per partner
-    level on the stack of their integrands, at the cutoff ``omega_c``
-    (default cfg's; the workspace covers up to twice that).  A prebuilt
-    ShiftWorkspace lends its coefficients to every level and cutoff;
-    without one, a workspace of both mechanisms is built.
+    level on the stack of their integrands, at cfg's cutoff.  A prebuilt
+    ShiftWorkspace lends its coefficients to every level; without one, a
+    workspace of both mechanisms is built.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
     ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both",
                                      _poles(spec))
-    wc = omega_c if omega_c is not None else ws.omega_c
+    wc = ws.omega_c
     total, err = np.zeros((2, len(MECHANISMS)))
     for el in transition_elements(spec, a):
         m = el.strength
@@ -299,7 +300,7 @@ def _direct_raw(kernel, omega_ab, cfg, g, kinds=("sin", "cos")):
              for mech, r in zip(MECHANISMS, res)}, res[0].detail)
 
 
-def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
+def shift_direct(system, kernel, a, cfg=None):
     """Energy shifts of level ``a`` evaluated in the time domain.
 
     Returns {"rf": ..., "sr": ...}, both mechanisms taken from one pass
@@ -310,8 +311,7 @@ def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
     total = dict.fromkeys(MECHANISMS, 0.0)
     err = dict.fromkeys(MECHANISMS, 0.0)
     if spec.g != 0.0:
-        wc = (omega_c if omega_c is not None
-              else _require_cutoff(cfg, _poles(spec)))
+        wc = _require_cutoff(cfg, _poles(spec))
         window = kernel.band_limited(wc)
         excess = window.excess if window is not None else None
         g2 = spec.g * spec.g
@@ -341,10 +341,11 @@ def shift_direct(system, kernel, a, cfg=None, *, omega_c=None):
 
 
 # ---------------------------------------------------------------------------
-# cutoff remainder of a decaying closed-form spectrum
+# the dispersion integral beyond the cutoff
 
-def _cutoff_remainder(spec, kernel, a, wc, cfg):
-    """The part of level ``a``'s dispersion integral beyond |w'| = wc.
+def _cutoff_remainder(spec, kernel, a, wc, cfg, workspace=None, band=False):
+    """The part of level ``a``'s dispersion integral beyond |w'| = wc, or
+    with ``band`` in wc < |w'| < 2 wc.
 
     For a kernel whose spectrum decays on its own, the dispersion route
     at the cutoff wc misses, per mechanism,
@@ -355,7 +356,9 @@ def _cutoff_remainder(spec, kernel, a, wc, cfg):
     extensions leaves gamma_rf(w) 2 w_ab / (w^2 - w_ab^2) and gamma_sr(w)
     2 w / (w^2 - w_ab^2), with no pole as |w_ab| < wc.  One adaptive pass
     on w = wc / t, t in (0, 1], integrates both from the closed-form
-    coefficients, and their pointwise error bounds alongside.  Returns
+    coefficients, and their pointwise error bounds alongside.  The band,
+    dE(2 wc) - dE(wc), is the same pass on t in [1/2, 1], finite for any
+    spectrum, from the coefficients of ``workspace`` if given.  Returns
     {mechanism: IntegralResult}; coefficients that do not decay, so that
     R diverges, raise NonConvergent (a tolerance below rounding does not).
     """
@@ -365,31 +368,36 @@ def _cutoff_remainder(spec, kernel, a, wc, cfg):
 
     def f(t):
         w = wc / t
-        c = rate_coefficients(kernel, w, spec.g, cfg)
+        c, c_err = ((workspace.coefficient(w), workspace.coefficient_error(w))
+                    if workspace is not None else
+                    _stacked(rate_coefficients(kernel, w, spec.g, cfg)))
         # -2 m_b / (2 pi (w^2 - w_ab^2)) per partner, times dw/dt = wc/t^2
         k = -2.0 * m / (w * w - q * q) * (wc / (2.0 * math.pi * t * t))
         k = np.stack([2.0 * q * k, 2.0 * w * k])
-        return np.concatenate([
-            np.sum(k, axis=1) * [c["rf"].value, c["sr"].value],
-            np.sum(np.abs(k), axis=1)
-            * [c["rf"].error_estimate, c["sr"].error_estimate]])
+        return np.concatenate([np.sum(k, axis=1) * c,
+                               np.sum(np.abs(k), axis=1) * c_err])
 
-    # geometric panels toward t = 0 from t = wc * origin_scale (at most 1),
-    # where a spectrum that decays on the kernel's scale has its structure
-    ladder = _halfline_breakpoints(min(wc * kernel.origin_scale(0.0), 1.0),
-                                   1.0)
+    # the band on 4 uniform panels; R on geometric panels toward t = 0
+    # from t = wc * origin_scale (at most 1), where a spectrum that decays
+    # on the kernel's scale has its structure
+    panels = np.linspace(0.5, 1.0, 5) if band else _halfline_breakpoints(
+        min(wc * kernel.origin_scale(0.0), 1.0), 1.0)
+    n = len(MECHANISMS)
+    start = time.perf_counter()
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value, err, _ = integrate_adaptive(
-                f, ladder, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
-    except RoundingFloor:
-        raise  # a tolerance below rounding, not a divergent R
+            value, err, splits = integrate_adaptive(
+                f, panels, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
     except (SingularEvaluation, SubdivisionLimit) as exc:
+        if band or isinstance(exc, RoundingFloor):
+            raise  # a finite band, or a tolerance below rounding
         raise NonConvergent(
             "the dispersion integral beyond omega_cutoff %g does not "
             "converge (%s); a kernel without a band-limited variant needs "
             "rate coefficients that decay" % (wc, exc)) from None
-    n = len(MECHANISMS)
+    _log_pass("cutoff %s %.6g to %.6g at level %d" % (
+        "band" if band else "remainder", wc, 2.0 * wc if band else math.inf,
+        a), _work_counts(panels.size - 1, splits, 1, 2 * n), start)
     return {mech: IntegralResult(float(value[j]),
                                  float(err[j] + value[n + j]))
             for j, mech in enumerate(MECHANISMS)}
@@ -426,42 +434,42 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
 
     method "kk" uses the dispersion path, "direct" the time-domain path,
     "both" reports kk values plus the cross-path residual in detail.
-    err_cutoff sums detail["err_cutoff"], the cutoff error of each
-    mechanism: the sensitivity |dE(2 wc) - dE(wc)|, and on the
-    dispersion path of a closed-form kernel without a band-limited
-    variant at least |R| + err(R), where R, the part of the integral
-    beyond wc, is in detail["cutoff_remainder"] (see _cutoff_remainder).
-    ``workspace`` may supply a prebuilt "both" ShiftWorkspace of this
-    system, kernel and cfg.
+    err_cutoff sums detail["err_cutoff"], each mechanism's cutoff error
+    as the module docstring defines it, from the band dE(2 wc) - dE(wc)
+    in detail["cutoff_band"] and the remainder R beyond wc in
+    detail["cutoff_remainder"] where the route takes them (see
+    _cutoff_remainder).  ``workspace`` may supply a prebuilt "both"
+    ShiftWorkspace of this system, kernel and cfg.
     """
     spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
     poles = _poles(spec)
     wc = _require_cutoff(cfg, poles)
-    detail = {}
+    detail, ws = {}, None
     if method in ("kk", "both"):
         ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both", poles)
-        at_wc = shift_kk(spec, kernel, a, cfg, ws, omega_c=wc)
-        at_2wc = shift_kk(spec, kernel, a, cfg, ws, omega_c=2.0 * wc)
+        shifts = shift_kk(spec, kernel, a, cfg, ws)
     if method in ("direct", "both"):
         direct = shift_direct(spec, kernel, a, cfg)
         if method == "direct":
-            at_wc = direct
-            at_2wc = shift_direct(spec, kernel, a, cfg, omega_c=2.0 * wc) \
-                if kernel.band_limited(wc) is not None else direct
+            shifts = direct
         else:
             detail["kk_vs_direct_residual"] = max(
-                abs(at_wc[m].value - direct[m].value) for m in MECHANISMS
-            )
-    cutoff = {m: abs(at_2wc[m].value - at_wc[m].value) for m in MECHANISMS}
-    if (method != "direct" and kernel.band_limited(wc) is None
+                abs(shifts[m].value - direct[m].value) for m in MECHANISMS)
+    cutoff = dict.fromkeys(MECHANISMS, 0.0)
+    windowed = kernel.band_limited(wc) is not None
+    if method != "direct" or windowed:
+        band = detail["cutoff_band"] = _cutoff_remainder(
+            spec, kernel, a, wc, cfg, ws, band=True)
+        cutoff = {m: abs(band[m].value) for m in MECHANISMS}
+    if (method != "direct" and not windowed
             and kernel.rate_coefficients(0.0) is not None):
-        rem = _cutoff_remainder(spec, kernel, a, wc, cfg)
-        detail["cutoff_remainder"] = rem
+        rem = detail["cutoff_remainder"] = _cutoff_remainder(
+            spec, kernel, a, wc, cfg)
         cutoff = {m: max(cutoff[m], abs(rem[m].value) + rem[m].error_estimate)
                   for m in MECHANISMS}
     detail["err_cutoff"] = cutoff
-    rf, sr = at_wc["rf"], at_wc["sr"]
+    rf, sr = shifts["rf"], shifts["sr"]
     return ShiftResult(
         a=a, label=spec.labels[a],
         delta_e_rf=rf.value, delta_e_sr=sr.value, omega_c=wc,

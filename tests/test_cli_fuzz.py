@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resrelax.cli import main
-from resrelax.config import SWEEPABLE_KEYS
+from resrelax.config import SWEEPABLE_KEYS, _parse_value
 
 BASE_INI = """\
 [system]
@@ -88,12 +88,18 @@ def test_evolve_values(reservoir, entries):
 @example(eta="6.695539764627542e+152")
 @example(eta="1e-5")
 def test_kk_check_eta(eta):
-    # kk-check reads no [quadrature] key, so a refusal names kk_check.eta
+    # every finite eta in [1e-150, 1e150] passes; kk-check reads no
+    # [quadrature] key, so any other value is refused naming kk_check.eta
     ini = BASE_INI % RESERVOIRS[0] + "\n[kk_check]\neta = %s\n" % eta
     err = io.StringIO()
     rc = run(ini, ["kk-check"], err)
-    assert rc in (0, 2, 3)
-    if rc == 3:
+    value = _parse_value(eta)
+    try:
+        admitted = not isinstance(value, bool) and 1e-150 <= value <= 1e150
+    except TypeError:
+        admitted = False
+    assert rc == (0 if admitted else 2), err.getvalue()
+    if rc:
         assert "kk_check.eta" in err.getvalue()
 
 

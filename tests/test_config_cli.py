@@ -434,6 +434,17 @@ class TestKkCheckCommand:
         assert data["max_rel_err"] < 1e-4
         assert abs(data["zero_point"]) < 1e-10
 
+    def test_every_decade_of_eta_passes(self, tmp_path):
+        # the Lorentzian pair is exact at every eta, and its tolerance
+        # scales with it: eta = 10^e passes for e = -150 ... 150 (at
+        # 1e-10 fixed, eta <= 1.5e-4 had exited 3 below the rounding floor)
+        out = tmp_path / "kk.json"
+        for e in range(-150, 151):
+            path = write(tmp_path, "[kk_check]\neta = 1e%d\n" % e)
+            assert run_cli(["kk-check", "--config", path, "--out",
+                            str(out)]) == 0, e
+            assert json.loads(out.read_text())["max_rel_err"] < 1e-3, e
+
     def test_eta_whose_square_underflows_names_key(self, tmp_path, capsys):
         path = write(tmp_path, INERTIAL_INI + "\n[kk_check]\neta = 1e-160\n")
         assert run_cli(["kk-check", "--config", path]) == 2

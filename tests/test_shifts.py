@@ -331,18 +331,56 @@ def test_direct_pass_logged(caplog, eps_sensitive):
 
 
 def test_pv_passes_logged(caplog):
-    # one debug line per partner level and cutoff, with its work counts
+    # one debug line per partner level, all at wc, with its work counts;
+    # the cutoff band and the remainder R beyond wc take one line each
     spec = _ladder3()
     cfg = QuadratureConfig(omega_cutoff=25.0)
     with caplog.at_level("DEBUG", logger="resrelax.shifts"):
         compute_shift(spec, _ladder_kernel(), 1, cfg, method="kk")
-    lines = [r.getMessage() for r in caplog.records
-             if r.getMessage().startswith("pv pass")]
+    messages = [r.getMessage() for r in caplog.records]
+    lines = [m for m in messages if m.startswith("pv pass")]
     assert sorted(line.split(":")[0] for line in lines) == sorted(
-        "pv pass at pole %g, cutoff %g" % (pole, wc)
-        for pole in (1.0, -1.3) for wc in (25.0, 50.0))
+        "pv pass at pole %g, cutoff 25" % pole for pole in (1.0, -1.3))
     assert all("2 components" in line and "kernel points" in line
                for line in lines)
+    assert [m.split(":")[0] for m in messages if m.startswith("cutoff")] == [
+        "cutoff band 25 to 50 at level 1",
+        "cutoff remainder 25 to inf at level 1"]
+    assert all("4 components" in m and "kernel points" in m
+               for m in messages if m.startswith("cutoff"))
+
+
+@pytest.mark.parametrize("kernel", [
+    InertialVacuum(), *(AcceleratedVacuum(a) for a in (0.05, 2.0, 1e4))],
+    ids=["inertial", "a0.05", "a2", "a1e4"])
+def test_err_cutoff_is_one_band_on_every_route(vac_atom, vac_cfg, kernel):
+    # the cutoff sensitivity is the dispersion integral over wc < |w'| <
+    # 2 wc on every route, so kk, both and direct report it bit for bit
+    for level in (0, 1):
+        cutoff = [compute_shift(vac_atom, kernel, level, vac_cfg,
+                                method=method).detail["err_cutoff"]
+                  for method in ("kk", "both", "direct")]
+        assert cutoff[0] == cutoff[1] == cutoff[2]
+
+
+@pytest.mark.parametrize("wc", [1.0 + 1e-5, 2.0, 25.0, 1e3])
+def test_cutoff_band_matches_the_closed_form(wc):
+    # each mechanism's band is dE(2 wc) - dE(wc) of the inertial atom
+    # within the band pass's own estimate, and err_cutoff is its size
+    atom = two_level_system(W0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=wc)
+    for level in (0, 1):
+        res = compute_shift(atom, InertialVacuum(), level, cfg, method="kk")
+        band = res.detail["cutoff_band"]
+        exact = {"sr": oracles.inertial_shift_sr(W0, 2.0 * wc)
+                 - oracles.inertial_shift_sr(W0, wc)}
+        if level == 1:
+            exact["rf"] = (oracles.inertial_shift_rf_upper(W0, 2.0 * wc)
+                           - oracles.inertial_shift_rf_upper(W0, wc))
+        for mech, value in exact.items():
+            assert abs(band[mech].value - value) <= band[mech].error_estimate
+        for mech in ("rf", "sr"):
+            assert res.detail["err_cutoff"][mech] == abs(band[mech].value)
 
 
 def test_accelerated_kk_vs_direct(vac_atom):

@@ -329,11 +329,14 @@ def test_process_debug_log_complete(tmp_path):
     assert err.endswith("\n")
     lines = err.splitlines()
     assert all(line.startswith("resrelax DEBUG: ") for line in lines), err
-    # one workspace, one direct pass, and a pv pass per cutoff (wc, 2 wc)
-    # for each level: the shift of the upper one and the splitting
+    # one workspace, one direct pass, a pv pass for each level: the shift
+    # of the upper one and the two of the splitting, and the upper one's
+    # cutoff band
     assert len([x for x in lines if "rf+sr workspace" in x]) == 1
     assert len([x for x in lines if "direct pass" in x]) == 1
-    assert len([x for x in lines if "pv pass" in x]) == 4
+    assert len([x for x in lines if "pv pass" in x]) == 3
+    assert len([x for x in lines if "cutoff band" in x]) == 1
+    assert not [x for x in lines if "cutoff remainder" in x]
 
 
 EXIT_CASES = pytest.mark.parametrize("ini, args, code, message", [
