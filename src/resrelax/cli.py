@@ -5,8 +5,11 @@ Subcommands:
   rates     rate coefficients and per-transition relaxation rates (CSV)
   shift     energy shift of one level with error diagnostics (JSON)
   evolve    two-level mean-energy trajectory (CSV + JSON sidecar)
-  kk-check  dispersion-transform self-test on an analytic Hilbert pair
+  kk-check  dispersion-transform self-test on an analytic Hilbert pair (JSON)
   sweep     parameter grids in long CSV format
+
+Only rates and shift take --format.  The INI sections and keys, and the
+type of each value, are those of ``resrelax.config._SCHEMA``.
 
 All numeric output is formatted %.16e (JSON: shortest round-trip repr),
 which reproduces every double exactly, and emitted in a fixed order, so
@@ -54,13 +57,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .config import (
-    SWEEPABLE_KEYS,
-    RunConfig,
-    _number,
-    _positive_int,
-    parse_config,
-)
+from .config import _SCHEMA, RunConfig, parse_config
 from .dynamics import (
     StepConfig,
     equilibrium_energy,
@@ -240,7 +237,7 @@ def cmd_shift(cfg: RunConfig, args):
             "missing required key quadrature.omega_cutoff (shift integrals "
             "need a frequency cutoff)"
         )
-    a = _resolve_level(spec, cfg.get("shift", "level"))
+    a = _resolve_level(spec, cfg.section("shift").get("level"))
     # one workspace of both mechanisms serves the shift and delta_sr_relative
     workspace = (None if args.method == "direct" else
                  ShiftWorkspace(kernel, spec.g, qcfg, "both", _poles(spec)))
@@ -285,7 +282,7 @@ def cmd_evolve(cfg: RunConfig, args):
     grf, gsr = rates["rf"], rates["sr"]
     ein = einstein_coefficients(grf, gsr)
     sec = cfg.section("evolve")
-    h0 = _number("evolve", "h0", sec.get("h0", 0.5 * omega_0))
+    h0 = sec.get("h0", 0.5 * omega_0)
     tau_end = sec.get("tau_end")
     if tau_end is None:
         if grf.value <= 0.0:
@@ -294,13 +291,8 @@ def cmd_evolve(cfg: RunConfig, args):
                 "explicitly"
             )
         tau_end = 5.0 / grf.value
-    tau_end = _number("evolve", "tau_end", tau_end)
-    n_samples = _positive_int("evolve", "n_samples", sec.get("n_samples", 101))
-    step = sec.get("step")
-    if step is not None:
-        step = _number("evolve", "step", step)
     traj = evolve_ode(grf.value, gsr.value, omega_0, h0, tau_end,
-                      StepConfig(step=step, n_samples=n_samples))
+                      StepConfig(sec.get("step"), sec.get("n_samples", 101)))
     h_eq = equilibrium_energy(grf.value, gsr.value, omega_0)
     rows = []
     for state in traj:
@@ -346,7 +338,7 @@ def _lorentzian_pair(eta):
 
 def cmd_kk_check(cfg, args):
     sec = cfg.section("kk_check") if cfg is not None else {}
-    eta = _number("kk_check", "eta", sec.get("eta", 0.1))
+    eta = sec.get("eta", 0.1)
     # above, the squares of 20 eta overflow; below, eta^2 nears the
     # subnormals and the Lorentzian pair turns NaN
     if not 1e-150 <= eta <= 1e150:
@@ -381,7 +373,7 @@ def cmd_kk_check(cfg, args):
         "passed": bool(max_rel < 1e-3),
     }
     if cfg is not None and "table" in sec:
-        obj["table"] = _kk_check_table(cfg, sec, qcfg)
+        obj["table"] = _kk_check_table(cfg, sec)
     _write_output(args.out, _json_text(obj))
     if not obj["passed"]:
         raise NumericalError(
@@ -391,8 +383,12 @@ def cmd_kk_check(cfg, args):
     return 0
 
 
-def _kk_check_table(cfg, sec, qcfg):
-    """Check a user-sampled (omega, re, im) table against its own transform."""
+def _kk_check_table(cfg, sec):
+    """Check a user-sampled (omega, re, im) table against its own transform.
+
+    The tolerance and the residual's floor scale with the table's values,
+    so scaling re and im together leaves max_rel_residual as it is.
+    """
     from scipy.interpolate import CubicSpline
 
     path = str(sec["table"])
@@ -404,8 +400,13 @@ def _kk_check_table(cfg, sec, qcfg):
     w, re, im = data[:, 0], data[:, 1], data[:, 2]
     if np.any(np.diff(w) <= 0):
         raise ConfigError("kk_check.table omega column must be increasing")
+    im_peak = float(np.max(np.abs(im)))
+    if im_peak == 0.0:
+        raise ConfigError("kk_check.table has an all-zero im column")
+    floor = 1e-12 * max(float(np.max(np.abs(re))), im_peak)
     spline = CubicSpline(w, im)
-    table_cfg = QuadratureConfig(omega_cutoff=min(abs(w[0]), abs(w[-1])))
+    table_cfg = QuadratureConfig(omega_cutoff=min(abs(w[0]), abs(w[-1])),
+                                 abs_tol=1e-10 * im_peak)
     interior = w[(w > 0.7 * w[0]) & (w < 0.7 * w[-1])]
     probes = interior[:: max(1, interior.size // 7)]
     worst = 0.0
@@ -413,7 +414,7 @@ def _kk_check_table(cfg, sec, qcfg):
         res = kk_real_from_imag(lambda x: spline(np.asarray(x)), float(p),
                                 table_cfg)
         k = int(np.argmin(np.abs(w - p)))
-        scale = max(abs(re[k]), 1e-12)
+        scale = max(abs(re[k]), floor)
         worst = max(worst, abs(res.value - re[k]) / scale)
     return {"path": path, "probes": int(probes.size),
             "max_rel_residual": worst}
@@ -424,15 +425,11 @@ _SWEEP_QUANTITIES = ("a_down", "a_up", "einstein_ratio", "gamma_rf",
 
 
 def _sweep_point(base_cfg, names, values, quantity):
-    overrides = {}
-    for name, value in zip(names, values):
-        if name in ("omega_0", "g"):
-            overrides[("system", name)] = value
-        elif name == "omega_cutoff":
-            overrides[("quadrature", name)] = value
-        else:
-            overrides[("reservoir", name)] = value
-    cfg = base_cfg.with_overrides(overrides)
+    # an axis overrides its key in the first section of the schema that
+    # holds it ([kk_check] also has an eta)
+    cfg = base_cfg.with_overrides({
+        (next(s for s in _SCHEMA if name in _SCHEMA[s]), name): value
+        for name, value in zip(names, values)})
     spec = cfg.system()
     kernel = cfg.kernel()
     qcfg = cfg.quadrature()
@@ -468,27 +465,13 @@ def cmd_sweep(cfg: RunConfig, args):
     if quantity not in _SWEEP_QUANTITIES:
         raise ConfigError("unknown sweep quantity %r (known: %s)"
                           % (quantity, ", ".join(_SWEEP_QUANTITIES)))
-    axes = {}
-    for key, value in sec.items():
-        if key == "quantity":
-            continue
-        if key not in SWEEPABLE_KEYS:
-            raise ConfigError(
-                "sweep key %r is not sweepable (allowed: %s)"
-                % (key, ", ".join(SWEEPABLE_KEYS))
-            )
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError("sweep.%s must be a non-empty list" % key)
-        axes[key] = sorted(_number("sweep", key, v) for v in value)
-    if not axes:
+    names = sorted(key for key in sec if key != "quantity")
+    if not names:
         raise ConfigError("sweep section defines no parameter lists")
-    names = sorted(axes)
-    size = 1
-    for name in names:
-        size *= len(axes[name])
+    size = math.prod(len(sec[name]) for name in names)
     if size > 10 ** 6:
         raise ConfigError("sweep grid has %d points (limit 10^6)" % size)
-    grid = list(itertools.product(*(axes[n] for n in names)))
+    grid = list(itertools.product(*(sorted(sec[n]) for n in names)))
     _log("resrelax", "info", "sweep: %d points, %d workers", size, args.jobs)
     results = [None] * size
     failures = {}
@@ -542,21 +525,25 @@ def _jobs(text):
 # metavar, check, help).  A check is a tuple of choices, a function that
 # converts the text (its ValueError is the usage error), or None.
 
-def _common(default_format):
-    return {"--config": (None, "PATH", None, "INI-style run configuration"),
-            "--out": (None, "PATH", None, "output file (default: stdout)"),
-            "--format": (default_format, "{csv,json}", ("csv", "json"),
-                         "output format (default: %s)" % default_format)}
+_IO = {"--config": (None, "PATH", None, "INI-style run configuration"),
+       "--out": (None, "PATH", None, "output file (default: stdout)")}
+
+
+def _format(default):
+    return {"--format": (default, "{csv,json}", ("csv", "json"),
+                         "output format (default: %s)" % default)}
 
 
 _COMMANDS = {
-    "rates": ("rate coefficients and transition rates", _common("csv")),
-    "shift": ("energy shift of one level", {**_common("json"), "--method": (
-        "kk", "{kk,direct,both}", ("kk", "direct", "both"),
-        "shift route (default: kk)")}),
-    "evolve": ("two-level mean-energy trajectory", _common("csv")),
-    "kk-check": ("dispersion-transform self-test", _common("json")),
-    "sweep": ("parameter-grid scan", {**_common("csv"), "--jobs": (
+    "rates": ("rate coefficients and transition rates",
+              {**_IO, **_format("csv")}),
+    "shift": ("energy shift of one level", {
+        **_IO, **_format("json"), "--method": (
+            "kk", "{kk,direct,both}", ("kk", "direct", "both"),
+            "shift route (default: kk)")}),
+    "evolve": ("two-level mean-energy trajectory", _IO),
+    "kk-check": ("dispersion-transform self-test", _IO),
+    "sweep": ("parameter-grid scan", {**_IO, "--jobs": (
         1, "N", _jobs, "concurrent grid evaluations (default: 1)")}),
 }
 
@@ -670,7 +657,8 @@ def main(argv=None):
         needs_config = args.command != "kk-check"
         if args.config is not None:
             # kk-check reads only [kk_check]
-            cfg = parse_config(args.config, validate=needs_config)
+            cfg = parse_config(args.config,
+                               only=None if needs_config else "kk_check")
         elif needs_config:
             raise ConfigError("--config is required for %r" % args.command)
         else:

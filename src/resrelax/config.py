@@ -39,6 +39,10 @@ or key, a key before the first section, a line with neither ``=`` nor
 ``:``, an empty key, a ``[`` line that is not exactly ``[name]``, and a
 ``[DEFAULT]`` section (its keys would not be shared with the others).
 
+``_SCHEMA`` is the one list of the sections and keys a config may
+hold, and of how each value is typed: a finite number, a positive
+integer, a non-empty list of numbers (the ``[sweep]`` axes) or the
+value as read.  Any other section or key is refused, naming it.
 Everything is validated at parse time: files referenced by the config
 must exist and all numeric parameters must satisfy their module
 preconditions before any computation starts.
@@ -58,15 +62,49 @@ from .kernels import build_kernel
 from .quadrature import QuadratureConfig
 from .system import SystemSpec, two_level_system, validate_system
 
-_KNOWN_SECTIONS = {"system", "reservoir", "quadrature", "rates", "shift",
-                   "evolve", "kk_check", "sweep"}
-_SYSTEM_KEYS = {"omega_0", "g", "levels", "coupling_ops"}
-_RESERVOIR_KEYS = {"model", "acceleration", "eta", "omega_j", "temperature",
-                   "path"}
-_QUADRATURE_KEYS = {"omega_cutoff", "abs_tol", "rel_tol", "max_subdivisions",
-                    "u_max"}
 SWEEPABLE_KEYS = ("acceleration", "eta", "g", "omega_0", "omega_cutoff",
                   "omega_j", "temperature")
+
+
+def _number(section, key, value):
+    try:  # TypeError: not a number; OverflowError: an int beyond float
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError("%s.%s must be a finite number, got %r"
+                          % (section, key, value))
+    return float(value)
+
+
+def _positive_int(section, key, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise ConfigError("%s.%s must be a positive integer, got %r"
+                          % (section, key, value))
+    return value
+
+
+def _numbers(section, key, value):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError("%s.%s must be a non-empty list" % (section, key))
+    return [_number(section, key, v) for v in value]
+
+
+# Every section and key a config may hold, and the typer of each value
+# (None keeps the value as read).
+_SCHEMA = {
+    "system": {"omega_0": _number, "g": _number, "levels": None,
+               "coupling_ops": None},
+    "reservoir": {"model": None, "acceleration": _number, "eta": _number,
+                  "omega_j": _number, "temperature": _number, "path": None},
+    "quadrature": {"omega_cutoff": _number, "abs_tol": _number,
+                   "rel_tol": _number, "max_subdivisions": _positive_int},
+    "shift": {"level": None},
+    "evolve": {"h0": _number, "tau_end": _number, "step": _number,
+               "n_samples": _positive_int},
+    "kk_check": {"eta": _number, "table": None},
+    "sweep": {"quantity": None, **dict.fromkeys(SWEEPABLE_KEYS, _numbers)},
+}
 
 
 def _parse_value(raw):
@@ -97,14 +135,6 @@ class RunConfig:
     def section(self, name):
         return self.sections.get(name, {})
 
-    def get(self, section, key, default=None, required=False):
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            if required:
-                raise ConfigError("missing required key %s.%s" % (section, key))
-            return default
-        return sec[key]
-
     def system(self):
         if self._system is None:
             self._system = _build_system(self.section("system"))
@@ -124,9 +154,10 @@ class RunConfig:
     def with_overrides(self, overrides):
         """New RunConfig with {(section, key): value} replaced; revalidates.
 
-        The system, kernel and quadrature already built from a section
-        that no override touches are carried over, not rebuilt (a
-        tabulated kernel would parse its file again).
+        Only the sections that an override touches are typed again.  The
+        system, kernel and quadrature already built from a section that
+        no override touches are carried over, not rebuilt (a tabulated
+        kernel would parse its file again).
         """
         sections = {name: dict(sec) for name, sec in self.sections.items()}
         for (section, key), value in overrides.items():
@@ -137,25 +168,35 @@ class RunConfig:
             None if "system" in touched else self._system,
             None if "reservoir" in touched else self._kernel,
             None if "quadrature" in touched else self._quadrature)
-        fresh.validate()
+        for name in touched:
+            fresh.validate(only=name)
+        fresh.system()
+        fresh.kernel()
+        fresh.quadrature()
         return fresh
 
-    def validate(self):
+    def validate(self, only=None):
+        """Type every value by ``_SCHEMA``, refusing an unknown section or
+        key, then build the system, reservoir and quadrature.  ``only``
+        names the one section to check instead, for a command that
+        builds none of them (kk-check)."""
         for name, sec in self.sections.items():
-            if name not in _KNOWN_SECTIONS:
-                raise ConfigError("unknown config section [%s]" % name)
-            known = {"system": _SYSTEM_KEYS, "reservoir": _RESERVOIR_KEYS,
-                     "quadrature": _QUADRATURE_KEYS}.get(name)
-            if known is not None:
-                for key in sec:
-                    if key not in known:
-                        raise ConfigError(
-                            "unknown key %s.%s (known: %s)"
-                            % (name, key, ", ".join(sorted(known)))
-                        )
-        self.system()
-        self.kernel()
-        self.quadrature()
+            if only is not None and name != only:
+                continue
+            keys = _SCHEMA.get(name)
+            if keys is None:
+                raise ConfigError("unknown config section [%s] (known: %s)"
+                                  % (name, ", ".join(_SCHEMA)))
+            for key, value in sec.items():
+                if key not in keys:
+                    raise ConfigError("unknown key %s.%s (known: %s)"
+                                      % (name, key, ", ".join(sorted(keys))))
+                if keys[key] is not None:
+                    sec[key] = keys[key](name, key, value)
+        if only is None:
+            self.system()
+            self.kernel()
+            self.quadrature()
         return self
 
 
@@ -212,13 +253,9 @@ def _read_ini(lines, path):
             for name, sec in sections.items()}
 
 
-def parse_config(path, validate=True):
-    """Read, type and validate a config file.
-
-    ``validate=False`` reads and types it only, for a command that reads
-    its own section and builds no system, reservoir or quadrature
-    (kk-check).
-    """
+def parse_config(path, only=None):
+    """Read, type and validate a config file (see ``RunConfig.validate``
+    for ``only``)."""
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
     try:
@@ -230,39 +267,20 @@ def parse_config(path, validate=True):
         raise ConfigError("cannot read config file %s" % path) from exc
     sections = {name: {key: _parse_value(value) for key, value in sec.items()}
                 for name, sec in raw.items()}
-    cfg = RunConfig(os.path.abspath(path), sections)
-    return cfg.validate() if validate else cfg
-
-
-def _number(section, key, value):
-    try:  # TypeError: not a number; OverflowError: an int beyond float
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ConfigError("%s.%s must be a finite number, got %r"
-                          % (section, key, value))
-    return float(value)
-
-
-def _positive_int(section, key, value):
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ConfigError("%s.%s must be a positive integer, got %r"
-                          % (section, key, value))
-    return value
+    return RunConfig(os.path.abspath(path), sections).validate(only)
 
 
 def _build_system(sec):
     if not sec:
         raise ConfigError("missing [system] section")
-    g = _number("system", "g", sec.get("g", 0.0))
+    g = sec.get("g", 0.0)
     if "omega_0" in sec:
         if "levels" in sec or "coupling_ops" in sec:
             raise ConfigError(
                 "system.omega_0 (two-level shortcut) cannot be combined with "
                 "explicit system.levels / system.coupling_ops"
             )
-        omega_0 = _number("system", "omega_0", sec["omega_0"])
+        omega_0 = sec["omega_0"]
         if omega_0 <= 0:
             raise ConfigError("system.omega_0 must be positive, got %g" % omega_0)
         return two_level_system(omega_0, g)
@@ -303,14 +321,7 @@ def _build_reservoir(sec, base_dir):
 
 
 def _build_quadrature(sec):
-    kwargs = {}
-    for key in ("abs_tol", "rel_tol", "omega_cutoff", "u_max"):
-        if key in sec:
-            kwargs[key] = _number("quadrature", key, sec[key])
-    if "max_subdivisions" in sec:
-        kwargs["max_subdivisions"] = _positive_int(
-            "quadrature", "max_subdivisions", sec["max_subdivisions"])
     try:
-        return QuadratureConfig(**kwargs)
+        return QuadratureConfig(**sec)
     except Exception as exc:
         raise ConfigError("invalid [quadrature] section: %s" % exc) from exc

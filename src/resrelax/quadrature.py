@@ -139,21 +139,21 @@ class QuadratureConfig:
         unused by plain rate evaluations).
     abs_tol, rel_tol : quadrature targets per transform.
     max_subdivisions : budget of adaptive panel splits.
-    u_max : optional override of the half-line truncation; by default it
-        is chosen from the kernel envelope and the requested frequency.
+
+    The half-line truncation is the kernel's own (``u_max_hint``), not a
+    setting here.
     """
 
     __slots__ = ("epsilon_schedule", "omega_cutoff", "abs_tol", "rel_tol",
-                 "max_subdivisions", "u_max")
+                 "max_subdivisions")
 
     def __init__(self, epsilon_schedule=DEFAULT_EPS_SCHEDULE,
                  omega_cutoff=None, abs_tol=1e-10, rel_tol=1e-8,
-                 max_subdivisions=2000, u_max=None):
+                 max_subdivisions=2000):
         self.omega_cutoff = omega_cutoff
         self.abs_tol = abs_tol
         self.rel_tol = rel_tol
         self.max_subdivisions = max_subdivisions
-        self.u_max = u_max
         sched = tuple(float(e) for e in epsilon_schedule)
         if not sched:
             raise InsufficientSamples("epsilon schedule is empty")

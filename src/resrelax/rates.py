@@ -73,8 +73,7 @@ def _kernel_transform(kernel, omegas, cfg, kinds):
 
     return halfline_transform(
         f, omegas, cfg, kinds,
-        u_max=cfg.u_max if cfg.u_max is not None else
-        kernel.u_max_hint(float(np.min(om)), sched[0]),
+        u_max=kernel.u_max_hint(float(np.min(om)), sched[0]),
         u_scale=kernel.origin_scale(sched[0]),
         envelope=kernel.envelope(sched[0]),
         eps_schedule=sched,

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resrelax.cli import main
-from resrelax.config import SWEEPABLE_KEYS, _parse_value
+from resrelax.config import SWEEPABLE_KEYS, _SCHEMA, _parse_value, _read_ini
 
 BASE_INI = """\
 [system]
@@ -52,6 +52,9 @@ values = st.one_of(
 )
 
 EVOLVE_KEYS = ("tau_end", "h0", "step", "n_samples")
+MODEL_KEYS = tuple((section, key)
+                   for section in ("system", "reservoir", "quadrature")
+                   for key in _SCHEMA[section])
 
 FUZZ = settings(derandomize=True, deadline=5000, max_examples=100)
 
@@ -81,6 +84,28 @@ def test_evolve_values(reservoir, entries):
     ini = BASE_INI % reservoir + "\n[evolve]\n" + "".join(
         "%s = %s\n" % item for item in entries.items())
     assert run(ini, ["evolve"]) in (0, 2, 3)
+
+
+@FUZZ
+@given(reservoir=st.sampled_from(RESERVOIRS),
+       entries=st.dictionaries(st.sampled_from(MODEL_KEYS), values,
+                               min_size=1, max_size=3))
+@example(reservoir=RESERVOIRS[2], entries={("reservoir", "eta"): "abc"})
+@example(reservoir=RESERVOIRS[1],
+         entries={("reservoir", "acceleration"): "[1]"})
+@example(reservoir=RESERVOIRS[2],
+         entries={("reservoir", "temperature"): "1j"})
+@example(reservoir=RESERVOIRS[2], entries={("reservoir", "omega_j"): "2**64"})
+def test_model_values(reservoir, entries):
+    # each drawn value replaces or adds its key in the base INI
+    sections = _read_ini((BASE_INI % reservoir).splitlines(), "base")
+    for (section, key), value in entries.items():
+        sections[section][key] = value
+    ini = "".join("[%s]\n%s\n" % (name, "".join(
+        "%s = %s\n" % item for item in sec.items()))
+        for name, sec in sections.items())
+    for argv in (["rates"], ["shift", "--method", "both"]):
+        assert run(ini, argv) in (0, 2, 3)
 
 
 @FUZZ

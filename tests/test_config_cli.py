@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import oracles
-from resrelax import ConfigError, ThermalOhmic, parse_config
+from resrelax import ConfigError, QuadratureConfig, ThermalOhmic, parse_config
 from resrelax.cli import main
+from resrelax.config import _SCHEMA
 
 INERTIAL_INI = """\
 [system]
@@ -152,6 +153,62 @@ path = kern.csv
         hot = cfg.with_overrides({("reservoir", "temperature"): 2.5})
         assert hot.kernel().temperature == 2.5
         assert cfg.kernel().temperature == 1.0  # original untouched
+
+
+@pytest.mark.parametrize("section", list(_SCHEMA))
+def test_unknown_key_in_every_section_names_it(tmp_path, capsys, section):
+    header = "[%s]\n" % section
+    text = INERTIAL_INI + ("" if header in INERTIAL_INI else "\n" + header)
+    text = text.replace(header, header + "bogus = 1\n")
+    assert run_cli(["rates", "--config", write(tmp_path, text)]) == 2
+    assert "unknown key %s.bogus (known: " % section in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("evolve", INERTIAL_INI.replace("tau_end", "tau_ned"), "evolve.tau_ned"),
+    ("shift", INERTIAL_INI + "\n[shift]\nlevle = e\n", "shift.levle"),
+    ("kk-check", "[kk_check]\netaa = 0.2\n", "kk_check.etaa"),
+    ("rates", INERTIAL_INI.replace("omega_cutoff", "u_max"),
+     "quadrature.u_max"),
+    ("rates", INERTIAL_INI + "\n[rates]\n", "[rates]"),
+    ("rates", THERMAL_INI.replace("eta = 0.5", "eta = True"),
+     "reservoir.eta must be a finite number, got True"),
+], ids=["evolve-typo", "shift-typo", "kk-check-typo", "u_max", "rates-section",
+        "eta-bool"])
+def test_typos_and_removed_keys_exit_2(tmp_path, capsys, command, text, key):
+    # a typo, a removed key or a boolean number is refused, not ignored
+    # or read as 1.0
+    assert run_cli([command, "--config", write(tmp_path, text)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_quadrature_config_has_no_u_max():
+    # the kernel's u_max_hint is the one truncation policy
+    with pytest.raises(TypeError):
+        QuadratureConfig(u_max=1.0)
+
+
+@pytest.mark.parametrize("command", [["rates"], ["shift", "--method", "direct"]],
+                         ids=["rates", "shift-direct"])
+def test_tabulated_kernel_never_sampled_past_its_grid(tmp_path, monkeypatch,
+                                                      counting, command):
+    # with u_max gone, the kernel's u_max_hint is the one truncation
+    from resrelax import config
+
+    build_kernel, kernels = config.build_kernel, []
+
+    def build(model, **params):
+        kernels.append(counting(build_kernel(model, **params)))
+        return kernels[-1]
+
+    monkeypatch.setattr(config, "build_kernel", build)
+    path = write(tmp_path, _tabulated_ini(tmp_path))
+    assert run_cli([*command, "--config", path,
+                    "--out", str(tmp_path / "out")]) == 0
+    [kernel] = kernels
+    assert kernel.calls
+    u_end = kernel.u_grid[-1]
+    assert max(float(np.max(np.abs(u))) for _, u in kernel.calls) <= u_end
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +515,31 @@ class TestKkCheckCommand:
         assert run_cli(["kk-check", "--config", path]) == 2
         assert "kk_check.table" in capsys.readouterr().err
 
+    def test_user_table_is_scale_free(self, tmp_path):
+        # the table's tolerance and residual floor scale with its values,
+        # so its residual does not depend on the table's units
+        w = np.linspace(-200.0, 200.0, 4001)
+        residuals = {}
+        for scale in (1e-12, 1e-9, 1.0, 1e6, 1e12):
+            rows = "".join("%.17g,%.17g,%.17g\n" % (x, scale * x / (x * x + 1),
+                                                    -scale / (x * x + 1))
+                           for x in w)
+            (tmp_path / "table.csv").write_text(rows)
+            path = write(tmp_path, "[kk_check]\ntable = table.csv\n")
+            out = tmp_path / "kk.json"
+            assert run_cli(["kk-check", "--config", path,
+                            "--out", str(out)]) == 0
+            residuals[scale] = json.loads(
+                out.read_text())["table"]["max_rel_residual"]
+        for scale, residual in residuals.items():
+            assert residual == pytest.approx(residuals[1.0], rel=1e-9), scale
+
+    def test_user_table_all_zero_im_refused(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("0.1,1.0,0.0\n0.2,0.9,0.0\n0.3,0.8,0.0\n")
+        path = write(tmp_path, "[kk_check]\ntable = table.csv\n")
+        assert run_cli(["kk-check", "--config", path]) == 2
+        assert "kk_check.table" in capsys.readouterr().err
 
     def test_user_table_malformed_row_names_key_and_line(self, tmp_path,
                                                          capsys):
@@ -712,7 +794,7 @@ def test_option_values_after_equals(tmp_path):
         "[--format {csv,json}] [--method {kk,direct,both}]",
         "  --method {kk,direct,both}  shift route (default: kk)"]),
     (["sweep", "--jobs", "3", "-h"], [
-        "  --jobs N             concurrent grid evaluations (default: 1)"]),
+        "  --jobs N       concurrent grid evaluations (default: 1)"]),
 ], ids=["top", "shift", "sweep"])
 def test_help_on_stdout_exits_0(capsys, argv, lines):
     with pytest.raises(SystemExit) as exc:
@@ -755,6 +837,17 @@ def test_usage_error_on_stderr_exits_2(capsys, argv, message):
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: resrelax ")
     assert error == message
+
+
+@pytest.mark.parametrize("command", ["evolve", "kk-check", "sweep"])
+def test_format_only_on_rates_and_shift(capsys, command):
+    # these commands write one format each, so --format is none of theirs
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--format", "csv"])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == ("resrelax %s: error: unrecognized arguments: --format"
+                     % command)
 
 
 def test_no_partial_output_on_failure(tmp_path):
