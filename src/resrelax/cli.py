@@ -36,6 +36,10 @@ usage error prints the usage line and the error and exits 2.
 ``run``, the process entry, skips interpreter teardown (about 25 ms);
 ``main`` called in-process never ends the process.
 
+Each command imports the package modules it runs, when it runs: kk-check
+loads no kernels, system or rates; only shift and a lamb_shift sweep
+load shifts, and only evolve dynamics.
+
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise:
 OpenBLAS starts its workers when numpy loads, whether or not a BLAS
 routine is ever called; on a built-in kernel the CLI calls no BLAS or
@@ -58,35 +62,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .config import _SCHEMA, RunConfig, parse_config
-from .dynamics import (
-    StepConfig,
-    equilibrium_energy,
-    evolve_closed_form,
-    evolve_ode,
-    fit_decay_rate,
-)
-from .errors import (
-    ConfigError,
-    CutoffTooSmall,
-    NumericalError,
-    ZeroRelaxationRate,
-)
-from .kernels import _read_table
+from .errors import (ConfigError, CutoffTooSmall, NumericalError,
+                     ZeroRelaxationRate, _log)
 from .quadrature import kk_real_from_imag, QuadratureConfig
-from .rates import (
-    einstein_coefficients,
-    rate_coefficients,
-    rate_table,
-    relaxation_rate,
-)
-from .shifts import (
-    ShiftWorkspace,
-    _log,
-    _poles,
-    compute_shift,
-    delta_sr_relative,
-    lamb_shift_two_level,
-)
 
 _FMT = "%.16e"  # 17 significant digits round-trip every double
 
@@ -179,6 +157,8 @@ def _json_text(obj):
 # commands
 
 def cmd_rates(cfg: RunConfig, args):
+    from .rates import rate_table
+
     spec = cfg.system()
     kernel = cfg.kernel()
     qcfg = cfg.quadrature()
@@ -228,15 +208,20 @@ def _resolve_level(spec, raw):
     return spec.index_of(label)
 
 
+def _require_cutoff_key(qcfg):
+    if qcfg.omega_cutoff is None:
+        raise ConfigError("missing required key quadrature.omega_cutoff "
+                          "(shift integrals need a frequency cutoff)")
+
+
 def cmd_shift(cfg: RunConfig, args):
+    from .shifts import (ShiftWorkspace, _poles, compute_shift,
+                         delta_sr_relative)
+
     spec = cfg.system()
     kernel = cfg.kernel()
     qcfg = cfg.quadrature()
-    if qcfg.omega_cutoff is None:
-        raise ConfigError(
-            "missing required key quadrature.omega_cutoff (shift integrals "
-            "need a frequency cutoff)"
-        )
+    _require_cutoff_key(qcfg)
     a = _resolve_level(spec, cfg.section("shift").get("level"))
     # one workspace of both mechanisms serves the shift and delta_sr_relative
     workspace = (None if args.method == "direct" else
@@ -272,6 +257,10 @@ def cmd_shift(cfg: RunConfig, args):
 
 
 def cmd_evolve(cfg: RunConfig, args):
+    from .dynamics import (StepConfig, equilibrium_energy, evolve_closed_form,
+                           evolve_ode, fit_decay_rate)
+    from .rates import einstein_coefficients, rate_coefficients
+
     spec = cfg.system()
     kernel = cfg.kernel()
     qcfg = cfg.quadrature()
@@ -391,6 +380,8 @@ def _kk_check_table(cfg, sec):
     """
     from scipy.interpolate import CubicSpline
 
+    from .kernels import _read_table
+
     path = str(sec["table"])
     if not os.path.isabs(path):
         path = os.path.join(os.path.dirname(cfg.path), path)
@@ -425,6 +416,9 @@ _SWEEP_QUANTITIES = ("a_down", "a_up", "einstein_ratio", "gamma_rf",
 
 
 def _sweep_point(base_cfg, names, values, quantity):
+    from .rates import (einstein_coefficients, rate_coefficients,
+                        relaxation_rate)
+
     # an axis overrides its key in the first section of the schema that
     # holds it ([kk_check] also has an eta)
     cfg = base_cfg.with_overrides({
@@ -441,6 +435,8 @@ def _sweep_point(base_cfg, names, values, quantity):
                           % quantity)
     w0 = spec.omega_ab(1, 0)
     if quantity == "lamb_shift":
+        from .shifts import lamb_shift_two_level
+
         res = lamb_shift_two_level(kernel, spec.g, w0, qcfg)
         return res.value, res.error_estimate
     rates = rate_coefficients(kernel, w0, spec.g, qcfg)
@@ -468,6 +464,8 @@ def cmd_sweep(cfg: RunConfig, args):
     names = sorted(key for key in sec if key != "quantity")
     if not names:
         raise ConfigError("sweep section defines no parameter lists")
+    if quantity == "lamb_shift" and "omega_cutoff" not in names:
+        _require_cutoff_key(cfg.quadrature())
     size = math.prod(len(sec[name]) for name in names)
     if size > 10 ** 6:
         raise ConfigError("sweep grid has %d points (limit 10^6)" % size)

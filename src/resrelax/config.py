@@ -45,7 +45,8 @@ integer, a non-empty list of numbers (the ``[sweep]`` axes) or the
 value as read.  Any other section or key is refused, naming it.
 Everything is validated at parse time: files referenced by the config
 must exist and all numeric parameters must satisfy their module
-preconditions before any computation starts.
+preconditions before any computation starts.  ``system`` and ``kernels``
+load only when a system or a reservoir is first built (not for kk-check).
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import build_kernel
 from .quadrature import QuadratureConfig
-from .system import SystemSpec, two_level_system, validate_system
 
 SWEEPABLE_KEYS = ("acceleration", "eta", "g", "omega_0", "omega_cutoff",
                   "omega_j", "temperature")
@@ -271,6 +270,8 @@ def parse_config(path, only=None):
 
 
 def _build_system(sec):
+    from .system import SystemSpec, two_level_system, validate_system
+
     if not sec:
         raise ConfigError("missing [system] section")
     g = sec.get("g", 0.0)
@@ -305,6 +306,8 @@ def _build_system(sec):
 
 
 def _build_reservoir(sec, base_dir):
+    from .kernels import build_kernel
+
     if not sec:
         raise ConfigError("missing [reservoir] section")
     if "model" not in sec:

@@ -5,6 +5,17 @@ computation that could not meet its tolerance) are kept on separate
 branches so the command line tool can map them to distinct exit codes.
 """
 
+import sys
+
+
+def _log(name, level, msg, *args, **kwargs):
+    """``getLogger(name).<level>(msg, ...)`` if this process has loaded
+    logging; one that never imported it has no handler for the record."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger(name), level)(msg, *args, stacklevel=2,
+                                                **kwargs)
+
 
 class ResRelaxError(Exception):
     """Base class for all package errors."""
@@ -31,7 +42,8 @@ class DegenerateTransition(ConfigError):
 
 
 class OutOfRange(ConfigError):
-    """Evaluation outside the domain of a tabulated kernel."""
+    """A parameter or argument outside its domain: a kernel parameter, a
+    tabulated kernel's grid, an evolution setting or a positivity check."""
 
 
 class InsufficientSamples(ConfigError):

@@ -88,7 +88,7 @@ def trigamma_complex(z):
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.real <= 0):
-        raise OutOfRange("trigamma evaluated at Re z <= 0")
+        raise SingularEvaluation("trigamma evaluated at Re z <= 0")
     near = np.abs(z) < _TRIGAMMA_RADIUS
     if not np.any(near):
         return _trigamma_series(z)
@@ -175,9 +175,10 @@ class ReservoirKernel:
         """Closed-form rate coefficients per g^2 at |omega|, or None.
 
         Returns {"rf": (values, errors), "sr": (values, errors)}, arrays
-        shaped like ``omega``, with ``errors`` bounding the floating-
-        point error of ``values``.  None, the default, leaves the rates
-        to the time-domain transforms of ``evaluate``.
+        shaped like ``omega`` that the caller scales in place, ``errors``
+        bounding the floating-point error of ``values``.  None, the
+        default, leaves the rates to the time-domain transforms of
+        ``evaluate``.
         """
         return None
 

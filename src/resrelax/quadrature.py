@@ -122,12 +122,15 @@ _QK15_HALF = (
     (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
     (0.9914553711208126, 0.022935322010529224, 0.0),
 )
-_QK15 = np.array(_QK15_HALF)
-_QK15 = np.concatenate([_QK15[:0:-1] * (-1.0, 1.0, 1.0), _QK15])
-# the NODES_PER_PANEL nodes of a panel, ascending, and the two rules as
-# rows over them: K15, and K15 minus G7
-_NODES = _QK15[:, 0]
-_RULE = np.array([_QK15[:, 1], _QK15[:, 1] - _QK15[:, 2]])
+
+
+@functools.cache
+def _panel_tables():
+    """(nodes, rule), built on first use: the NODES_PER_PANEL nodes of a
+    panel, ascending, and the rules K15 and K15 - G7 as rows over them."""
+    qk15 = np.array(_QK15_HALF)
+    qk15 = np.concatenate([qk15[:0:-1] * (-1.0, 1.0, 1.0), qk15])
+    return qk15[:, 0], np.array([qk15[:, 1], qk15[:, 1] - qk15[:, 2]])
 
 
 class QuadratureConfig:
@@ -279,26 +282,32 @@ def _filon_rules():
     that a process without a transform does not pay for it.
     """
     n = NODES_PER_PANEL
+    nodes, rule = _panel_tables()
     g7 = np.zeros((n, n))
-    g7[:7, 1::2] = _inverse(_legendre(_NODES[1::2], 7))
-    k15 = _inverse(_legendre(_NODES, n))
+    g7[:7, 1::2] = _inverse(_legendre(nodes[1::2], 7))
+    k15 = _inverse(_legendre(nodes, n))
     rules = np.stack([k15, k15 - g7])
     rules *= 2.0 * np.array([1.0, 1.0, -1.0, -1.0] * 4)[:n, None]
-    rules[:, 0] = _RULE
+    rules[:, 0] = rule
     return rules
 
 
 # Miller's downward recurrence for the spherical Bessel functions starts
 # here; for 1 <= theta <= 14 it then gives j_0 ... j_14 to about 5 ulps
-# of the largest of them.  _ODD[l] = 2l + 1.
+# of the largest of them.
 _MILLER_START = 32
-_ODD = 2.0 * np.arange(_MILLER_START + 1) + 1.0
-# Taylor coefficients of j_l(theta) (2l + 1)!! / theta^l in theta^2, one
-# row per power k: (-1/2)^k / (k! (2l + 3) ... (2l + 2k + 1)); ten powers
-# reach rounding accuracy for theta < 1
-_BESSEL_SERIES = np.cumprod(np.vstack([np.ones(NODES_PER_PANEL)] + [
-    -0.5 / (k * (_ODD[:NODES_PER_PANEL] + 2 * k)) for k in range(1, 10)]),
-    axis=0)
+
+
+@functools.cache
+def _bessel_tables():
+    """(odd, series), built at the first Filon pass: odd[l] = 2l + 1 for
+    l <= _MILLER_START; row k of series holds the Taylor coefficients of
+    j_l(theta) (2l + 1)!! / theta^l in theta^2k, (-1/2)^k / (k! (2l + 3)
+    ... (2l + 2k + 1)); ten rows reach rounding accuracy for theta < 1."""
+    odd = 2.0 * np.arange(_MILLER_START + 1) + 1.0
+    return odd, np.cumprod(np.vstack([np.ones(NODES_PER_PANEL)] + [
+        -0.5 / (k * (odd[:NODES_PER_PANEL] + 2 * k)) for k in range(1, 10)]),
+        axis=0)
 
 
 def _sph_bessel(theta):
@@ -309,20 +318,21 @@ def _sph_bessel(theta):
     upward recurrence beyond, where it is stable for every order.
     """
     n = NODES_PER_PANEL
+    odd, series = _bessel_tables()
     out = np.empty((theta.size, n))
     small, big = theta < 1.0, theta > 14.0
     mid = ~(small | big)
     if small.any():
         x = theta[small, None]
-        acc = _BESSEL_SERIES[-1] * np.ones_like(x)
-        for row in _BESSEL_SERIES[-2::-1]:
+        acc = series[-1] * np.ones_like(x)
+        for row in series[-2::-1]:
             acc *= x * x
             acc += row
         out[small] = acc * np.cumprod(
-            np.hstack([np.ones_like(x), x / _ODD[1:n]]), axis=1)
+            np.hstack([np.ones_like(x), x / odd[1:n]]), axis=1)
     if big.any():
         x = theta[big]
-        ratio = np.multiply.outer(1.0 / x, _ODD[:n])  # (2l + 1) / theta
+        ratio = np.multiply.outer(1.0 / x, odd[:n])  # (2l + 1) / theta
         prev = np.sin(x) / x
         cur = (prev - np.cos(x)) / x
         out[big, 0], out[big, 1] = prev, cur
@@ -331,14 +341,14 @@ def _sph_bessel(theta):
             out[big, l + 1] = cur
     if mid.any():
         x = theta[mid]
-        ratio = np.multiply.outer(1.0 / x, _ODD)
+        ratio = np.multiply.outer(1.0 / x, odd)
         seq = np.empty((x.size, _MILLER_START + 1))
         nxt, cur = 0.0, np.ones_like(x)
         seq[:, -1] = cur
         for l in range(_MILLER_START, 0, -1):
             nxt, cur = cur, ratio[:, l] * cur - nxt
             seq[:, l - 1] = cur
-        norm = np.einsum("il,l->i", seq * seq, _ODD)  # not @: see _filon
+        norm = np.einsum("il,l->i", seq * seq, odd)  # not @: see _filon
         out[mid] = seq[:, :n] / np.sqrt(norm)[:, None]
     return out
 
@@ -388,7 +398,7 @@ def _filon(samples, omega, sine, mid, half):
                    hs * re + hc * im, hc * re - hs * im)
     out = out.transpose(3, 4, 0, 1, 2).reshape(2, omega.size, -1, mid.size)
     scale = half * np.einsum("ekn,n->ek", np.abs(samples).reshape(
-        -1, mid.size, NODES_PER_PANEL), _RULE[0])
+        -1, mid.size, NODES_PER_PANEL), _panel_tables()[1][0])
     return np.concatenate([out, np.broadcast_to(scale, out.shape[1:])[None]]
                           ).reshape(3, -1, mid.size)
 
@@ -413,6 +423,7 @@ def _eval_panels(fw, lo, hi):
     (3, n_panels) or (3, m, n_panels).
     """
     step = BATCH_BLOCK_PANELS
+    x, rule = _panel_tables()
     if isinstance(fw, tuple):
         step = max(1, step * NODES_PER_PANEL // np.size(fw[1]))
     blocks = []
@@ -420,7 +431,7 @@ def _eval_panels(fw, lo, hi):
         blk = slice(b, b + step)
         mid = 0.5 * (lo[blk] + hi[blk])
         half = 0.5 * (hi[blk] - lo[blk])
-        nodes = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         if isinstance(fw, tuple):
             sample, omega, sine = fw
             rows = _filon(sample(nodes), omega, sine, mid, half)
@@ -429,7 +440,7 @@ def _eval_panels(fw, lo, hi):
             f = np.asarray(out).reshape(np.shape(out)[:-1]
                                         + (mid.size, NODES_PER_PANEL))
             rows = np.stack([np.sum(half[:, None] * r * f, axis=-1)
-                             for r in _RULE])
+                             for r in rule])
             rows = np.concatenate([rows, rows[:1]])
         rows[1:] = np.abs(rows[1:])
         blocks.append(rows)

@@ -128,8 +128,7 @@ def rate_coefficients(kernel, omega, g, cfg=None):
     overflowing, raises NumericalError.
     """
     om = np.asarray(omega, dtype=float)
-    zeros = (np.zeros(om.shape), np.zeros(om.shape))
-    coeffs, work = dict.fromkeys(MECHANISMS, zeros), {}
+    work = {}
     # an overflow shows as a value that is not finite, which
     # _require_finite refuses naming the knobs, without numpy's warnings
     if g != 0.0 and om.size:
@@ -138,16 +137,24 @@ def rate_coefficients(kernel, omega, g, cfg=None):
         if coeffs is None:
             coeffs, work = _time_domain(kernel, np.abs(om),
                                         cfg or QuadratureConfig())
-    g2 = g * g
+    else:
+        coeffs = dict.fromkeys(MECHANISMS, (np.zeros(om.shape),) * 2)
     shaped = float if om.ndim == 0 else np.asarray
+    # the kernel's arrays are scaled in place, sign then g^2; one sharing
+    # memory with another (sr = rf, values = errors) is copied first
+    arrays = []
+    for a in (a for kind in MECHANISMS for a in coeffs[kind]):
+        a = np.asarray(a, dtype=float)
+        shared = any(np.may_share_memory(a, b) for b in arrays)
+        arrays.append(a.copy() if shared else a)
     out = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for kind in MECHANISMS:
-            values, errors = coeffs[kind]
-            if kind == "sr":
-                values = np.sign(om) * values
-            out[kind] = IntegralResult(shaped(g2 * values),
-                                       shaped(g2 * errors), detail=dict(work))
+        arrays[2] *= np.sign(om)  # sr's values
+        for kind, values, errors in zip(MECHANISMS, arrays[::2], arrays[1::2]):
+            values *= g * g
+            errors *= g * g
+            out[kind] = IntegralResult(shaped(values), shaped(errors),
+                                       detail=dict(work))
     return _require_finite(out, g, "rate coefficients")
 
 

@@ -53,13 +53,12 @@ direct path includes.
 from __future__ import annotations
 
 import math
-import sys
 import time
 
 import numpy as np
 
 from .errors import (CutoffTooSmall, NonConvergent, RoundingFloor,
-                     SingularEvaluation, SubdivisionLimit)
+                     SingularEvaluation, SubdivisionLimit, _log)
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
@@ -75,15 +74,6 @@ from .system import ensure_validated, transition_elements, two_level_system
 # the ring segment ends at phase _RING_PHASE of wc u, 3 panels per period
 _RING_PHASE = 80.0
 _RING_PANELS = 40
-
-
-def _log(name, level, msg, *args, **kwargs):
-    """``getLogger(name).<level>(msg, ...)`` if this process has loaded
-    logging; one that never imported it has no handler for the record."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        getattr(logging.getLogger(name), level)(msg, *args, stacklevel=2,
-                                                **kwargs)
 
 
 def _log_pass(what, work, start):

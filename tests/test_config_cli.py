@@ -193,15 +193,15 @@ def test_quadrature_config_has_no_u_max():
 def test_tabulated_kernel_never_sampled_past_its_grid(tmp_path, monkeypatch,
                                                       counting, command):
     # with u_max gone, the kernel's u_max_hint is the one truncation
-    from resrelax import config
+    from resrelax import kernels as kernels_module
 
-    build_kernel, kernels = config.build_kernel, []
+    build_kernel, kernels = kernels_module.build_kernel, []
 
     def build(model, **params):
         kernels.append(counting(build_kernel(model, **params)))
         return kernels[-1]
 
-    monkeypatch.setattr(config, "build_kernel", build)
+    monkeypatch.setattr(kernels_module, "build_kernel", build)
     path = write(tmp_path, _tabulated_ini(tmp_path))
     assert run_cli([*command, "--config", path,
                     "--out", str(tmp_path / "out")]) == 0
@@ -706,6 +706,34 @@ class TestSweepCommand:
         assert "argument --jobs: must be at least 1, got %s" % jobs \
             in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_lamb_shift_without_cutoff_names_key(self, tmp_path, capsys,
+                                                 monkeypatch, jobs):
+        # refused before the grid runs, exit 2 as for shift, not a
+        # numerical failure (exit 3) at the first point
+        import resrelax.cli as cli
+
+        monkeypatch.setattr(cli, "_sweep_point", None)
+        text = INERTIAL_INI.replace("omega_cutoff = 40.0", "") + (
+            "\n[sweep]\nquantity = lamb_shift\nomega_0 = [1.0, 2.0]\n")
+        path = write(tmp_path, text)
+        assert run_cli(["sweep", "--config", path, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "resrelax: config error: missing required key "
+            "quadrature.omega_cutoff (shift integrals need a frequency "
+            "cutoff)\n")
+        assert captured.out == ""
+
+    def test_lamb_shift_cutoff_axis_needs_no_key(self, tmp_path):
+        # an omega_cutoff axis sets the cutoff at every point
+        text = INERTIAL_INI.replace("omega_cutoff = 40.0", "") + (
+            "\n[sweep]\nquantity = lamb_shift\nomega_cutoff = [30.0, 40.0]\n")
+        path = write(tmp_path, text)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
     def test_unknown_quantity_rejected(self, tmp_path, capsys):
         text = THERMAL_INI + "\n[sweep]\nquantity = bogus\n" \

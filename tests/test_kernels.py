@@ -12,11 +12,13 @@ from resrelax import (
     ConfigError,
     InertialVacuum,
     InsufficientSamples,
+    NumericalError,
     OutOfRange,
     SingularEvaluation,
     TabulatedKernel,
     ThermalOhmic,
     build_kernel,
+    evolve_ode,
     trigamma_complex,
 )
 from resrelax.kernels import BandLimitedVacuum, UnruhExcess
@@ -80,8 +82,24 @@ def test_trigamma_matches_mpmath_oracle():
 
 
 def test_trigamma_rejects_left_half_plane():
-    with pytest.raises(OutOfRange):
+    # no config value reaches Re z <= 0, so it is a numerical failure
+    # (CLI exit 3), not a configuration error (exit 2)
+    with pytest.raises(SingularEvaluation) as info:
         trigamma_complex(-1.0 + 0.5j)
+    assert isinstance(info.value, NumericalError)
+    assert not isinstance(info.value, ConfigError)
+
+
+def test_out_of_range_is_a_config_error_of_every_domain():
+    # a kernel parameter, a tabulated grid, an evolution setting: each
+    # is a value a config supplies (CLI exit 2)
+    for call in (lambda: AcceleratedVacuum(0.0),
+                 lambda: TabulatedKernel(np.linspace(0.5, 2.0, 4),
+                                         np.ones(4), np.zeros(4)),
+                 lambda: evolve_ode(1.0, 0.5, 1.0, 0.5, -1.0)):
+        with pytest.raises(OutOfRange) as info:
+            call()
+        assert isinstance(info.value, ConfigError)
 
 
 # ---------------------------------------------------------------------------

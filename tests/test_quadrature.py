@@ -27,18 +27,19 @@ from resrelax.quadrature import (
     DEFAULT_EPS_SCHEDULE,
     NODES_PER_PANEL,
     ROUNDING_FLOOR_ULPS,
-    _NODES,
     _QK15_HALF,
-    _RULE,
     _eval_panels,
     _filon_rules,
     _halfline_breakpoints,
+    _panel_tables,
     _sph_bessel,
     extrapolate_regulator,
     halfline_transform,
     integrate_adaptive,
     tail_bound,
 )
+
+_NODES, _RULE = _panel_tables()
 
 
 def decaying(u, eps):

@@ -40,6 +40,24 @@ def test_rates_scale_as_g_squared():
     assert two.value == pytest.approx(4.0 * one.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("kernel", [
+    InertialVacuum(), AcceleratedVacuum(2.0), ThermalOhmic(0.5, 5.0, 0.0),
+    ThermalOhmic(0.5, 5.0, 1.0)], ids=["inertial", "accelerated", "cold",
+                                       "thermal"])
+def test_scaling_in_place_keeps_the_bits(kernel):
+    # the kernel's arrays are scaled in place, sign then g^2, as
+    # g^2 (sign(w) gamma) was computed before; rf and sr share arrays on
+    # the vacuum kernels and at T = 0, which must be scaled once each
+    w = np.linspace(-3.0, 3.0, 13)
+    raw = kernel.rate_coefficients(np.abs(w))
+    g = 0.7
+    got = rate_coefficients(kernel, w, g)
+    for kind, sign in (("rf", 1.0), ("sr", np.sign(w))):
+        values, errors = raw[kind]
+        assert got[kind].value.tobytes() == (g * g * (sign * values)).tobytes()
+        assert got[kind].error_estimate.tobytes() == (g * g * errors).tobytes()
+
+
 def test_zero_shortcuts():
     k = InertialVacuum()
     assert rate_coefficients(k, 1.0, 0.0)["rf"].value == 0.0

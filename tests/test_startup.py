@@ -12,7 +12,8 @@ code.  Nor does it import logging unless RESRELAX_LOG is set (about
 configparser (about 0.25 MB together), as the package writes its JSON
 and reads its INI itself; or argparse, gettext and locale (about 0.55 MB):
 the CLI reads its arguments from a table.  The INI reader's refusals
-exit 2 naming the line.
+exit 2 naming the line.  Each command loads only the package modules it
+runs, and builds the quadrature tables only if it integrates.
 A bad RESRELAX_LOG exits 2, and the library's debug lines still reach a
 program that configures logging after importing it.  ``import resrelax``
 loads no submodule and no numpy and leaves the environment alone; ``import
@@ -209,6 +210,75 @@ def test_closed_form_commands_load_no_logging(tmp_path, model, ini, command):
     report = ast.literal_eval(_python(["-c", _LOADS, *argv], tmp_path,
                                       RESRELAX_LOG=""))
     assert report == (0, [])
+
+
+# runs the CLI with the given arguments and reports which package modules
+# it loaded and which of the quadrature's tables it built
+_MODULES = """\
+import sys
+from resrelax.cli import main
+rc = main(sys.argv[1:])
+from resrelax.quadrature import _bessel_tables, _panel_tables
+print((rc, sorted(m for m in sys.modules if m.startswith("resrelax.")),
+       _panel_tables.cache_info().currsize,
+       _bessel_tables.cache_info().currsize))
+"""
+
+_RATES_MODULES = ["cli", "config", "errors", "kernels", "quadrature", "rates",
+                  "system"]
+
+
+def _shifts(ini, command):
+    return command[0] == "shift" or (command[0] == "sweep"
+                                     and "quantity = lamb_shift" in ini)
+
+
+def _modules_run(ini, command):
+    """The package modules a command runs: kk-check the quadrature engine
+    alone, every other the rates, plus dynamics for evolve and shifts for
+    shift and a lamb_shift sweep."""
+    if command[0] == "kk-check":
+        return ["cli", "config", "errors", "quadrature"]
+    if _shifts(ini, command):
+        return sorted(_RATES_MODULES + ["shifts"])
+    if command[0] == "evolve":
+        return sorted(_RATES_MODULES + ["dynamics"])
+    return _RATES_MODULES
+
+
+@pytest.mark.parametrize(
+    "model, ini, command", CASES,
+    ids=CASE_IDS)
+def test_commands_load_only_the_modules_they_run(tmp_path, model, ini,
+                                                 command):
+    # rates, evolve and an einstein_ratio sweep evaluate closed forms, so
+    # they build no panel table; kk-check, shift and a lamb_shift sweep
+    # integrate
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    argv = [*command, "--config", str(path), "--out", str(tmp_path / "out")]
+    rc, loaded, panels, bessel = ast.literal_eval(
+        _python(["-c", _MODULES, *argv], tmp_path))
+    assert rc == 0
+    assert loaded == ["resrelax." + m for m in _modules_run(ini, command)]
+    assert panels == (command[0] == "kk-check" or _shifts(ini, command))
+    # the Bessel tables serve the Filon pass of the direct route, which
+    # the inertial vacuum's band-limited window does without
+    assert bessel == ("both" in command and model != "inertial_vacuum")
+
+
+def test_cli_import_loads_no_command_module(tmp_path):
+    out = _python(["-c", "import sys, resrelax.cli\n"
+                         "from resrelax.quadrature import (_bessel_tables,\n"
+                         "                                 _panel_tables)\n"
+                         "print((sorted(m for m in sys.modules\n"
+                         "              if m.startswith('resrelax.')),\n"
+                         "       _panel_tables.cache_info().currsize,\n"
+                         "       _bessel_tables.cache_info().currsize))"],
+                  tmp_path)
+    assert ast.literal_eval(out) == (
+        ["resrelax.cli", "resrelax.config", "resrelax.errors",
+         "resrelax.quadrature"], 0, 0)
 
 
 # runs the CLI with the given arguments and reports the resident size, in
