@@ -45,7 +45,6 @@ _EXPORTS = {
     "system": (
         "SystemSpec", "TransitionElement", "system_spectral_functions",
         "transition_element", "transition_elements", "two_level_system",
-        "validate_system",
     ),
     "kernels": (
         "AcceleratedVacuum", "InertialVacuum", "ReservoirKernel",

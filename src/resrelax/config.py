@@ -270,7 +270,7 @@ def parse_config(path, only=None):
 
 
 def _build_system(sec):
-    from .system import SystemSpec, two_level_system, validate_system
+    from .system import SystemSpec, two_level_system
 
     if not sec:
         raise ConfigError("missing [system] section")
@@ -301,8 +301,7 @@ def _build_system(sec):
     except (TypeError, ValueError) as exc:
         raise ConfigError("malformed system.levels or system.coupling_ops: %s"
                           % exc) from exc
-    spec = SystemSpec(levels=parsed_levels, coupling_ops=matrices, g=g)
-    return validate_system(spec)
+    return SystemSpec(levels=parsed_levels, coupling_ops=matrices, g=g)
 
 
 def _build_reservoir(sec, base_dir):

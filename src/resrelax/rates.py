@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NegativeExcitationRate, NumericalError, ZeroRelaxationRate
 from .quadrature import IntegralResult, QuadratureConfig, halfline_transform
-from .system import ensure_validated, transition_elements
+from .system import transition_elements
 
 _BAND_FLOOR = 1.0 / 64.0
 MECHANISMS = ("rf", "sr")
@@ -254,7 +254,6 @@ def _transition_rows(spec, kernel, cfg, elements):
 
 def transition_rates(spec, a, kernel, cfg=None):
     """Per-partner relaxation contributions of level index ``a``."""
-    spec = ensure_validated(spec)
     return _transition_rows(spec, kernel, cfg or QuadratureConfig(),
                             transition_elements(spec, a))[2]
 
@@ -291,7 +290,6 @@ def rate_table(spec, kernel, cfg=None):
     coefficients at each distinct transition frequency; transition_rows
     hold the per-pair energy relaxation contributions.
     """
-    spec = ensure_validated(spec)
     elements = [el for a in range(spec.n_levels)
                 for el in transition_elements(spec, a)]
     freqs, coeffs, transition_rows = _transition_rows(

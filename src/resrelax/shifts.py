@@ -69,7 +69,7 @@ from .quadrature import (
 )
 from .rates import (MECHANISMS, _kernel_transform, _require_finite,
                     rate_coefficients)
-from .system import ensure_validated, transition_elements, two_level_system
+from .system import transition_elements, two_level_system
 
 # the ring segment ends at phase _RING_PHASE of wc u, 3 panels per period
 _RING_PHASE = 80.0
@@ -210,15 +210,14 @@ def shift_kk(system, kernel, a, cfg=None, workspace=None):
     ShiftWorkspace lends its coefficients to every level; without one, a
     workspace of both mechanisms is built.
     """
-    spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
-    ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both",
-                                     _poles(spec))
+    ws = workspace or ShiftWorkspace(kernel, system.g, cfg, "both",
+                                     _poles(system))
     wc = ws.omega_c
     total, err = np.zeros((2, len(MECHANISMS)))
-    for el in transition_elements(spec, a):
+    for el in transition_elements(system, a):
         m = el.strength
-        if m == 0.0 or spec.g == 0.0:
+        if m == 0.0 or system.g == 0.0:
             continue
 
         def h(w, _m=m):
@@ -296,25 +295,24 @@ def shift_direct(system, kernel, a, cfg=None):
     Returns {"rf": ..., "sr": ...}, both mechanisms taken from one pass
     per partner level that shares every kernel sample.
     """
-    spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
     total = dict.fromkeys(MECHANISMS, 0.0)
     err = dict.fromkeys(MECHANISMS, 0.0)
-    if spec.g != 0.0:
-        wc = _require_cutoff(cfg, _poles(spec))
+    if system.g != 0.0:
+        wc = _require_cutoff(cfg, _poles(system))
         window = kernel.band_limited(wc)
         excess = window.excess if window is not None else None
-        g2 = spec.g * spec.g
-        for el in transition_elements(spec, a):
+        g2 = system.g * system.g
+        for el in transition_elements(system, a):
             m = el.strength
             if m == 0.0:
                 continue
             start = time.perf_counter()
             parts, work = (_direct_windowed(window, el.omega_ab, cfg)
                            if window is not None else
-                           _direct_raw(kernel, el.omega_ab, cfg, spec.g))
+                           _direct_raw(kernel, el.omega_ab, cfg, system.g))
             if excess is not None:  # Ca = 0: the excess pass is rf's alone
-                raw, more = _direct_raw(excess, el.omega_ab, cfg, spec.g,
+                raw, more = _direct_raw(excess, el.omega_ab, cfg, system.g,
                                         ["sin"])
                 parts["rf"] = tuple(np.add(parts["rf"], raw["rf"]))
                 work = {key: work[key] + more[key] for key in work}
@@ -323,11 +321,11 @@ def shift_direct(system, kernel, a, cfg=None):
                 total[mech] += g2 * m * v
                 err[mech] += g2 * m * e
         if excess is not None:  # less its part beyond wc, once per level
-            rem = _cutoff_remainder(spec, excess, a, wc, cfg)["rf"]
+            rem = _cutoff_remainder(system, excess, a, wc, cfg)["rf"]
             total["rf"] -= rem.value
             err["rf"] += rem.error_estimate
     return _require_finite({mech: IntegralResult(total[mech], err[mech])
-                            for mech in MECHANISMS}, spec.g, "direct shifts")
+                            for mech in MECHANISMS}, system.g, "direct shifts")
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +429,15 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     _cutoff_remainder).  ``workspace`` may supply a prebuilt "both"
     ShiftWorkspace of this system, kernel and cfg.
     """
-    spec = ensure_validated(system)
     cfg = cfg or QuadratureConfig()
-    poles = _poles(spec)
+    poles = _poles(system)
     wc = _require_cutoff(cfg, poles)
     detail, ws = {}, None
     if method in ("kk", "both"):
-        ws = workspace or ShiftWorkspace(kernel, spec.g, cfg, "both", poles)
-        shifts = shift_kk(spec, kernel, a, cfg, ws)
+        ws = workspace or ShiftWorkspace(kernel, system.g, cfg, "both", poles)
+        shifts = shift_kk(system, kernel, a, cfg, ws)
     if method in ("direct", "both"):
-        direct = shift_direct(spec, kernel, a, cfg)
+        direct = shift_direct(system, kernel, a, cfg)
         if method == "direct":
             shifts = direct
         else:
@@ -450,18 +447,18 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     windowed = kernel.band_limited(wc) is not None
     if method != "direct" or windowed:
         band = detail["cutoff_band"] = _cutoff_remainder(
-            spec, kernel, a, wc, cfg, ws, band=True)
+            system, kernel, a, wc, cfg, ws, band=True)
         cutoff = {m: abs(band[m].value) for m in MECHANISMS}
     if (method != "direct" and not windowed
             and kernel.rate_coefficients(0.0) is not None):
         rem = detail["cutoff_remainder"] = _cutoff_remainder(
-            spec, kernel, a, wc, cfg)
+            system, kernel, a, wc, cfg)
         cutoff = {m: max(cutoff[m], abs(rem[m].value) + rem[m].error_estimate)
                   for m in MECHANISMS}
     detail["err_cutoff"] = cutoff
     rf, sr = shifts["rf"], shifts["sr"]
     return ShiftResult(
-        a=a, label=spec.labels[a],
+        a=a, label=system.labels[a],
         delta_e_rf=rf.value, delta_e_sr=sr.value, omega_c=wc,
         err_quad=rf.error_estimate + sr.error_estimate,
         err_cutoff=cutoff["rf"] + cutoff["sr"],
@@ -496,7 +493,7 @@ def delta_sr_relative(system, kernel, cfg=None, workspace=None):
     ``workspace`` may supply a prebuilt ShiftWorkspace of this system,
     kernel and cfg.
     """
-    return _splitting(ensure_validated(system), kernel,
+    return _splitting(system, kernel,
                       cfg or QuadratureConfig(), workspace)["sr"]
 
 

@@ -16,10 +16,13 @@ susceptibility taken in a level |a>:
     chi_S_ij(u) = i sum_b Im(M_ij e^{i omega_ab u})
 
 Pairs with omega_ab = 0 (including b = a) carry no oscillation and do
-not contribute to rates or shifts; they are excluded from the sums.
+not contribute to rates or shifts; they are excluded from the sums, as
+is every pair within the degeneracy tolerance of ``SystemSpec``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,33 +36,91 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-9
+DEGENERACY_FLOOR_ULPS = 4
 
 
 class SystemSpec:
-    """Energy levels plus coupling operators.
+    """Energy levels plus coupling operators, checked and sorted.
 
     Parameters
     ----------
     levels : tuple of (label, energy)
-        Eigenstate labels and energies.  ``validate_system`` sorts them
-        by ascending energy (ties broken by label).
+        Eigenstate labels and energies, at least two, with unique labels
+        and finite energies.  They are stored sorted by ascending energy
+        (ties broken by label).
     coupling_ops : tuple of ndarray
         Hermitian matrices of the coupling operators in the level basis,
-        one per reservoir channel.
+        one per reservoir channel.  Each is stored as a complex array,
+        permuted to the sorted level order.
     g : float
         Dimensionless coupling constant multiplying the interaction.
+
+    An operator whose largest |S - S^dagger| entry exceeds 1e-12 of its
+    largest entry raises NonHermitianCoupling; a wrong shape raises
+    DimensionMismatch and a non-finite energy NonFiniteEnergy.
+    ``active_pairs`` lists the nondegenerate transition pairs (a, b) and
+    ``excluded_pairs`` the rest; a pair counts as degenerate when
+    |omega_ab| <= max(1e-9 * (E_max - E_min), 4 ulps of max |E|), a rule
+    that a common energy offset leaves as it is.
     """
 
     __slots__ = ("levels", "coupling_ops", "g", "active_pairs",
                  "excluded_pairs")
 
-    def __init__(self, levels, coupling_ops, g, active_pairs=None,
-                 excluded_pairs=None):
-        self.levels = levels
-        self.coupling_ops = coupling_ops
+    def __init__(self, levels, coupling_ops, g):
+        if len(levels) < 2:
+            raise ConfigError("need at least two levels, got %d" % len(levels))
+        labels = [lab for lab, _ in levels]
+        if len(set(labels)) != len(labels):
+            raise ConfigError("level labels must be unique: %r" % (labels,))
+        energies = [en for _, en in levels]
+        if not all(np.isfinite(energies)):
+            raise NonFiniteEnergy("non-finite level energy in %r"
+                                  % (energies,))
+        if not coupling_ops:
+            raise ConfigError("at least one coupling operator required")
+        if not np.isfinite(g):
+            raise ConfigError("coupling constant g must be finite")
+
+        n = len(levels)
+        ops = []
+        for k, op in enumerate(coupling_ops):
+            m = np.asarray(op, dtype=complex)
+            if m.shape != (n, n):
+                raise DimensionMismatch(
+                    "coupling operator %d has shape %r, expected (%d, %d)"
+                    % (k, m.shape, n, n)
+                )
+            if not np.all(np.isfinite(m.view(float))):
+                raise ConfigError(
+                    "coupling operator %d has non-finite entries" % k)
+            deviation = np.max(np.abs(m - m.conj().T))
+            largest = np.max(np.abs(m))
+            if deviation > HERMITICITY_TOL * largest:
+                raise NonHermitianCoupling(
+                    "coupling operator %d deviates from hermiticity by %g "
+                    "(largest entry %g)" % (k, deviation, largest)
+                )
+            ops.append(m)
+
+        order = sorted(range(n), key=lambda i: (levels[i][1], levels[i][0]))
+        self.levels = tuple((levels[i][0], float(levels[i][1])) for i in order)
+        perm = np.array(order)
+        self.coupling_ops = tuple(m[np.ix_(perm, perm)] for m in ops)
         self.g = g
-        self.active_pairs = active_pairs
-        self.excluded_pairs = excluded_pairs
+
+        en = [e for _, e in self.levels]
+        ulp = math.ulp(max(abs(en[0]), abs(en[-1])))
+        tol = max(DEGENERACY_REL_TOL * (en[-1] - en[0]),
+                  DEGENERACY_FLOOR_ULPS * ulp)
+        active, excluded = [], []
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    gap = abs(en[a] - en[b])
+                    (active if gap > tol else excluded).append((a, b))
+        self.active_pairs = tuple(active)
+        self.excluded_pairs = tuple(excluded)
 
     @property
     def n_levels(self):
@@ -73,9 +134,6 @@ class SystemSpec:
     def energies(self):
         return np.array([en for _, en in self.levels], dtype=float)
 
-    def omega(self, a):
-        return float(self.levels[a][1])
-
     def omega_ab(self, a, b):
         return float(self.levels[a][1] - self.levels[b][1])
 
@@ -85,13 +143,9 @@ class SystemSpec:
                 return i
         raise ConfigError("unknown level label %r" % (label,))
 
-    @property
-    def validated(self):
-        return self.active_pairs is not None
-
 
 def two_level_system(omega_0, g):
-    """A validated two-level system.
+    """A two-level system.
 
     Levels sit at -omega_0/2 and +omega_0/2 (labels "-" and "+") and the
     coupling operator is S_2 = i(S_plus - S_minus)/2, whose only matrix
@@ -101,77 +155,11 @@ def two_level_system(omega_0, g):
     if not (omega_0 > 0):
         raise ConfigError("omega_0 must be positive, got %r" % (omega_0,))
     s2 = np.array([[0.0, -0.5j], [0.5j, 0.0]])
-    spec = SystemSpec(
+    return SystemSpec(
         levels=(("-", -omega_0 / 2.0), ("+", +omega_0 / 2.0)),
         coupling_ops=(s2,),
         g=float(g),
     )
-    return validate_system(spec)
-
-
-def validate_system(spec: SystemSpec) -> SystemSpec:
-    """Check a SystemSpec and return it in canonical sorted form.
-
-    Checks: finite energies, unique labels, square hermitian coupling
-    operators matching the level count.  Levels are sorted ascending in
-    energy (ties broken by label) and the operators are permuted to
-    match.  The returned spec carries the list of nondegenerate
-    transition pairs; a pair (a, b) counts as degenerate when
-    |omega_ab| <= 1e-9 * max_a |omega_a|.
-    """
-    if len(spec.levels) < 2:
-        raise ConfigError("need at least two levels, got %d" % len(spec.levels))
-    labels = [lab for lab, _ in spec.levels]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("level labels must be unique: %r" % (labels,))
-    energies = [en for _, en in spec.levels]
-    if not all(np.isfinite(energies)):
-        raise NonFiniteEnergy("non-finite level energy in %r" % (energies,))
-    if not spec.coupling_ops:
-        raise ConfigError("at least one coupling operator required")
-    if not np.isfinite(spec.g):
-        raise ConfigError("coupling constant g must be finite")
-
-    n = len(spec.levels)
-    ops = []
-    for k, op in enumerate(spec.coupling_ops):
-        m = np.asarray(op, dtype=complex)
-        if m.shape != (n, n):
-            raise DimensionMismatch(
-                "coupling operator %d has shape %r, expected (%d, %d)"
-                % (k, m.shape, n, n)
-            )
-        if not np.all(np.isfinite(m.view(float))):
-            raise ConfigError("coupling operator %d has non-finite entries" % k)
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise NonHermitianCoupling(
-                "coupling operator %d deviates from hermiticity by %g"
-                % (k, np.max(np.abs(m - m.conj().T)))
-            )
-        ops.append(m)
-
-    order = sorted(range(n), key=lambda i: (spec.levels[i][1], spec.levels[i][0]))
-    levels = tuple((spec.levels[i][0], float(spec.levels[i][1])) for i in order)
-    perm = np.array(order)
-    ops = tuple(m[np.ix_(perm, perm)] for m in ops)
-
-    omega_scale = max(abs(en) for _, en in levels)
-    tol = DEGENERACY_REL_TOL * omega_scale
-    active, excluded = [], []
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if abs(levels[a][1] - levels[b][1]) <= tol:
-                excluded.append((a, b))
-            else:
-                active.append((a, b))
-    return SystemSpec(levels, ops, spec.g, active_pairs=tuple(active),
-                      excluded_pairs=tuple(excluded))
-
-
-def ensure_validated(spec: SystemSpec) -> SystemSpec:
-    return spec if spec.validated else validate_system(spec)
 
 
 class TransitionElement:
@@ -188,11 +176,6 @@ class TransitionElement:
         self.b = b
         self.omega_ab = omega_ab
         self.M = M
-        # M_ij(a,b) = conj(M_ji(a,b)) holds for hermitian S_i; guard anyway.
-        if np.max(np.abs(self.M - self.M.conj().T)) > 1e-10 * max(
-            1.0, np.max(np.abs(self.M))
-        ):
-            raise ConfigError("transition element matrix lost hermiticity")
 
     @property
     def strength(self):
@@ -206,7 +189,6 @@ def transition_elements(spec, a):
     Degenerate partners are skipped; asking for them explicitly via
     ``transition_element`` raises DegenerateTransition.
     """
-    spec = ensure_validated(spec)
     out = []
     for (aa, b) in spec.active_pairs:
         if aa != a:
@@ -216,8 +198,7 @@ def transition_elements(spec, a):
 
 
 def transition_element(spec, a, b):
-    spec = ensure_validated(spec)
-    if (a, b) in (spec.excluded_pairs or ()):
+    if (a, b) in spec.excluded_pairs:
         raise DegenerateTransition(
             "pair (%d, %d) is degenerate (|omega_ab| below tolerance)" % (a, b)
         )
@@ -249,7 +230,6 @@ def system_spectral_functions(spec, a, u):
         chi_S_ij(u) = i sum_b Im(M_ij e^{i omega_ab u}), the sums
         running over nondegenerate partners b only.
     """
-    spec = ensure_validated(spec)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     n_ops = len(spec.coupling_ops)
     C = np.zeros((n_ops, n_ops, u_arr.size), dtype=complex)

@@ -629,8 +629,8 @@ PUBLIC = {
         "SubdivisionLimit", "ZeroRelaxationRate"), "errors"),
     **dict.fromkeys((
         "SystemSpec", "TransitionElement", "system_spectral_functions",
-        "transition_element", "transition_elements", "two_level_system",
-        "validate_system"), "system"),
+        "transition_element", "transition_elements", "two_level_system"),
+        "system"),
     **dict.fromkeys((
         "AcceleratedVacuum", "InertialVacuum", "ReservoirKernel",
         "TabulatedKernel", "ThermalOhmic", "build_kernel"), "kernels"),
@@ -652,7 +652,7 @@ PUBLIC = {
 
 
 def test_public_namespace_is_pinned():
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 58
     assert set(resrelax.__all__) == set(PUBLIC)
     for name, module in PUBLIC.items():
         defining = importlib.import_module("resrelax." + module)

@@ -13,7 +13,6 @@ from resrelax import (
     transition_element,
     transition_elements,
     two_level_system,
-    validate_system,
 )
 
 
@@ -57,42 +56,38 @@ def test_two_level_strength_quarter():
 
 
 def test_validate_rejects_non_hermitian():
-    spec = SystemSpec(
-        levels=(("a", 0.0), ("b", 1.0)),
-        coupling_ops=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
-        g=1.0,
-    )
     with pytest.raises(NonHermitianCoupling):
-        validate_system(spec)
+        SystemSpec(
+            levels=(("a", 0.0), ("b", 1.0)),
+            coupling_ops=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
+            g=1.0,
+        )
 
 
 def test_validate_rejects_shape_mismatch():
-    spec = SystemSpec(
-        levels=(("a", 0.0), ("b", 1.0)),
-        coupling_ops=(np.zeros((3, 3)),),
-        g=1.0,
-    )
     with pytest.raises(DimensionMismatch):
-        validate_system(spec)
+        SystemSpec(
+            levels=(("a", 0.0), ("b", 1.0)),
+            coupling_ops=(np.zeros((3, 3)),),
+            g=1.0,
+        )
 
 
 def test_validate_rejects_nonfinite_energy():
-    spec = SystemSpec(
-        levels=(("a", 0.0), ("b", float("nan"))),
-        coupling_ops=(np.zeros((2, 2)),),
-        g=1.0,
-    )
     with pytest.raises(NonFiniteEnergy):
-        validate_system(spec)
+        SystemSpec(
+            levels=(("a", 0.0), ("b", float("nan"))),
+            coupling_ops=(np.zeros((2, 2)),),
+            g=1.0,
+        )
 
 
 def test_degenerate_pair_flagged_excluded():
     # equal energies do not fail validation; the pair just drops out of
     # every transition sum and direct queries refuse it
     op = np.array([[0.0, 1.0], [1.0, 0.0]])
-    spec = validate_system(
-        SystemSpec(levels=(("a", 1.0), ("b", 1.0)), coupling_ops=(op,), g=1.0)
-    )
+    spec = SystemSpec(levels=(("a", 1.0), ("b", 1.0)), coupling_ops=(op,),
+                      g=1.0)
     assert spec.active_pairs == ()
     assert set(spec.excluded_pairs) == {(0, 1), (1, 0)}
     assert transition_elements(spec, 0) == []
@@ -102,18 +97,17 @@ def test_degenerate_pair_flagged_excluded():
 
 def test_validate_sorts_levels_ascending():
     op = np.array([[0.0, 1.0], [1.0, 0.0]])
-    spec = SystemSpec(
+    out = SystemSpec(
         levels=(("hi", 3.0), ("lo", -3.0)),
         coupling_ops=(op,),
         g=1.0,
     )
-    out = validate_system(spec)
     assert out.labels == ("lo", "hi")
     assert_allclose(out.energies, [-3.0, 3.0])
 
 
 def test_transition_elements_order_and_content(rng):
-    spec = validate_system(random_three_level(rng))
+    spec = random_three_level(rng)
     els = transition_elements(spec, 2)
     assert [el.b for el in els] == [0, 1]
     for el in els:
@@ -126,12 +120,10 @@ def test_transition_elements_order_and_content(rng):
 
 def test_degenerate_partner_dropped_from_sums(rng):
     base = random_three_level(rng)
-    spec = validate_system(
-        SystemSpec(
-            levels=(("g", -1.0), ("e1", 1.0), ("e2", 1.0)),
-            coupling_ops=base.coupling_ops,
-            g=base.g,
-        )
+    spec = SystemSpec(
+        levels=(("g", -1.0), ("e1", 1.0), ("e2", 1.0)),
+        coupling_ops=base.coupling_ops,
+        g=base.g,
     )
     assert set(spec.excluded_pairs) == {(1, 2), (2, 1)}
     assert [el.b for el in transition_elements(spec, 1)] == [0]
@@ -142,7 +134,7 @@ def test_spectral_functions_match_expm_oracle(rng):
     # with diagonal-free couplings and a nondegenerate spectrum the
     # zero-frequency terms vanish, so the restricted b-sum must equal the
     # full Heisenberg anticommutator/commutator oracle exactly
-    spec = validate_system(random_three_level(rng, diagonal_free=True))
+    spec = random_three_level(rng, diagonal_free=True)
     u_grid = np.linspace(0.0, 7.0, 23)
     for a in range(3):
         for u in u_grid:
@@ -156,7 +148,7 @@ def test_spectral_functions_match_expm_oracle(rng):
 
 def test_spectral_function_symmetries(rng):
     # C_S is even and real-valued on the diagonal sum; chi_S is odd.
-    spec = validate_system(random_three_level(rng))
+    spec = random_three_level(rng)
     for u in (0.3, 1.1, 4.2):
         c_p, x_p = system_spectral_functions(spec, 1, u)
         c_m, x_m = system_spectral_functions(spec, 1, -u)
@@ -167,7 +159,7 @@ def test_spectral_function_symmetries(rng):
 
 
 def test_vectorized_u_matches_scalar(rng):
-    spec = validate_system(random_three_level(rng))
+    spec = random_three_level(rng)
     u = np.array([0.0, 0.5, 2.0])
     c_vec, x_vec = system_spectral_functions(spec, 0, u)
     for k, uk in enumerate(u):
@@ -183,3 +175,76 @@ def test_index_of_unknown_label():
     assert spec.index_of("+") == 1
     with pytest.raises(ConfigError):
         spec.index_of("nope")
+
+
+def _rounding_hermitian(rng, n=3):
+    """Q H Q^dagger for a random unitary Q: hermitian up to rounding."""
+    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, _ = np.linalg.qr(raw)
+    return q @ np.diag(rng.normal(size=n)) @ q.conj().T
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-12, 13, 3)])
+def test_hermiticity_check_is_scale_free(scale):
+    # S -> lambda S with g -> g / lambda is the same physics, so whether
+    # an operator passes cannot depend on the size of its entries
+    rng = np.random.default_rng(5)
+    levels = (("a", -1.0), ("b", 0.2), ("c", 1.7))
+    op = scale * _rounding_hermitian(rng)
+    assert np.max(np.abs(op - op.conj().T)) > 0.0
+    SystemSpec(levels=levels, coupling_ops=(op,), g=1.0 / scale)
+    skewed = op.copy()
+    skewed[0, 2] += 1e-6 * np.max(np.abs(op))
+    with pytest.raises(NonHermitianCoupling):
+        SystemSpec(levels=levels, coupling_ops=(skewed,), g=1.0 / scale)
+
+
+def test_zero_coupling_operator_is_hermitian():
+    spec = SystemSpec(levels=(("a", 0.0), ("b", 1.0)),
+                      coupling_ops=(np.zeros((2, 2)),), g=1.0)
+    assert spec.active_pairs == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_degeneracy_ignores_an_energy_offset(offset):
+    # a constant added to every level changes no physics: the pair stays
+    # active and the rates move only by the rounding of omega_ab
+    from resrelax import ThermalOhmic, relaxation_rate
+
+    split, op = 1e-4, np.array([[0.0, -0.5j], [0.5j, 0.0]])
+    kernel = ThermalOhmic(0.5, 5, 1)
+
+    def spec_at(shift):
+        return SystemSpec(
+            levels=(("-", shift - split / 2), ("+", shift + split / 2)),
+            coupling_ops=(op,), g=1.0)
+
+    spec, ref = spec_at(offset), spec_at(0.0)
+    assert spec.active_pairs == ref.active_pairs == ((0, 1), (1, 0))
+    rounding = abs(spec.omega_ab(1, 0) - split) / split
+    assert rounding <= 2 * np.spacing(offset + split) / split
+    for a in (0, 1):
+        value = relaxation_rate(spec, a, kernel).value
+        expected = relaxation_rate(ref, a, kernel).value
+        assert value != 0.0
+        assert value == pytest.approx(expected, rel=2 * rounding + 1e-14)
+
+
+def test_splitting_lost_to_rounding_is_degenerate():
+    op = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for low in (0.0, 1.0, 1e6):
+        high = np.nextafter(low, np.inf) if low else low
+        spec = SystemSpec(levels=(("a", low), ("b", float(high))),
+                          coupling_ops=(op,), g=1.0)
+        assert spec.active_pairs == ()
+
+
+def test_transition_element_of_an_admitted_operator():
+    # |S_10 - conj(S_01)| = 5e-10 is within 1e-12 of the largest entry,
+    # so the operator is admitted and each of its elements is usable
+    op = np.array([[0.0, 1.0, 0.0], [1.0 + 5e-10j, 0.0, 0.0],
+                   [0.0, 0.0, 1e3]])
+    spec = SystemSpec(levels=(("a", 0.0), ("b", 1.0), ("c", 2.0)),
+                      coupling_ops=(op,), g=1.0)
+    assert transition_element(spec, 1, 0).strength == pytest.approx(1.0)
+    assert [el.b for el in transition_elements(spec, 0)] == [1, 2]
