@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -32,7 +34,9 @@ from resrelax.quadrature import (
     _filon_rules,
     _halfline_breakpoints,
     _panel_tables,
+    _pv_breakpoints,
     _sph_bessel,
+    _split_batch,
     extrapolate_regulator,
     halfline_transform,
     integrate_adaptive,
@@ -257,6 +261,38 @@ class TestPrincipalValue:
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
 
+@st.composite
+def pv_intervals(draw):
+    """(lo, hi, pole, extra): a pole farther than pv_integral's guard
+    from either end, and extra points inside and outside (lo, hi)."""
+    lo = draw(st.floats(-1e3, 1e3))
+    span = 10.0 ** draw(st.floats(-3.0, 3.0))
+    hi = lo + span
+    pole = lo + span * draw(st.floats(1e-5, 1.0 - 1e-5))
+    extra = [lo + span * f for f in draw(st.lists(st.floats(-0.5, 1.5),
+                                                  max_size=3))]
+    return lo, hi, pole, extra
+
+
+# at hi = -lo = 0.7 and at 22.3108 (kk-check's cutoff 250 eta at eta =
+# 0.0892432) np.arange returned a 16th uniform point just past hi
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=pv_intervals())
+@example(case=(-0.7, 0.7, 0.3, []))
+@example(case=(-22.3108, 22.3108, 0.0446216, []))
+@example(case=(-22.3108, 22.3108, -1.7848639999999998, []))
+def test_pv_breakpoints_stay_in_the_interval(case):
+    lo, hi, pole, extra = case
+    bp = _pv_breakpoints(lo, hi, pole, 1e-6 * (hi - lo), extra)
+    assert bp[0] == lo and bp[-1] == hi
+    assert np.all(np.diff(bp) > 0.0)
+    # the 15 regular points keep their bits
+    step = (hi - lo) / 16.0
+    uniform = np.arange(lo + step, hi, step)[:15]
+    assert uniform.size == 15
+    assert set(uniform.tolist()) <= set(bp.tolist())
+
+
 class TestDispersion:
     def test_lorentzian_pair(self):
         eta = 0.1
@@ -458,6 +494,18 @@ class TestAdaptiveStack:
             lambda u: chirp(u)[None], bp, 1e-30, 1e-13, 2000)
         assert value1.shape == (1,)
         assert (value1[0], error1[0], splits1) == (value, error, splits)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_split_batch_ranks_as_lexsort(self, n):
+        # scores from a few values, so that many tie, zeros included
+        rng = np.random.default_rng(n)
+        score = rng.integers(0, 4, size=3 * n) / 4.0
+        cand = np.sort(rng.choice(3 * n, size=n, replace=False))
+        batch = _split_batch(cand, score)
+        ref = cand[np.lexsort((cand, -score[cand]))][:64]
+        assert batch.dtype == ref.dtype
+        assert batch.tolist() == ref.tolist()
+        assert batch.size == min(n, 64)
 
     def test_subdivision_limit(self):
         def stack(u):

@@ -7,13 +7,16 @@ closed-form rates and ``kk_check.table`` use it, so a CLI run on a
 closed-form kernel never imports scipy; nor does it load
 numpy.polynomial or call LAPACK, whose first use raises the peak RSS by
 1-2 MB, or call BLAS, whose first call maps in about 0.3 MB of OpenBLAS
-code.  Nor does it import logging unless RESRELAX_LOG is set (about
-0.5 MB of peak RSS), not even for ``sweep --jobs 2``; json or
-configparser (about 0.25 MB together), as the package writes its JSON
-and reads its INI itself; or argparse, gettext and locale (about 0.55 MB):
-the CLI reads its arguments from a table.  The INI reader's refusals
-exit 2 naming the line.  Each command loads only the package modules it
-runs, and builds the quadrature tables only if it integrates.
+code; nor numpy's sort, argsort, lexsort or argmax: the adaptive pass
+ranks its few dozen panels in Python, which keeps about 0.3 MB of numpy
+code unmapped on a thermal ``shift --method both``.  Nor does it import
+logging unless RESRELAX_LOG is set (about 0.5 MB of peak RSS), not even
+for ``sweep --jobs 2``; json or configparser (about 0.25 MB together), as
+the package writes its JSON and reads its INI itself; or argparse,
+gettext and locale (about 0.55 MB): the CLI reads its arguments from a
+table.  The INI reader's refusals exit 2 naming the line.  Each command
+loads only the package modules it runs, and builds the quadrature tables
+only if it integrates.
 A bad RESRELAX_LOG exits 2, and the library's debug lines still reach a
 program that configures logging after importing it.  ``import resrelax``
 loads no submodule and no numpy and leaves the environment alone; ``import
@@ -42,7 +45,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 # runs the CLI with the given arguments, then reports the scipy and
 # numpy.polynomial modules loaded by then and the LAPACK routines (and
-# polyfit, whose lstsq numpy binds at import) that were called
+# polyfit, whose lstsq numpy binds at import) and numpy sort and argmax
+# functions that were called
 _RUN = """\
 import json, sys
 import numpy
@@ -55,7 +59,8 @@ def _record(owner, name):
     setattr(owner, name, wrapper)
 for name in ("det", "eigvalsh", "inv", "lstsq", "solve", "svd"):
     _record(numpy.linalg, name)
-_record(numpy, "polyfit")
+for name in ("argmax", "argsort", "lexsort", "polyfit", "sort"):
+    _record(numpy, name)
 from resrelax.cli import main
 rc = main(sys.argv[1:])
 print(json.dumps({"rc": rc, "called": called, "loaded": sorted(
@@ -594,8 +599,9 @@ def _peak_rss_mb(args, cwd):
 def test_shift_peak_memory_above_setup(tmp_path):
     # what a 3-level dispersion-and-direct shift adds to the peak RSS of
     # an interpreter that has only loaded the CLI and read its INI: the
-    # sampling blocks and what its paths load (about 0.7 MB with 64-panel
-    # blocks; 1.35 MB with a BLAS call and argparse's lazy locale import,
+    # sampling blocks and what its paths load (about 0.57 MB with 64-panel
+    # blocks; 0.88 MB with numpy's lexsort, argmax and int -> float cast;
+    # 1.35 MB with a BLAS call and argparse's lazy locale import as well,
     # 3.4 MB with 256-panel blocks, numpy.polynomial and LAPACK too)
     path = tmp_path / "thermal3.ini"
     path.write_text(THERMAL3_INI)
