@@ -9,7 +9,11 @@ Subcommands:
   sweep     parameter grids in long CSV format
 
 Only rates and shift take --format.  The INI sections and keys, and the
-type of each value, are those of ``resrelax.config._SCHEMA``.
+type of each value, are those of ``resrelax.config._SCHEMA``.  Each
+command starts from a ``RunConfig`` that is typed and has built its
+system, kernel and quadrature when it is read; kk-check types only
+[kk_check], and without --config starts from an empty one.  A sweep
+point is the config with its axes overridden (``with_overrides``).
 
 All numeric output is formatted %.16e (JSON: shortest round-trip repr),
 which reproduces every double exactly, and emitted in a fixed order, so
@@ -61,7 +65,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .config import _SCHEMA, RunConfig, parse_config
+from .config import RunConfig, parse_config
 from .errors import (ConfigError, CutoffTooSmall, NumericalError,
                      ZeroRelaxationRate, _log)
 from .quadrature import kk_real_from_imag, QuadratureConfig
@@ -79,7 +83,11 @@ def _write_output(path, text):
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".resrelax-")
+    umask = os.umask(0)  # there is no other way to read it
+    os.umask(umask)
     try:
+        # mkstemp makes the file 0600; give it what open(path, "w") would
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -159,10 +167,8 @@ def _json_text(obj):
 def cmd_rates(cfg: RunConfig, args):
     from .rates import rate_table
 
-    spec = cfg.system()
-    kernel = cfg.kernel()
-    qcfg = cfg.quadrature()
-    gamma_rows, transition_rows = rate_table(spec, kernel, qcfg)
+    spec = cfg.system
+    gamma_rows, transition_rows = rate_table(spec, cfg.kernel, cfg.quadrature)
     rows = []
     for mech, w, val, err in gamma_rows:
         rows.append((mech, "", "", _fmt(w), _fmt(val), _fmt(err)))
@@ -218,9 +224,7 @@ def cmd_shift(cfg: RunConfig, args):
     from .shifts import (ShiftWorkspace, _poles, compute_shift,
                          delta_sr_relative)
 
-    spec = cfg.system()
-    kernel = cfg.kernel()
-    qcfg = cfg.quadrature()
+    spec, kernel, qcfg = cfg.system, cfg.kernel, cfg.quadrature
     _require_cutoff_key(qcfg)
     a = _resolve_level(spec, cfg.section("shift").get("level"))
     # one workspace of both mechanisms serves the shift and delta_sr_relative
@@ -261,13 +265,11 @@ def cmd_evolve(cfg: RunConfig, args):
                            evolve_ode, fit_decay_rate)
     from .rates import einstein_coefficients, rate_coefficients
 
-    spec = cfg.system()
-    kernel = cfg.kernel()
-    qcfg = cfg.quadrature()
+    spec = cfg.system
     if spec.n_levels != 2:
         raise ConfigError("evolve requires a two-level system")
     omega_0 = spec.omega_ab(1, 0)
-    rates = rate_coefficients(kernel, omega_0, spec.g, qcfg)
+    rates = rate_coefficients(cfg.kernel, omega_0, spec.g, cfg.quadrature)
     grf, gsr = rates["rf"], rates["sr"]
     ein = einstein_coefficients(grf, gsr)
     sec = cfg.section("evolve")
@@ -325,8 +327,8 @@ def _lorentzian_pair(eta):
     return f_imag, f_real
 
 
-def cmd_kk_check(cfg, args):
-    sec = cfg.section("kk_check") if cfg is not None else {}
+def cmd_kk_check(cfg: RunConfig, args):
+    sec = cfg.section("kk_check")
     eta = sec.get("eta", 0.1)
     # above, the squares of 20 eta overflow; below, eta^2 nears the
     # subnormals and the Lorentzian pair turns NaN
@@ -361,7 +363,7 @@ def cmd_kk_check(cfg, args):
         "zero_point": zero.value,
         "passed": bool(max_rel < 1e-3),
     }
-    if cfg is not None and "table" in sec:
+    if "table" in sec:
         obj["table"] = _kk_check_table(cfg, sec)
     _write_output(args.out, _json_text(obj))
     if not obj["passed"]:
@@ -419,14 +421,8 @@ def _sweep_point(base_cfg, names, values, quantity):
     from .rates import (einstein_coefficients, rate_coefficients,
                         relaxation_rate)
 
-    # an axis overrides its key in the first section of the schema that
-    # holds it ([kk_check] also has an eta)
-    cfg = base_cfg.with_overrides({
-        (next(s for s in _SCHEMA if name in _SCHEMA[s]), name): value
-        for name, value in zip(names, values)})
-    spec = cfg.system()
-    kernel = cfg.kernel()
-    qcfg = cfg.quadrature()
+    cfg = base_cfg.with_overrides(dict(zip(names, values)))
+    spec, kernel, qcfg = cfg.system, cfg.kernel, cfg.quadrature
     if quantity == "relaxation_rate":
         res = relaxation_rate(spec, spec.n_levels - 1, kernel, qcfg)
         return res.value, res.error_estimate
@@ -465,7 +461,7 @@ def cmd_sweep(cfg: RunConfig, args):
     if not names:
         raise ConfigError("sweep section defines no parameter lists")
     if quantity == "lamb_shift" and "omega_cutoff" not in names:
-        _require_cutoff_key(cfg.quadrature())
+        _require_cutoff_key(cfg.quadrature)
     size = math.prod(len(sec[name]) for name in names)
     if size > 10 ** 6:
         raise ConfigError("sweep grid has %d points (limit 10^6)" % size)
@@ -652,15 +648,14 @@ def main(argv=None):
     try:
         _setup_logging()
         args = _parse_args(argv)
-        needs_config = args.command != "kk-check"
+        # kk-check reads only [kk_check], and runs without a config too
+        only = "kk_check" if args.command == "kk-check" else None
         if args.config is not None:
-            # kk-check reads only [kk_check]
-            cfg = parse_config(args.config,
-                               only=None if needs_config else "kk_check")
-        elif needs_config:
-            raise ConfigError("--config is required for %r" % args.command)
+            cfg = parse_config(args.config, only)
+        elif only is not None:
+            cfg = RunConfig(None, {}, only)
         else:
-            cfg = None
+            raise ConfigError("--config is required for %r" % args.command)
         dispatch = {
             "rates": cmd_rates,
             "shift": cmd_shift,

@@ -43,34 +43,30 @@ or key, a key before the first section, a line with neither ``=`` nor
 hold, and of how each value is typed: a finite number, a positive
 integer, a non-empty list of numbers (the ``[sweep]`` axes) or the
 value as read.  Any other section or key is refused, naming it.
-Everything is validated at parse time: files referenced by the config
-must exist and all numeric parameters must satisfy their module
-preconditions before any computation starts.  ``system`` and ``kernels``
-load only when a system or a reservoir is first built (not for kk-check).
+A ``RunConfig`` is typed and built once, when it is constructed: files
+referenced by the config must exist and all numeric parameters must
+satisfy their module preconditions before any computation starts.
+``system`` and ``kernels`` load only when a system or a reservoir is
+built (not for kk-check).
 """
 
 from __future__ import annotations
 
 import ast
-import math
 import os
 import warnings
 
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, is_finite
 
 SWEEPABLE_KEYS = ("acceleration", "eta", "g", "omega_0", "omega_cutoff",
                   "omega_j", "temperature")
 
 
 def _number(section, key, value):
-    try:  # TypeError: not a number; OverflowError: an int beyond float
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
+    if not is_finite(value):
         raise ConfigError("%s.%s must be a finite number, got %r"
                           % (section, key, value))
     return float(value)
@@ -119,84 +115,67 @@ def _parse_value(raw):
 
 
 class RunConfig:
-    """Parsed and validated configuration."""
+    """A config, typed by ``_SCHEMA`` in place, and the system, kernel
+    and quadrature built from it, in that order, when it is constructed.
 
-    __slots__ = ("path", "sections", "_system", "_kernel", "_quadrature")
+    ``only`` names the one section to type instead, for a command that
+    builds none of them (kk-check); the three are then None.  ``path``
+    anchors a relative table path.  ``_built`` maps a section name to
+    what was already built from it (``with_overrides``); its sections
+    are typed already and are not typed again.
+    """
 
-    def __init__(self, path, sections, _system=None, _kernel=None,
-                 _quadrature=None):
+    __slots__ = ("path", "sections", "system", "kernel", "quadrature")
+
+    def __init__(self, path, sections, only=None, _built=None):
         self.path = path
         self.sections = sections
-        self._system = _system
-        self._kernel = _kernel
-        self._quadrature = _quadrature
+        if _built is None:  # with_overrides types only its axes
+            for name, sec in sections.items():
+                if only is not None and name != only:
+                    continue
+                keys = _SCHEMA.get(name)
+                if keys is None:
+                    raise ConfigError("unknown config section [%s] (known: %s)"
+                                      % (name, ", ".join(_SCHEMA)))
+                for key, value in sec.items():
+                    if key not in keys:
+                        raise ConfigError(
+                            "unknown key %s.%s (known: %s)"
+                            % (name, key, ", ".join(sorted(keys))))
+                    if keys[key] is not None:
+                        sec[key] = keys[key](name, key, value)
+        self.system = self.kernel = self.quadrature = None
+        if only is None:
+            built = _built or {}
+            self.system = built.get("system") or _build_system(
+                self.section("system"))
+            self.kernel = built.get("reservoir") or _build_reservoir(
+                self.section("reservoir"), os.path.dirname(path))
+            self.quadrature = built.get("quadrature") or _build_quadrature(
+                self.section("quadrature"))
 
     def section(self, name):
         return self.sections.get(name, {})
 
-    def system(self):
-        if self._system is None:
-            self._system = _build_system(self.section("system"))
-        return self._system
-
-    def kernel(self):
-        if self._kernel is None:
-            self._kernel = _build_reservoir(self.section("reservoir"),
-                                            os.path.dirname(self.path))
-        return self._kernel
-
-    def quadrature(self):
-        if self._quadrature is None:
-            self._quadrature = _build_quadrature(self.section("quadrature"))
-        return self._quadrature
-
-    def with_overrides(self, overrides):
-        """New RunConfig with {(section, key): value} replaced; revalidates.
-
-        Only the sections that an override touches are typed again.  The
-        system, kernel and quadrature already built from a section that
-        no override touches are carried over, not rebuilt (a tabulated
-        kernel would parse its file again).
+    def with_overrides(self, axes):
+        """A new RunConfig with each sweep axis {key: value} set in the
+        first section of ``_SCHEMA`` that holds the key ([kk_check] also
+        has an eta).  What was built from a section no axis touches is
+        reused, not rebuilt (a tabulated kernel would parse its file again).
+        Only the axis values are typed and only their sections copied, so
+        a point costs the same however long the [sweep] axes are.
         """
-        sections = {name: dict(sec) for name, sec in self.sections.items()}
-        for (section, key), value in overrides.items():
-            sections.setdefault(section, {})[key] = value
-        touched = {section for section, _ in overrides}
-        fresh = RunConfig(
-            self.path, sections,
-            None if "system" in touched else self._system,
-            None if "reservoir" in touched else self._kernel,
-            None if "quadrature" in touched else self._quadrature)
-        for name in touched:
-            fresh.validate(only=name)
-        fresh.system()
-        fresh.kernel()
-        fresh.quadrature()
-        return fresh
-
-    def validate(self, only=None):
-        """Type every value by ``_SCHEMA``, refusing an unknown section or
-        key, then build the system, reservoir and quadrature.  ``only``
-        names the one section to check instead, for a command that
-        builds none of them (kk-check)."""
-        for name, sec in self.sections.items():
-            if only is not None and name != only:
-                continue
-            keys = _SCHEMA.get(name)
-            if keys is None:
-                raise ConfigError("unknown config section [%s] (known: %s)"
-                                  % (name, ", ".join(_SCHEMA)))
-            for key, value in sec.items():
-                if key not in keys:
-                    raise ConfigError("unknown key %s.%s (known: %s)"
-                                      % (name, key, ", ".join(sorted(keys))))
-                if keys[key] is not None:
-                    sec[key] = keys[key](name, key, value)
-        if only is None:
-            self.system()
-            self.kernel()
-            self.quadrature()
-        return self
+        sections = dict(self.sections)
+        built = {"system": self.system, "reservoir": self.kernel,
+                 "quadrature": self.quadrature}
+        for key, value in axes.items():
+            name = next(s for s in _SCHEMA if key in _SCHEMA[s])
+            typer = _SCHEMA[name][key]
+            sections[name] = {**sections.get(name, {}), key:
+                              typer(name, key, value) if typer else value}
+            built.pop(name, None)
+        return RunConfig(self.path, sections, _built=built)
 
 
 def _read_ini(lines, path):
@@ -253,8 +232,7 @@ def _read_ini(lines, path):
 
 
 def parse_config(path, only=None):
-    """Read, type and validate a config file (see ``RunConfig.validate``
-    for ``only``)."""
+    """The ``RunConfig`` of an INI file (see ``RunConfig`` for ``only``)."""
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
     try:
@@ -266,7 +244,7 @@ def parse_config(path, only=None):
         raise ConfigError("cannot read config file %s" % path) from exc
     sections = {name: {key: _parse_value(value) for key, value in sec.items()}
                 for name, sec in raw.items()}
-    return RunConfig(os.path.abspath(path), sections).validate(only)
+    return RunConfig(os.path.abspath(path), sections, only)
 
 
 def _build_system(sec):

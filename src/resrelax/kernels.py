@@ -449,26 +449,31 @@ def _read_table(path, what):
     Blank lines are skipped and ``#`` starts a comment; lines before
     the first row of numbers (a header) are skipped too.  After it,
     every line must hold as many numbers as the first row, at least
-    three, or ConfigError names ``what``, the file and the line.
+    three, or ConfigError names ``what``, the file and the line.  So
+    does a file that is not text in the locale's encoding.
     """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s %s: %s" % (what, path, exc)) from exc
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            row = [float(field) for field in text.split(",")]
+        except ValueError:
+            if not rows:
                 continue
-            try:
-                row = [float(field) for field in text.split(",")]
-            except ValueError:
-                if not rows:
-                    continue
-                row = []
-            if len(row) < 3 or rows and len(row) != len(rows[0]):
-                raise ConfigError(
-                    "%s %s, line %d: expected %d comma-separated numbers, "
-                    "got %r" % (what, path, lineno,
-                                len(rows[0]) if rows else 3, text))
-            rows.append(row)
+            row = []
+        if len(row) < 3 or rows and len(row) != len(rows[0]):
+            raise ConfigError(
+                "%s %s, line %d: expected %d comma-separated numbers, "
+                "got %r" % (what, path, lineno,
+                            len(rows[0]) if rows else 3, text))
+        rows.append(row)
     if not rows:
         raise InsufficientSamples("no numeric rows found in %s %s"
                                   % (what, path))

@@ -133,6 +133,14 @@ def _panel_tables():
     return qk15[:, 0], np.array([qk15[:, 1], qk15[:, 1] - qk15[:, 2]])
 
 
+def is_finite(value):
+    """A finite real number, not a bool."""
+    try:  # TypeError: not a number; OverflowError: an int beyond float
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 class QuadratureConfig:
     """Tolerances and truncation controls shared by every computation.
 
@@ -160,13 +168,25 @@ class QuadratureConfig:
         sched = tuple(float(e) for e in epsilon_schedule)
         if not sched:
             raise InsufficientSamples("epsilon schedule is empty")
-        if any(e <= 0 for e in sched):
-            raise ConfigError("epsilon schedule values must be positive")
+        if any(not 0 < e < math.inf for e in sched):
+            raise ConfigError("epsilon schedule values must be positive "
+                              "and finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("epsilon schedule must be strictly decreasing")
         self.epsilon_schedule = sched
+        for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+            if not is_finite(tol):
+                raise ConfigError("%s must be a finite number, got %r"
+                                  % (name, tol))
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ConfigError("tolerances must be positive")
+        if (not isinstance(max_subdivisions, (int, np.integer))
+                or isinstance(max_subdivisions, bool) or max_subdivisions < 1):
+            raise ConfigError("max_subdivisions must be an integer >= 1, "
+                              "got %r" % (max_subdivisions,))
+        if omega_cutoff is not None and not is_finite(omega_cutoff):
+            raise ConfigError("omega_cutoff must be None or a finite number, "
+                              "got %r" % (omega_cutoff,))
 
     def __repr__(self):
         return "QuadratureConfig(%s)" % ", ".join(

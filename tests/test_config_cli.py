@@ -56,12 +56,12 @@ def write(tmp_path, text, name="run.ini"):
 class TestParseConfig:
     def test_roundtrip_sections(self, tmp_path):
         cfg = parse_config(write(tmp_path, THERMAL_INI))
-        spec = cfg.system()
+        spec = cfg.system
         assert spec.omega_ab(1, 0) == pytest.approx(1.0)
-        kernel = cfg.kernel()
+        kernel = cfg.kernel
         assert isinstance(kernel, ThermalOhmic)
         assert kernel.temperature == 1.0
-        assert cfg.quadrature().omega_cutoff == 30.0
+        assert cfg.quadrature.omega_cutoff == 30.0
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -95,7 +95,7 @@ model = inertial_vacuum
 [quadrature]
 """
         cfg = parse_config(write(tmp_path, text))
-        spec = cfg.system()
+        spec = cfg.system
         assert spec.labels == ("g", "e")
         assert spec.g == 0.2
 
@@ -145,14 +145,36 @@ path = kern.csv
 [quadrature]
 """
         cfg = parse_config(write(tmp_path, text))
-        k = cfg.kernel()
+        k = cfg.kernel
         assert k.u_max_hint(1.0, 0.0) <= 4.0
 
     def test_with_overrides(self, tmp_path):
         cfg = parse_config(write(tmp_path, THERMAL_INI))
-        hot = cfg.with_overrides({("reservoir", "temperature"): 2.5})
-        assert hot.kernel().temperature == 2.5
-        assert cfg.kernel().temperature == 1.0  # original untouched
+        hot = cfg.with_overrides({"temperature": 2.5})
+        assert hot.kernel.temperature == 2.5
+        assert cfg.kernel.temperature == 1.0  # original untouched
+
+    def test_with_overrides_types_only_its_axes(self, tmp_path, monkeypatch):
+        # a point that typed the [sweep] axes again would make a sweep
+        # quadratic in the length of its axes
+        import resrelax.config as config
+
+        values = [0.5 + 0.01 * i for i in range(200)]
+        cfg = parse_config(write(tmp_path, THERMAL_INI + (
+            "\n[sweep]\nquantity = gamma_rf\ntemperature = %r\n" % values)))
+        calls = []
+
+        def counting(section, key, value):
+            calls.append((section, key))
+            return float(value)
+
+        monkeypatch.setattr(config, "_number", counting)  # via _numbers
+        monkeypatch.setitem(_SCHEMA["reservoir"], "temperature", counting)
+        for value in cfg.section("sweep")["temperature"]:
+            point = cfg.with_overrides({"temperature": value})
+        assert calls == [("reservoir", "temperature")] * len(values)
+        assert point.kernel.temperature == values[-1]
+        assert point.sections["sweep"] is cfg.sections["sweep"]
 
 
 @pytest.mark.parametrize("section", list(_SCHEMA))
@@ -551,6 +573,15 @@ class TestKkCheckCommand:
         err = capsys.readouterr().err
         assert "kk_check.table %s, line 3:" % table in err, err
 
+    def test_user_table_not_utf8_refused(self, tmp_path, capsys):
+        # an undecodable table escaped as a UnicodeDecodeError traceback
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"\xff\xfe\x00\x01")
+        path = write(tmp_path, "[kk_check]\ntable = table.csv\n")
+        assert run_cli(["kk-check", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "kk_check.table %s:" % table in err, err
+
 
 @pytest.mark.parametrize("row", ["30.0; 0.25, 0.0", "30.0,0.25", "30.0,x,0",
                                  "30.0,0.25,0.0,", "30.0,0.25,0.0,1.0"],
@@ -568,6 +599,16 @@ def test_tabulated_malformed_row_names_file_and_line(tmp_path, capsys, row):
     assert run_cli(["rates", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "tabulated kernel %s, line 303:" % table in err, err
+
+
+def test_tabulated_table_not_utf8_refused(tmp_path, capsys):
+    # an undecodable table escaped as a UnicodeDecodeError traceback
+    path = write(tmp_path, _tabulated_ini(tmp_path))
+    table = tmp_path / "kern.csv"
+    table.write_bytes(b"\xff\xfe\x00\x01")
+    assert run_cli(["rates", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "tabulated kernel %s:" % table in err, err
 
 
 class TestSweepCommand:
@@ -887,3 +928,21 @@ def test_no_partial_output_on_failure(tmp_path):
     assert not out.exists()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".resrelax")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_get_the_mode_open_gives(tmp_path, umask):
+    # the temporary file that is renamed into place was always 0600
+    path = write(tmp_path, INERTIAL_INI)
+    out = tmp_path / "traj.csv"
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert run_cli(["evolve", "--config", path, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "plain").st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert os.stat(out).st_mode & 0o777 == mode
+    assert os.stat(tmp_path / "traj.csv.json").st_mode & 0o777 == mode

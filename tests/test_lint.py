@@ -2,9 +2,10 @@
 
 Every module of ``src/resrelax`` is read with ``ast``.  An import must
 be used in the scope that makes it (the module, or the function that
-imports locally), and a module-level ``_private`` function must be
-referenced somewhere in the package.  A removal that leaves its import
-or its last helper behind fails here.
+imports locally), and a module-level ``_private`` function, class or
+constant must be read somewhere in the package (binding it is not a
+use).  A removal that leaves its import or its last helper behind fails
+here.
 """
 
 import ast
@@ -54,20 +55,35 @@ def test_every_import_is_used(module):
     assert unused == [], "%s imports names it never uses" % module
 
 
+def _defined_names(node):
+    """The names a module-level statement defines: a function, a class
+    or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return []
+
+
 def test_every_private_function_is_referenced():
     referenced = set()
     for tree in TREES.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     orphans = sorted(
-        "%s:%s" % (module, node.name)
+        "%s:%s" % (module, name)
         for module, tree in TREES.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in referenced)
+        for name in _defined_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and name not in referenced)
     assert orphans == []

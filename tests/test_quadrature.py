@@ -690,7 +690,20 @@ class TestEnvelope:
         {"epsilon_schedule": (1e-2, 0.0)},
         {"epsilon_schedule": (2.5e-3, 5e-3)},
         {"rel_tol": 0.0},
-    ], ids=["eps-not-positive", "eps-not-decreasing", "tol-not-positive"])
+        {"abs_tol": float("nan")},
+        {"rel_tol": float("inf")},
+        {"max_subdivisions": -5},
+        {"max_subdivisions": 0},
+        {"max_subdivisions": 2.5},
+        {"max_subdivisions": True},
+        {"omega_cutoff": float("nan")},
+        {"omega_cutoff": float("inf")},
+        {"epsilon_schedule": (1e-2, float("nan"))},
+        {"epsilon_schedule": (float("inf"), 1e-2)},
+    ], ids=["eps-not-positive", "eps-not-decreasing", "tol-not-positive",
+            "abs-tol-nan", "rel-tol-inf", "subdivisions-negative",
+            "subdivisions-zero", "subdivisions-float", "subdivisions-bool",
+            "cutoff-nan", "cutoff-inf", "eps-nan", "eps-inf"])
     def test_bad_settings_raise_config_error(self, settings):
         # bad settings are input errors, not failed computations
         with pytest.raises(ConfigError):
