@@ -82,12 +82,16 @@ def _write_output(path, text):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = os.stat(path).st_mode & 0o777  # open(path, "w") keeps it
+    except FileNotFoundError:
+        umask = os.umask(0)  # there is no other way to read it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".resrelax-")
-    umask = os.umask(0)  # there is no other way to read it
-    os.umask(umask)
     try:
         # mkstemp makes the file 0600; give it what open(path, "w") would
-        os.fchmod(fd, 0o666 & ~umask)
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -308,11 +312,8 @@ def cmd_evolve(cfg: RunConfig, args):
     }
     text = _csv(("tau", "mean_energy", "closed_form", "ode"), rows)
     _write_output(args.out, text)
-    side_text = _json_text(sidecar)
-    if args.out is not None:
-        _write_output(args.out + ".json", side_text)
-    else:
-        sys.stdout.write(side_text)
+    _write_output(None if args.out is None else args.out + ".json",
+                  _json_text(sidecar))
     return 0
 
 

@@ -42,8 +42,8 @@ class DegenerateTransition(ConfigError):
 
 
 class OutOfRange(ConfigError):
-    """A parameter or argument outside its domain: a kernel parameter, a
-    tabulated kernel's grid, an evolution setting or a positivity check."""
+    """A parameter or argument outside its domain: a kernel parameter or
+    grid, an evolution setting, a level index or a positivity check."""
 
 
 class InsufficientSamples(ConfigError):

@@ -175,10 +175,9 @@ class ReservoirKernel:
         """Closed-form rate coefficients per g^2 at |omega|, or None.
 
         Returns {"rf": (values, errors), "sr": (values, errors)}, arrays
-        shaped like ``omega`` that the caller scales in place, ``errors``
-        bounding the floating-point error of ``values``.  None, the
-        default, leaves the rates to the time-domain transforms of
-        ``evaluate``.
+        shaped like ``omega``, ``errors`` bounding the floating-point
+        error of ``values``.  None, the default, leaves the rates to the
+        time-domain transforms of ``evaluate``.
         """
         return None
 

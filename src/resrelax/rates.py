@@ -140,20 +140,12 @@ def rate_coefficients(kernel, omega, g, cfg=None):
     else:
         coeffs = dict.fromkeys(MECHANISMS, (np.zeros(om.shape),) * 2)
     shaped = float if om.ndim == 0 else np.asarray
-    # the kernel's arrays are scaled in place, sign then g^2; one sharing
-    # memory with another (sr = rf, values = errors) is copied first
-    arrays = []
-    for a in (a for kind in MECHANISMS for a in coeffs[kind]):
-        a = np.asarray(a, dtype=float)
-        shared = any(np.may_share_memory(a, b) for b in arrays)
-        arrays.append(a.copy() if shared else a)
     out = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        arrays[2] *= np.sign(om)  # sr's values
-        for kind, values, errors in zip(MECHANISMS, arrays[::2], arrays[1::2]):
-            values *= g * g
-            errors *= g * g
-            out[kind] = IntegralResult(shaped(values), shaped(errors),
+        for kind, sign in zip(MECHANISMS, (1.0, np.sign(om))):
+            values, errors = coeffs[kind]
+            out[kind] = IntegralResult(shaped(g * g * (sign * values)),
+                                       shaped(g * g * errors),
                                        detail=dict(work))
     return _require_finite(out, g, "rate coefficients")
 

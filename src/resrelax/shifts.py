@@ -134,13 +134,13 @@ def _stacked(coeffs):
 class ShiftWorkspace:
     """Rate coefficients of both mechanisms over [0, 2 wc].
 
-    ``mechanism`` must be "both"; ``coefficient`` and
-    ``coefficient_error`` stack the mechanisms in the order of MECHANISMS.
-    A kernel with closed-form rate coefficients is evaluated exactly
-    wherever the dispersion integral asks.  Any other kernel is sampled
-    once on a frequency grid, both mechanisms from the same kernel
-    samples, and interpolated by a cubic spline; ``stats`` holds the
-    work counts of that sampling.  One workspace serves every level, the
+    ``mechanism`` must be "both"; ``coefficients`` returns the values
+    and their error bounds, each stacked in the order of MECHANISMS.  A
+    kernel with closed-form rate coefficients (``exact``) is evaluated
+    exactly wherever the dispersion integral asks.  Any other kernel is
+    sampled once on a frequency grid, both mechanisms from the same
+    kernel samples, and interpolated by a cubic spline; ``stats`` holds
+    the work counts of that sampling.  One workspace serves every level, the
     cutoff band up to 2 wc, and all principal-value poles of a system:
     the scalar-kernel coefficient gamma(w') does not depend on the level
     pair.
@@ -155,8 +155,8 @@ class ShiftWorkspace:
         self.stats = {}
         self.interp_error = np.zeros(len(MECHANISMS))
         self._kernel, self._g, self._cfg = kernel, g, cfg
-        self._spline = None
-        if kernel.rate_coefficients(0.0) is not None:
+        self.exact = kernel.rate_coefficients(0.0) is not None
+        if self.exact:
             _log(__name__, "debug",
                  "rf+sr workspace: exact rate coefficients, no grid")
             return
@@ -179,23 +179,16 @@ class ShiftWorkspace:
             np.abs(vals[:, n:] - self._spline(probes)), axis=1)
         _log_pass("rf+sr workspace, %d grid points" % n, self.stats, start)
 
-    def _exact(self, omega):
-        return _stacked(rate_coefficients(self._kernel, omega, self._g,
-                                          self._cfg))
-
-    def coefficient(self, omega):
-        """gamma of each mechanism on the real line: even rf, odd sr."""
+    def coefficients(self, omega):
+        """(values, bounds) of gamma on the real line: even rf, odd sr."""
         omega = np.asarray(omega, dtype=float)
-        if self._spline is None:
-            return self._exact(omega)[0]
-        rf, sr = self._spline(np.abs(omega))
-        return np.stack([rf, np.sign(omega) * sr])
-
-    def coefficient_error(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        if self._spline is None:
-            return self._exact(omega)[1]
-        return (np.abs(self._err_spline(np.abs(omega)))
+        if self.exact:
+            return _stacked(rate_coefficients(self._kernel, omega, self._g,
+                                              self._cfg))
+        w = np.abs(omega)
+        rf, sr = self._spline(w)
+        return (np.stack([rf, np.sign(omega) * sr]),
+                np.abs(self._err_spline(w))
                 + self.interp_error.reshape((-1,) + (1,) * omega.ndim))
 
 
@@ -221,10 +214,10 @@ def shift_kk(system, kernel, a, cfg=None, workspace=None):
             continue
 
         def h(w, _m=m):
-            return -2.0 * _m * ws.coefficient(w)
+            return -2.0 * _m * ws.coefficients(w)[0]
 
         def h_err(w, _m=m):
-            return 2.0 * _m * ws.coefficient_error(w)
+            return 2.0 * _m * ws.coefficients(w)[1]
 
         start = time.perf_counter()
         res = pv_integral(h, el.omega_ab, -wc, wc, cfg, h_error=h_err,
@@ -298,12 +291,13 @@ def shift_direct(system, kernel, a, cfg=None):
     cfg = cfg or QuadratureConfig()
     total = dict.fromkeys(MECHANISMS, 0.0)
     err = dict.fromkeys(MECHANISMS, 0.0)
+    elements = transition_elements(system, a)
     if system.g != 0.0:
         wc = _require_cutoff(cfg, _poles(system))
         window = kernel.band_limited(wc)
         excess = window.excess if window is not None else None
         g2 = system.g * system.g
-        for el in transition_elements(system, a):
+        for el in elements:
             m = el.strength
             if m == 0.0:
                 continue
@@ -356,8 +350,7 @@ def _cutoff_remainder(spec, kernel, a, wc, cfg, workspace=None, band=False):
 
     def f(t):
         w = wc / t
-        c, c_err = ((workspace.coefficient(w), workspace.coefficient_error(w))
-                    if workspace is not None else
+        c, c_err = (workspace.coefficients(w) if workspace is not None else
                     _stacked(rate_coefficients(kernel, w, spec.g, cfg)))
         # -2 m_b / (2 pi (w^2 - w_ab^2)) per partner, times dw/dt = wc/t^2
         k = -2.0 * m / (w * w - q * q) * (wc / (2.0 * math.pi * t * t))
@@ -421,7 +414,8 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     """ShiftResult for level index ``a``.
 
     method "kk" uses the dispersion path, "direct" the time-domain path,
-    "both" reports kk values plus the cross-path residual in detail.
+    "both" reports kk values plus the cross-path residual in detail; any
+    other method raises ValueError.
     err_cutoff sums detail["err_cutoff"], each mechanism's cutoff error
     as the module docstring defines it, from the band dE(2 wc) - dE(wc)
     in detail["cutoff_band"] and the remainder R beyond wc in
@@ -429,14 +423,17 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
     _cutoff_remainder).  ``workspace`` may supply a prebuilt "both"
     ShiftWorkspace of this system, kernel and cfg.
     """
+    if method not in ("kk", "direct", "both"):
+        raise ValueError("method must be kk, direct or both, got %r"
+                         % (method,))
     cfg = cfg or QuadratureConfig()
     poles = _poles(system)
     wc = _require_cutoff(cfg, poles)
     detail, ws = {}, None
-    if method in ("kk", "both"):
+    if method != "direct":
         ws = workspace or ShiftWorkspace(kernel, system.g, cfg, "both", poles)
         shifts = shift_kk(system, kernel, a, cfg, ws)
-    if method in ("direct", "both"):
+    if method != "kk":
         direct = shift_direct(system, kernel, a, cfg)
         if method == "direct":
             shifts = direct
@@ -449,8 +446,7 @@ def compute_shift(system, kernel, a, cfg=None, method="kk", workspace=None):
         band = detail["cutoff_band"] = _cutoff_remainder(
             system, kernel, a, wc, cfg, ws, band=True)
         cutoff = {m: abs(band[m].value) for m in MECHANISMS}
-    if (method != "direct" and not windowed
-            and kernel.rate_coefficients(0.0) is not None):
+    if method != "direct" and not windowed and ws.exact:
         rem = detail["cutoff_remainder"] = _cutoff_remainder(
             system, kernel, a, wc, cfg)
         cutoff = {m: max(cutoff[m], abs(rem[m].value) + rem[m].error_estimate)

@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteEnergy,
     NonHermitianCoupling,
+    OutOfRange,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -182,13 +183,21 @@ class TransitionElement:
         return float(np.trace(self.M).real)
 
 
+def _require_level(spec, a):
+    if not 0 <= a < spec.n_levels:
+        raise OutOfRange("level index %s is outside 0 .. %d of a %d-level "
+                         "system" % (a, spec.n_levels - 1, spec.n_levels))
+
+
 def transition_elements(spec, a):
     """All nondegenerate transition elements out of level a.
 
     Returns a list of TransitionElement ordered by partner index b.
     Degenerate partners are skipped; asking for them explicitly via
-    ``transition_element`` raises DegenerateTransition.
+    ``transition_element`` raises DegenerateTransition.  An index outside
+    0 .. n_levels - 1 raises OutOfRange.
     """
+    _require_level(spec, a)
     out = []
     for (aa, b) in spec.active_pairs:
         if aa != a:
@@ -198,6 +207,8 @@ def transition_elements(spec, a):
 
 
 def transition_element(spec, a, b):
+    _require_level(spec, a)
+    _require_level(spec, b)
     if (a, b) in spec.excluded_pairs:
         raise DegenerateTransition(
             "pair (%d, %d) is degenerate (|omega_ab| below tolerance)" % (a, b)

@@ -278,6 +278,21 @@ class TestRatesCommand:
     def test_config_error_exit_code(self, capsys):
         assert run_cli(["rates", "--config", "/missing.ini"]) == 2
 
+    def test_json_matches_csv(self, tmp_path, capsys):
+        path = write(tmp_path, THERMAL_INI)
+        assert run_cli(["rates", "--config", path]) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert run_cli(["rates", "--config", path, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        got = ([(e["mechanism"], "", "", e["omega"], e["value"], e["err"])
+                for e in data["gamma"]]
+               + [(e["mechanism"], e["a"], e["b"], e["omega"], e["value"],
+                   e["err"]) for e in data["transitions"]])
+        assert got == [(mech, a, b, float(w), float(v), float(e))
+                       for mech, a, b, w, v, e in rows]
+        assert len(got) == 6
+
     def test_values_round_trip(self, tmp_path, capsys):
         # the printed gamma is the library's double, bit for bit
         from resrelax import rate_coefficients
@@ -308,6 +323,26 @@ class TestShiftCommand:
             oracles.inertial_shift_rf_upper(1.0, 40.0), rel=1e-4
         )
         assert abs(data["delta_sr_relative"]) < 1e-6
+
+    def test_level_by_label_or_index(self, tmp_path, capsys):
+        # README: a label or an index, the last level by default
+        outs = {}
+        for name, line in (("default", ""), ("-", "level = -"),
+                           ("0", "level = 0"), ("+", "level = +"),
+                           ("1", "level = 1")):
+            path = write(tmp_path, INERTIAL_INI + "\n[shift]\n%s\n" % line)
+            assert run_cli(["shift", "--config", path, "--method", "kk"]) == 0
+            outs[name] = capsys.readouterr().out
+        assert outs["-"] == outs["0"] != outs["+"]
+        assert outs["default"] == outs["+"] == outs["1"]
+        assert json.loads(outs["0"])["level"] == "-"
+
+    @pytest.mark.parametrize("value", ["x", "2", "-1"])
+    def test_unknown_level_names_key(self, tmp_path, capsys, value):
+        path = write(tmp_path, INERTIAL_INI + "\n[shift]\nlevel = %s\n"
+                     % value)
+        assert run_cli(["shift", "--config", path]) == 2
+        assert "shift.level" in capsys.readouterr().err
 
     def test_missing_cutoff_names_key(self, tmp_path, capsys):
         text = INERTIAL_INI.replace("omega_cutoff = 40.0", "")
@@ -483,6 +518,14 @@ class TestEvolveCommand:
         assert side["fitted_decay_rate"] == pytest.approx(
             side["gamma_rf"], rel=1e-6
         )
+
+    def test_stdout_holds_csv_then_sidecar(self, tmp_path, capsys):
+        path = write(tmp_path, INERTIAL_INI)
+        out = tmp_path / "traj.csv"
+        assert run_cli(["evolve", "--config", path, "--out", str(out)]) == 0
+        assert run_cli(["evolve", "--config", path]) == 0
+        assert capsys.readouterr().out == (
+            out.read_text() + (tmp_path / "traj.csv.json").read_text())
 
     def test_ode_column_tracks_closed_form(self, tmp_path):
         path = write(tmp_path, INERTIAL_INI)
@@ -930,19 +973,26 @@ def test_no_partial_output_on_failure(tmp_path):
     assert leftovers == []
 
 
-@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
-def test_output_files_get_the_mode_open_gives(tmp_path, umask):
-    # the temporary file that is renamed into place was always 0600
+@pytest.mark.parametrize("umask, existing", [
+    (0o022, None), (0o077, None), (0o022, 0o600), (0o022, 0o640)],
+    ids=["022", "077", "022-existing-600", "022-existing-640"])
+def test_output_files_get_the_mode_open_gives(tmp_path, umask, existing):
+    # the temporary file that is renamed into place was always 0600, and
+    # then took the umask's mode over an existing file's own
     path = write(tmp_path, INERTIAL_INI)
     out = tmp_path / "traj.csv"
     old = os.umask(umask)
     try:
+        for target in (out, tmp_path / "traj.csv.json", tmp_path / "plain"):
+            if existing is not None:
+                target.touch()
+                os.chmod(target, existing)
         with open(tmp_path / "plain", "w"):
             pass
         assert run_cli(["evolve", "--config", path, "--out", str(out)]) == 0
     finally:
         os.umask(old)
     mode = os.stat(tmp_path / "plain").st_mode & 0o777
-    assert mode == 0o666 & ~umask
+    assert mode == (0o666 & ~umask if existing is None else existing)
     assert os.stat(out).st_mode & 0o777 == mode
     assert os.stat(tmp_path / "traj.csv.json").st_mode & 0o777 == mode

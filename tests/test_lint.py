@@ -1,11 +1,13 @@
-"""Leftovers of removals: unused imports and orphaned private helpers.
+"""Leftovers of removals: unused imports, orphaned private helpers and
+unread parameters.
 
 Every module of ``src/resrelax`` is read with ``ast``.  An import must
 be used in the scope that makes it (the module, or the function that
 imports locally), and a module-level ``_private`` function, class or
 constant must be read somewhere in the package (binding it is not a
-use).  A removal that leaves its import or its last helper behind fails
-here.
+use).  Every parameter of a function that is not a method must be read
+in its body.  A removal that leaves its import, its last helper or the
+last reader of a parameter behind fails here.
 """
 
 import ast
@@ -87,3 +89,37 @@ def test_every_private_function_is_referenced():
         if name.startswith("_") and not name.startswith("__")
         and name not in referenced)
     assert orphans == []
+
+
+def _functions(tree):
+    """Every function of a module but its methods: module-level ones and
+    those nested in another function or a method."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not in_class:
+                out.append(child)
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return out
+
+
+def _parameters(fn):
+    args = fn.args
+    return [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                            *args.kwonlyargs, args.kwarg) if a is not None]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_parameter_is_read(module):
+    # methods follow the kernel interface, so a method may ignore one
+    unread = sorted(
+        "%s(%s)" % (fn.name, name) for fn in _functions(TREES[module])
+        for name in _parameters(fn)
+        if name not in {n.id for stmt in fn.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)})
+    assert unread == [], "%s has parameters it never reads" % module

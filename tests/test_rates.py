@@ -45,9 +45,8 @@ def test_rates_scale_as_g_squared():
     ThermalOhmic(0.5, 5.0, 1.0)], ids=["inertial", "accelerated", "cold",
                                        "thermal"])
 def test_scaling_in_place_keeps_the_bits(kernel):
-    # the kernel's arrays are scaled in place, sign then g^2, as
-    # g^2 (sign(w) gamma) was computed before; rf and sr share arrays on
-    # the vacuum kernels and at T = 0, which must be scaled once each
+    # g^2 (sign(w) gamma), in that order of operations; rf and sr share
+    # arrays on the vacuum kernels and at T = 0, each scaled once
     w = np.linspace(-3.0, 3.0, 13)
     raw = kernel.rate_coefficients(np.abs(w))
     g = 0.7

@@ -162,17 +162,17 @@ class TestWorkspace:
         from resrelax import rate_coefficients
 
         cfg = QuadratureConfig(omega_cutoff=25.0)
-        for _, route in rate_routes:
+        for name, route in rate_routes:
             kernel = route(ThermalOhmic(eta=0.4, omega_j=5.0,
                                         temperature=0.8))
             ws = ShiftWorkspace(kernel, 1.0, cfg, "both", poles=[W0])
+            assert ws.exact == (name == "closed form")
             for w in (0.6, 1.0, 7.3):
                 direct = rate_coefficients(kernel, w, 1.0, cfg)
+                values, bounds = ws.coefficients(w)
                 for j, mech in enumerate(("rf", "sr")):
-                    tol = 10.0 * (ws.coefficient_error(w)[j]
-                                  + direct[mech].error_estimate)
-                    assert abs(ws.coefficient(w)[j] - direct[mech].value) \
-                        <= tol
+                    tol = 10.0 * (bounds[j] + direct[mech].error_estimate)
+                    assert abs(values[j] - direct[mech].value) <= tol
 
     def test_holds_both_mechanisms_only(self, vac_cfg):
         with pytest.raises(ValueError):
@@ -641,3 +641,9 @@ def test_remainder_of_a_spectrum_that_does_not_decay_refused(constant_rates):
     with pytest.raises(NonConvergent, match="omega_cutoff"):
         compute_shift(atom, constant_rates(0.1), 1,
                       QuadratureConfig(omega_cutoff=10.0))
+
+
+def test_unknown_method_refused_before_any_work(vac_atom, vac_cfg):
+    # the kernel is not a kernel: any work would fail on it first
+    with pytest.raises(ValueError, match="kk, direct or both"):
+        compute_shift(vac_atom, object(), 1, vac_cfg, method="dirct")

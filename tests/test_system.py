@@ -6,12 +6,21 @@ import oracles
 from resrelax import (
     DegenerateTransition,
     DimensionMismatch,
+    InertialVacuum,
     NonFiniteEnergy,
     NonHermitianCoupling,
+    OutOfRange,
+    QuadratureConfig,
     SystemSpec,
+    ThermalOhmic,
+    compute_shift,
+    relaxation_rate,
+    shift_direct,
+    shift_kk,
     system_spectral_functions,
     transition_element,
     transition_elements,
+    transition_rates,
     two_level_system,
 )
 
@@ -248,3 +257,28 @@ def test_transition_element_of_an_admitted_operator():
                       coupling_ops=(op,), g=1.0)
     assert transition_element(spec, 1, 0).strength == pytest.approx(1.0)
     assert [el.b for el in transition_elements(spec, 0)] == [1, 2]
+
+
+@pytest.mark.parametrize("index", [-1, 2], ids=["minus-one", "n-levels"])
+@pytest.mark.parametrize("call", [
+    lambda spec, k, a, cfg: relaxation_rate(spec, a, k),
+    lambda spec, k, a, cfg: transition_rates(spec, a, k),
+    lambda spec, k, a, cfg: shift_kk(spec, k, a, cfg),
+    lambda spec, k, a, cfg: shift_direct(spec, k, a, cfg),
+    lambda spec, k, a, cfg: compute_shift(
+        two_level_system(1.0, 0.0), ThermalOhmic(0.5, 5.0, 1.0), a, cfg,
+        method="direct"),
+    lambda spec, k, a, cfg: compute_shift(spec, k, a, cfg, method="both"),
+    lambda spec, k, a, cfg: transition_element(spec, a, 0),
+    lambda spec, k, a, cfg: transition_element(spec, 1, a),
+], ids=["relaxation_rate", "transition_rates", "shift_kk", "shift_direct",
+        "direct-at-g-zero", "compute_shift", "transition_element-a",
+        "transition_element-b"])
+def test_level_index_outside_the_system_refused(call, index):
+    # an index past the last level has no partners, so it read as zero
+    # rates and shifts, and -1 read the last level under the name -1;
+    # the direct route at g = 0, which takes no pass, checks it too
+    spec = two_level_system(1.0, 1.0)
+    cfg = QuadratureConfig(omega_cutoff=10.0)
+    with pytest.raises(OutOfRange, match="level index %d .* 2-level" % index):
+        call(spec, InertialVacuum(), index, cfg)
